@@ -3,8 +3,8 @@
 Daily returns are intervals [low, high] rather than points. The process
 scales a random interval shock by a conditional scale h_t driven by past
 absolute centers, radii, and scales; the library covers the resulting
-moment theory, a two-stage estimator (moments for the shape k, scoring
-iterations for the scale parameters), multi-step volatility forecasts,
+moment theory, a two-stage estimator (moments for the shape k, projected
+Newton for the scale parameters), multi-step volatility forecasts,
 tick-data preparation, and a forecast-evaluation harness with a scalar
 GARCH(1,1) baseline.
 """

@@ -179,6 +179,7 @@ def _fit_summary(fitted: FittedModel) -> str:
         f"observations      {fitted.n_obs}",
         f"log-likelihood    {fitted.loglik:.6f}",
         f"converged         {fitted.converged}",
+        f"stop reason       {fitted.stop_reason}",
         f"iterations        {fitted.iterations}",
         f"max |gradient|    {fitted.gradient_max:.3e}",
         f"boundary          {', '.join(fitted.boundary) if fitted.boundary else '(none)'}",
@@ -210,7 +211,7 @@ def cmd_fit(args) -> int:
         with open(args.summary_out, "w") as fh:
             fh.write(summary + "\n")
     if not fitted.converged:
-        print("fit did not converge", file=sys.stderr)
+        print(f"fit did not converge: {fitted.stop_reason}", file=sys.stderr)
         return 4
     return 0
 
@@ -349,6 +350,9 @@ def cmd_backtest(args) -> int:
         _print(args, render_reports(reports))
     if info["skipped_refits"]:
         print(f"skipped refits: {len(info['skipped_refits'])}", file=sys.stderr)
+    unconverged = sum(1 for _, ok in info["garch_converged"] if not ok)
+    if unconverged:
+        print(f"unconverged baseline refits: {unconverged}", file=sys.stderr)
     return 0
 
 

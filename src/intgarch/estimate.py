@@ -1,5 +1,5 @@
-"""Two-stage estimation: moment estimator for k, scoring MLE for the scale
-parameters.
+"""Two-stage estimation: moment estimator for k, projected-Newton MLE for
+the scale parameters.
 
 Stage one sets k-hat = sqrt(2/pi) * mean(radius) / mean(|center|), from the
 stationary identity E(delta)/E|lambda| = k / sqrt(2/pi).
@@ -8,13 +8,16 @@ Stage two maximizes the conditional log-likelihood
 
     l(theta) = sum_t [ -(k+1) log h_t - lam_t^2 / (2 h_t^2) - del_t / h_t ]
 
-by Newton scoring with analytic score and Hessian. Pre-sample lags are set
-to their stationary expectations (centers 0, radii k*E(h;theta), h either
+by projected Newton (Bertsekas 1982) with analytic score and Hessian:
+the coefficients are bounded below by 0, and one held at 0 is released
+as soon as its score points back into the interior. The same optimizer
+fits the GARCH(1,1) baseline in evaluate. Pre-sample lags are set to
+their stationary expectations (centers 0, radii k*E(h;theta), h either
 E(h;theta) or 0), and because E(h;theta) moves with theta, its first and
 second derivatives are carried through the recursions; the resulting score
 and Hessian match finite differences of the likelihood to near machine
 precision. A direct-derivative variant (no recursion through the h lags,
-no pre-sample dependence) is available via recursive=False.
+no pre-sample dependence) is available via score_and_hessian(recursive=False).
 
 The recursion h_t = base_t + sum_j gamma_j h_{t-j} and the identical
 recursions for dh/dtheta and d2h/dtheta2 are linear AR filters in gamma,
@@ -46,7 +49,7 @@ __all__ = [
     "asymptotic_covariance",
 ]
 
-# snap-to-zero threshold for coefficients pinned at the boundary
+# a coordinate this close to its bound, with an outward score, is held there
 _BOUNDARY_EPS = 1e-8
 # keep the weight sum strictly inside the mean-stationary region during fitting
 _STATIONARITY_MARGIN = 1e-10
@@ -56,7 +59,7 @@ MIN_OBS_PER_PARAM = 10
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Scoring-iteration settings.
+    """Optimizer settings.
 
     init_fraction and coef_budget control the starting point: mu starts at
     init_fraction times the implied mean scale, and each coefficient group
@@ -69,7 +72,6 @@ class FitOptions:
     init_fraction: float = 0.4
     coef_budget: float = 0.2
     init_mode: InitMode = InitMode.MEAN_H
-    recursive_gradient: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -85,15 +87,19 @@ class FittedModel:
     """Result of a two-stage fit.
 
     std_errors holds asymptotic standard errors keyed by parameter name;
-    names in `boundary` were snapped to exactly 0 and carry no standard
-    error. covariance (and hessian) are over the free scale parameters in
+    names in `boundary` ended at exactly 0 and carry no standard error.
+    covariance (and hessian) are over the free scale parameters in
     `free_names` order. k comes from the moment stage and has no
-    likelihood-based standard error.
+    likelihood-based standard error. stop_reason is why the optimizer
+    stopped: "gradient tolerance" (converged), "no uphill step" or
+    "iteration cap"; it is None for documents written without it.
+    iterations counts Newton steps.
     """
 
     params: ModelParams
     loglik: float
     converged: bool
+    stop_reason: str | None
     iterations: int
     gradient_max: float
     boundary: tuple
@@ -111,6 +117,7 @@ class FittedModel:
             "model": self.params.to_dict(),
             "loglik": self.loglik,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "gradient_max": self.gradient_max,
             "boundary": list(self.boundary),
@@ -127,6 +134,7 @@ class FittedModel:
                 params=params,
                 loglik=float(d["loglik"]),
                 converged=bool(d["converged"]),
+                stop_reason=d.get("stop_reason"),
                 iterations=int(d["iterations"]),
                 gradient_max=float(d["gradient_max"]),
                 boundary=tuple(d["boundary"]),
@@ -175,7 +183,7 @@ def init_theta(
     orders: ModelOrders,
     options: FitOptions | None = None,
 ) -> ModelParams:
-    """Starting parameters for the scoring iteration.
+    """Starting parameters for the likelihood maximization.
 
     The implied mean scale h-bar is mean(radii)/k. mu starts at
     init_fraction * h-bar; each coefficient group gets an equal split of
@@ -425,7 +433,7 @@ def score_and_hessian(
 
 
 # ---------------------------------------------------------------------------
-# scoring optimizer
+# projected-Newton optimizer
 
 
 def _feasible(k: float, theta: np.ndarray, o: ModelOrders) -> bool:
@@ -434,48 +442,55 @@ def _feasible(k: float, theta: np.ndarray, o: ModelOrders) -> bool:
     return _weight_sum(k, theta, o) < 1.0 - _STATIONARITY_MARGIN
 
 
-def _scoring(
-    k: float,
+def _projected_newton(
+    objective,
+    derivs,
     theta0: np.ndarray,
-    lam: np.ndarray,
-    dlt: np.ndarray,
-    o: ModelOrders,
-    free: np.ndarray,
-    options: FitOptions,
+    lower: np.ndarray,
+    feasible,
+    max_iterations: int,
+    gradient_tolerance: float,
+    step_halving_limit: int,
 ) -> tuple:
-    """Maximize over theta[free] from theta0. Returns
-    (theta, loglik, converged, iterations, trace, grad)."""
-    theta = theta0.copy()
-    ll, _ = _loglik_raw(k, theta, lam, dlt, o, options.init_mode)
-    trace = [ll]
-    converged = False
-    grad = np.full(o.n_params, np.nan)
+    """Maximize objective(theta) subject to theta >= lower and feasible(theta).
+
+    derivs(theta) returns the gradient and Hessian of the objective. Each
+    iteration holds a coordinate at its bound while it lies within
+    _BOUNDARY_EPS of it and its score points outward, and releases it as
+    soon as the score points back in (Bertsekas 1982). A held coordinate
+    steps onto its bound; the others take a Newton step, with a ridge on
+    their Hessian raised until the step points uphill. The step is
+    projected onto the bounds and halved until the point is feasible and
+    no worse.
+
+    Returns (theta, value, kkt, hess, stop_reason, iterations, trace):
+    kkt is the gradient at theta with the held coordinates zeroed, hess
+    the Hessian there, iterations the number of Newton steps, and
+    stop_reason "gradient tolerance", "no uphill step" or "iteration cap".
+    """
+    theta = np.array(theta0, dtype=float)
+    value = objective(theta)
+    trace = [value]
     iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
-        grad, hess = _score_hessian_raw(
-            k, theta, lam, dlt, o, options.init_mode, options.recursive_gradient
-        )
+    while True:
+        grad, hess = derivs(theta)
         if not np.all(np.isfinite(grad)) or not np.all(np.isfinite(hess)):
-            raise NumericalError("numerical overflow in h recursion")
+            raise NumericalError("numerical overflow in the score or Hessian")
+        held = (theta <= lower + _BOUNDARY_EPS) & (grad < 0)
+        kkt = np.where(held, 0.0, grad)
+        if np.max(np.abs(kkt)) < gradient_tolerance:
+            return theta, value, kkt, hess, "gradient tolerance", iterations, trace
+        if iterations == max_iterations:
+            return theta, value, kkt, hess, "iteration cap", iterations, trace
+        iterations += 1
+        free = ~held
         gf = grad[free]
         hf = hess[np.ix_(free, free)]
-        # KKT test: a coefficient at 0 with an outward-pointing score is optimal
-        active = free & (theta <= _BOUNDARY_EPS)
-        active[0] = False
-        kkt = grad.copy()
-        kkt[active & (grad < 0)] = 0.0
-        if np.max(np.abs(kkt[free])) < options.gradient_tolerance:
-            converged = True
-            break
-        # Newton direction; escalate a ridge until it points uphill
         ridge = 0.0
-        direction = None
         scale = max(1.0, float(np.max(np.abs(np.diag(hf)))))
         for _ in range(60):
             try:
-                direction = np.linalg.solve(
-                    hf - ridge * np.eye(hf.shape[0]), -gf
-                )
+                direction = np.linalg.solve(hf - ridge * np.eye(hf.shape[0]), -gf)
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None and gf @ direction > 0:
@@ -483,29 +498,22 @@ def _scoring(
             ridge = max(2.0 * ridge, 1e-8 * scale)
         else:
             raise NumericalError("Hessian singular: model over-parameterized for data")
-        step = np.zeros(o.n_params)
+        step = lower - theta
         step[free] = direction
         improved = False
-        for halving in range(options.step_halving_limit + 1):
-            cand = theta + step / (2.0**halving)
-            # project coefficients that overshot the boundary onto it
-            neg = free.copy()
-            neg[0] = False
-            neg &= cand < 0
-            cand[neg] = 0.0
-            if not _feasible(k, cand, o):
+        for halving in range(step_halving_limit + 1):
+            cand = np.maximum(theta + step / (2.0**halving), lower)
+            if not feasible(cand):
                 continue
-            ll_cand, _ = _loglik_raw(k, cand, lam, dlt, o, options.init_mode)
-            if ll_cand >= ll and np.isfinite(ll_cand):
-                accept = ll_cand > ll or not np.array_equal(cand, theta)
-                if accept:
-                    theta, ll = cand, ll_cand
-                    trace.append(ll)
+            value_cand = objective(cand)
+            if value_cand >= value and np.isfinite(value_cand):
+                if value_cand > value or not np.array_equal(cand, theta):
+                    theta, value = cand, value_cand
+                    trace.append(value)
                     improved = True
                 break
         if not improved:
-            break  # no representable uphill step; report the gradient as is
-    return theta, ll, converged, iterations, trace, grad
+            return theta, value, kkt, hess, "no uphill step", iterations, trace
 
 
 def fit_mle(
@@ -513,12 +521,15 @@ def fit_mle(
     orders: ModelOrders,
     options: FitOptions | None = None,
 ) -> FittedModel:
-    """Two-stage fit: moment k, then scoring MLE for the scale parameters.
+    """Two-stage fit: moment k, then projected-Newton MLE for the scale
+    parameters.
 
-    Coefficients driven to the boundary (within 1e-8 of 0 at convergence)
-    are snapped to exactly 0 and the reduced model is refit with them
-    frozen. Standard errors come from the inverse negative Hessian over
-    the free parameters; boundary parameters carry none.
+    A coefficient that reaches 0 is held there only while its score
+    points outward, so a converged fit meets the bound-constrained
+    optimality (KKT) conditions in every coefficient. Coefficients that
+    end at exactly 0 are listed in `boundary`. Standard errors come from
+    the inverse negative Hessian over the other parameters; boundary
+    parameters carry none.
     """
     options = options or FitOptions()
     min_len = MIN_OBS_PER_PARAM * orders.n_params
@@ -528,38 +539,28 @@ def fit_mle(
             f"for orders ({orders.p},{orders.q},{orders.w}), got {len(series)}"
         )
     k = estimate_k(series)
-    theta = init_theta(series, k, orders, options).theta
+    start = init_theta(series, k, orders, options)
     lam = series.centers
     dlt = series.radii
-    names = np.array(
-        ModelParams(orders, k, 1.0, (0.0,) * orders.p, (0.0,) * orders.q, (0.0,) * orders.w)
-        .param_names()
+    mode = options.init_mode
+    lower = np.zeros(orders.n_params)
+    lower[0] = -np.inf  # mu > 0 is part of the feasibility check
+
+    theta, ll, kkt, hess, stop_reason, iterations, trace = _projected_newton(
+        lambda th: _loglik_raw(k, th, lam, dlt, orders, mode)[0],
+        lambda th: _score_hessian_raw(k, th, lam, dlt, orders, mode),
+        start.theta,
+        lower,
+        lambda th: _feasible(k, th, orders),
+        options.max_iterations,
+        options.gradient_tolerance,
+        options.step_halving_limit,
     )
+    params = start.with_theta(theta)
+    names = np.array(params.param_names())
+    free = theta > lower
+    _, h_path = _loglik_raw(k, theta, lam, dlt, orders, mode)
 
-    free = np.ones(orders.n_params, dtype=bool)
-    total_iter = 0
-    trace_all: list = []
-    while True:
-        theta, ll, converged, iters, trace, grad = _scoring(
-            k, theta, lam, dlt, orders, free, options
-        )
-        total_iter += iters
-        trace_all.extend(trace)
-        hit = free & (theta <= _BOUNDARY_EPS)
-        hit[0] = False
-        if not hit.any():
-            break
-        theta = theta.copy()
-        theta[hit] = 0.0
-        free &= ~hit
-
-    params = ModelParams(orders, k, 1.0, (0.0,) * orders.p, (0.0,) * orders.q,
-                         (0.0,) * orders.w).with_theta(theta)
-    _, h_path = _loglik_raw(k, theta, lam, dlt, orders, options.init_mode)
-
-    _, hess = _score_hessian_raw(
-        k, theta, lam, dlt, orders, options.init_mode, options.recursive_gradient
-    )
     hess_free = hess[np.ix_(free, free)]
     covariance = None
     std_errors: dict = {}
@@ -578,27 +579,22 @@ def fit_mle(
         se = np.sqrt(np.diag(covariance))
         std_errors = {str(n): float(s) for n, s in zip(names[free], se)}
 
-    kkt = grad.copy()
-    active = free & (theta <= _BOUNDARY_EPS)
-    active[0] = False
-    kkt[active & (grad < 0)] = 0.0
-    gradient_max = float(np.max(np.abs(kkt[free])))
-
     return FittedModel(
         params=params,
         loglik=ll,
-        converged=converged,
-        iterations=total_iter,
-        gradient_max=gradient_max,
+        converged=stop_reason == "gradient tolerance",
+        stop_reason=stop_reason,
+        iterations=iterations,
+        gradient_max=float(np.max(np.abs(kkt))),
         boundary=tuple(str(n) for n in names[~free]),
         free_names=tuple(str(n) for n in names[free]),
         std_errors=std_errors,
         n_obs=len(series),
-        init_mode=options.init_mode,
+        init_mode=mode,
         h_path=h_path,
         covariance=covariance,
         hessian=hess_free,
-        loglik_trace=tuple(trace_all),
+        loglik_trace=tuple(trace),
     )
 
 

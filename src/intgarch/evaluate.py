@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import lfilter
 
-from .estimate import FitOptions, fit_mle
+from .estimate import FitOptions, _projected_newton, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
 from .forecast import rolling_forecast
 from .intervals import IntervalSeries
@@ -107,11 +106,12 @@ class Garch11Params:
 
 @dataclass(frozen=True)
 class Garch11Fit:
-    """Quasi-MLE result for the baseline."""
+    """Quasi-MLE result for the baseline; stop_reason as in FittedModel."""
 
     params: Garch11Params
     loglik: float
     converged: bool
+    stop_reason: str
     iterations: int
     n_obs: int
     sigma2_path: np.ndarray = field(repr=False)
@@ -183,54 +183,53 @@ def hmse(rv, sigma2, *, squared_proxy: bool = True, squared: bool = False) -> fl
 # GARCH(1,1) baseline
 
 
-def _garch_pieces(theta: np.ndarray, r2: np.ndarray, s2_init: float, want_hess: bool):
-    """Negative log likelihood (up to the 2*pi constant), gradient, and
-    optionally the Hessian, with the variance path."""
+def _garch_variance(theta, r2: np.ndarray, s2_init: float) -> np.ndarray:
+    """sigma2_t = omega + a r_{t-1}^2 + b sigma2_{t-1}, started at s2_init."""
     w, a, b = theta
-    t_len = r2.size
-    src = np.empty(t_len)
+    src = np.empty(r2.size)
     src[0] = s2_init
     src[1:] = w + a * r2[:-1]
-    s2 = lfilter([1.0], [1.0, -b], src)
-    if np.any(s2 <= 0) or not np.all(np.isfinite(s2)):
-        return np.inf, np.zeros(3), None, s2
+    return lfilter([1.0], [1.0, -b], src)
 
-    # near-degenerate trial points overflow the 1/s2 powers; the inf
-    # objective that results is rejected by step control, so the
-    # warnings carry no information
-    with np.errstate(over="ignore", invalid="ignore"):
-        # dsigma2/dtheta via the same AR(1) filter; the path is fixed at t=1
-        src_d = np.zeros((t_len, 3))
-        src_d[1:, 0] = 1.0
-        src_d[1:, 1] = r2[:-1]
-        src_d[1:, 2] = s2[:-1]
-        d = lfilter([1.0], [1.0, -b], src_d, axis=0)
 
-        g = 0.5 * (1.0 / s2 - r2 / s2**2)
-        nll = 0.5 * float(np.sum(np.log(s2) + r2 / s2))
-        grad = d.T @ g
+def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> float:
+    """Gaussian log likelihood (up to the 2*pi constant) minus the
+    persistence penalty. omega > 0, a, b >= 0 and a + b < 1 keep the
+    variance path positive."""
+    s2 = _garch_variance(theta, r2, s2_init)
+    pen = max(0.0, theta[1] + theta[2] - _GARCH_CAP)
+    return -0.5 * float(np.sum(np.log(s2) + r2 / s2)) - _GARCH_PENALTY * pen * pen
 
-        pen = a + b - _GARCH_CAP
-        if pen > 0:
-            nll += _GARCH_PENALTY * pen * pen
-            grad = grad + 2.0 * _GARCH_PENALTY * pen * np.array([0.0, 1.0, 1.0])
 
-        if not want_hess:
-            return nll, grad, None, s2
+def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
+    """Gradient and Hessian of _garch_objective."""
+    t_len = r2.size
+    b = theta[2]
+    s2 = _garch_variance(theta, r2, s2_init)
+    # dsigma2/dtheta via the same AR(1) filter; the path is fixed at t=1
+    src_d = np.zeros((t_len, 3))
+    src_d[1:, 0] = 1.0
+    src_d[1:, 1] = r2[:-1]
+    src_d[1:, 2] = s2[:-1]
+    d = lfilter([1.0], [1.0, -b], src_d, axis=0)
 
-        src_m = np.zeros((t_len, 9))
-        e_b = np.array([0.0, 0.0, 1.0])
-        outer = d[:-1, :, None] * e_b[None, None, :]  # D_{t-1} e_b^T
-        sym = outer + outer.transpose(0, 2, 1)
-        src_m[1:] = sym.reshape(t_len - 1, 9)
-        m = lfilter([1.0], [1.0, -b], src_m, axis=0).reshape(t_len, 3, 3)
+    src_m = np.zeros((t_len, 9))
+    e_b = np.array([0.0, 0.0, 1.0])
+    outer = d[:-1, :, None] * e_b[None, None, :]  # D_{t-1} e_b^T
+    sym = outer + outer.transpose(0, 2, 1)
+    src_m[1:] = sym.reshape(t_len - 1, 9)
+    m = lfilter([1.0], [1.0, -b], src_m, axis=0).reshape(t_len, 3, 3)
 
-        q = 0.5 * (-1.0 / s2**2 + 2.0 * r2 / s2**3)
-        hess = np.einsum("t,ti,tj->ij", q, d, d) + np.tensordot(g, m, axes=1)
-        if pen > 0:
-            u = np.array([0.0, 1.0, 1.0])
-            hess = hess + 2.0 * _GARCH_PENALTY * np.outer(u, u)
-        return nll, grad, hess, s2
+    g = 0.5 * (r2 / s2**2 - 1.0 / s2)
+    q = 0.5 * (1.0 / s2**2 - 2.0 * r2 / s2**3)
+    grad = d.T @ g
+    hess = np.einsum("t,ti,tj->ij", q, d, d) + np.tensordot(g, m, axes=1)
+    pen = theta[1] + theta[2] - _GARCH_CAP
+    if pen > 0:
+        u = np.array([0.0, 1.0, 1.0])
+        grad = grad - 2.0 * _GARCH_PENALTY * pen * u
+        hess = hess - 2.0 * _GARCH_PENALTY * np.outer(u, u)
+    return grad, hess
 
 
 def garch11_path(params: Garch11Params, returns, s2_init: float | None = None) -> np.ndarray:
@@ -243,10 +242,7 @@ def garch11_path(params: Garch11Params, returns, s2_init: float | None = None) -
         s2_init = float(np.var(r))
     if s2_init <= 0:
         raise DataError("degenerate returns: zero variance")
-    src = np.empty(r.size)
-    src[0] = s2_init
-    src[1:] = params.omega + params.a * r[:-1] ** 2
-    return lfilter([1.0], [1.0, -params.b], src)
+    return _garch_variance((params.omega, params.a, params.b), r * r, s2_init)
 
 
 def garch11_forecast(
@@ -267,80 +263,18 @@ def garch11_forecast(
     return out
 
 
-def _garch_kkt(theta: np.ndarray, grad: np.ndarray) -> float:
-    """Max-norm of the gradient with outward components at a=0 / b=0 clamped."""
-    kkt = grad.copy()
-    at_zero = (theta[1:] <= 1e-12) & (grad[1:] > 0)
-    kkt[1:][at_zero] = 0.0
-    return float(np.max(np.abs(kkt)))
-
-
-def _garch_solve(r2: np.ndarray, v: float, x0: np.ndarray, omega_floor: float) -> tuple:
-    """L-BFGS-B from one start, then a Newton polish with the analytic
-    Hessian until the KKT gradient is tiny. Returns
-    (theta, nll, grad, s2, iterations)."""
-
-    def nll_grad(theta):
-        nll, grad, _, _ = _garch_pieces(theta, r2, v, want_hess=False)
-        return nll, grad
-
-    bounds = [(omega_floor, None), (0.0, 1.0), (0.0, 1.0)]
-    res = minimize(
-        nll_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-9},
-    )
-    theta = np.maximum(res.x, [omega_floor, 0.0, 0.0])
-    iterations = int(res.nit)
-
-    nll, grad, hess, s2 = _garch_pieces(theta, r2, v, want_hess=True)
-    for _ in range(60):
-        if _garch_kkt(theta, grad) < 1e-8:
-            break
-        ridge = 0.0
-        scale = max(float(np.max(np.abs(hess))), 1.0)
-        for _try in range(40):
-            try:
-                step = np.linalg.solve(hess + ridge * np.eye(3), -grad)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.isfinite(step).all():
-                break
-            ridge = max(2.0 * ridge, 1e-10 * scale)
-        else:  # pragma: no cover - defensive
-            break
-        improved = False
-        for _half in range(40):
-            cand = theta + step
-            cand[0] = max(cand[0], omega_floor)
-            cand[1] = max(cand[1], 0.0)
-            cand[2] = max(cand[2], 0.0)
-            nll_c, grad_c, hess_c, s2_c = _garch_pieces(cand, r2, v, want_hess=True)
-            if np.isfinite(nll_c) and nll_c <= nll:
-                changed = not np.array_equal(cand, theta)
-                theta, nll, grad, hess, s2 = cand, nll_c, grad_c, hess_c, s2_c
-                improved = changed
-                break
-            step *= 0.5
-        iterations += 1
-        if not improved:
-            break
-    return theta, nll, grad, s2, iterations
-
-
 def fit_garch11(returns) -> Garch11Fit:
     """Gaussian quasi-MLE of the baseline on scalar returns.
 
     The variance path starts at the sample variance. Two starting points
     are tried (a GARCH-shaped one and a near-white-noise one, whose basin
     wins on serially independent data where the likelihood is flat along
-    the b ridge); each runs L-BFGS-B with the analytic gradient and then a
-    Newton polish with the analytic Hessian. A fit that ends with a large
-    projected gradient or at the persistence ceiling is returned with
-    converged=False rather than raised.
+    the b ridge); each runs the projected Newton of the interval model
+    with the analytic gradient and Hessian, on the log-likelihood minus
+    1e8 (a + b - 0.999)^2 past the persistence cap. loglik and
+    sigma2_path are those of the returned parameters, without the
+    penalty. A fit that ends with a large projected gradient or at the
+    persistence cap is returned with converged=False rather than raised.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
@@ -353,39 +287,43 @@ def fit_garch11(returns) -> Garch11Fit:
     if v <= 0:
         raise DataError("degenerate returns: zero variance")
     r2 = r * r
-    omega_floor = 1e-12 * max(v, 1e-12)
+    lower = np.array([1e-12 * max(v, 1e-12), 0.0, 0.0])
 
     starts = (np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0]))
     best = None
     iterations = 0
     for x0 in starts:
-        sol = _garch_solve(r2, v, x0, omega_floor)
-        iterations += sol[4]
+        sol = _projected_newton(
+            lambda th: _garch_objective(th, r2, v),
+            lambda th: _garch_derivs(th, r2, v),
+            x0,
+            lower,
+            lambda th: th[1] + th[2] < 1.0,
+            max_iterations=200,
+            gradient_tolerance=1e-8,
+            step_halving_limit=40,
+        )
+        iterations += sol[5]
         if best is None:
             best = sol
             continue
         # keep the clearly better optimum; on a tie prefer low persistence
-        if sol[1] < best[1] - 1e-9 * (1.0 + abs(best[1])):
+        tol = 1e-9 * (1.0 + abs(best[1]))
+        if sol[1] > best[1] + tol:
             best = sol
-        elif sol[1] <= best[1] + 1e-9 * (1.0 + abs(best[1])):
-            if sol[0][1] + sol[0][2] < best[0][1] + best[0][2]:
-                best = sol
-    theta, nll, grad, s2, _ = best
+        elif sol[1] >= best[1] - tol and sol[0][1] + sol[0][2] < best[0][1] + best[0][2]:
+            best = sol
+    theta, _, kkt, _, stop_reason, _, _ = best
 
-    at_cap = theta[1] + theta[2] >= _GARCH_CAP
-    converged = _garch_kkt(theta, grad) < 1e-6 and not at_cap
-
-    w, a, b = theta
-    if a + b >= 1.0 - 1e-9:  # keep the params type constructible
-        shrink = (1.0 - 1e-9) / (a + b)
-        a, b = a * shrink, b * shrink
-        converged = False
-    params = Garch11Params(omega=float(max(w, 1e-300)), a=float(a), b=float(b))
-    loglik = -(nll + 0.5 * r.size * math.log(2.0 * math.pi))
+    # the bounds and a + b < 1 keep these parameters constructible
+    params = Garch11Params(*(float(x) for x in theta))
+    s2 = _garch_variance(theta, r2, v)
+    loglik = -0.5 * float(np.sum(np.log(s2) + r2 / s2)) - 0.5 * r.size * math.log(2.0 * math.pi)
     return Garch11Fit(
         params=params,
-        loglik=float(loglik),
-        converged=converged,
+        loglik=loglik,
+        converged=bool(np.max(np.abs(kkt)) < 1e-6 and params.persistence < _GARCH_CAP),
+        stop_reason=stop_reason,
         iterations=iterations,
         n_obs=int(r.size),
         sigma2_path=s2,
@@ -524,8 +462,9 @@ def run_backtest(
     same origins: the interval model refits on the schedule, and the
     baseline refits at the same origins on the same growing sample.
 
-    Returns (reports, info) where info records skipped refits and the
-    baseline's convergence flags.
+    Returns (reports, info) where info records skipped refits, failed
+    baseline refits as (origin, message) pairs, and one (origin,
+    converged) pair per completed baseline refit.
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)
@@ -557,6 +496,7 @@ def run_backtest(
         raise DataError("all refits failed; nothing to evaluate")
 
     garch_failures: list = []
+    garch_converged: list = []
     garch_fit: Garch11Fit | None = None
     garch_fc: dict = {}
     for res in results:
@@ -565,6 +505,7 @@ def run_backtest(
         if scheduled or garch_fit is None:
             try:
                 garch_fit = fit_garch11(returns[: t + 1])
+                garch_converged.append((t, garch_fit.converged))
             except IntGarchError as exc:
                 if garch_fit is None:
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
@@ -588,7 +529,7 @@ def run_backtest(
     info: dict = {
         "skipped_refits": skipped,
         "garch_failed_refits": garch_failures,
-        "garch_converged": None if garch_fit is None else garch_fit.converged,
+        "garch_converged": garch_converged,
     }
     if include_insample:
         full = fit_mle(series, orders, options)

@@ -408,6 +408,12 @@ def load_csv(path, schema: str):
                 ts = _dt.datetime.fromisoformat(row[0])
             except ValueError as exc:
                 raise DataError(f"line {lineno}: unparsable timestamp {row[0]!r}") from exc
+            if ts.tzinfo is not None:
+                # the session grid is naive local time; an offset cannot be placed on it
+                raise DataError(
+                    f"line {lineno}: timestamp {row[0]!r} carries a UTC offset; "
+                    "give naive exchange-local times"
+                )
             bid = _parse_float(row[1], lineno, "bid") if row[1] else None
             ask = _parse_float(row[2], lineno, "ask") if row[2] else None
             price = None

@@ -225,6 +225,21 @@ class TestPrepare:
         assert "# ticks_clean = 237" in bars.read_text()
 
 
+    def test_offset_timestamps_exit_two_naming_the_line(self, tmp_path, capsys):
+        tick_path = tmp_path / "ticks.csv"
+        tick_path.write_text(
+            "timestamp,bid,ask\n"
+            "2024-03-04T10:00:00,99.99,100.01\n"
+            "2024-03-04T10:05:00+00:00,99.98,100.02\n"
+            "2024-03-04T10:10:00,99.97,100.03\n"
+        )
+        assert run("prepare", "--ticks", str(tick_path),
+                   "--out-intervals", str(tmp_path / "iv.csv")) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "UTC offset" in err
+        assert "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def bars_csv(tmp_path_factory):
     d = tmp_path_factory.mktemp("bars")
@@ -255,6 +270,19 @@ class TestBacktest:
         rows = list(csv.DictReader(io.StringIO("\n".join(data_rows(out)))))
         assert {r["model"] for r in rows} == {"intgarch", "garch11"}
         assert all(r["n"] == "39" for r in rows)  # 139 - 100 - 1 + 1
+
+    def test_unconverged_baseline_refits_counted(self, bars_csv, monkeypatch, capsys):
+        from intgarch import evaluate
+
+        real = evaluate.fit_garch11
+        monkeypatch.setattr(
+            evaluate, "fit_garch11",
+            lambda r: dataclasses.replace(real(r), converged=False),
+        )
+        assert run("backtest", "--bars", str(bars_csv), "--train", "100",
+                   "--horizons", "1", "--refit-every", "16") == 0
+        # origins 99..138 refit at 99, 115 and 131
+        assert "unconverged baseline refits: 3" in capsys.readouterr().err
 
     def test_fractional_train_split(self, bars_csv, capsys):
         assert run("backtest", "--bars", str(bars_csv), "--train", "0.8",

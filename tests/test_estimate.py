@@ -1,4 +1,4 @@
-"""Two-stage estimation: moment k, scoring MLE, and standard errors."""
+"""Two-stage estimation: moment k, projected-Newton MLE, and standard errors."""
 
 import json
 import math
@@ -25,6 +25,7 @@ from intgarch import (
     score_and_hessian,
     simulate,
 )
+from intgarch.estimate import _feasible, _projected_newton
 
 MODEL_I = ModelParams.first_order(k=1.8147, mu=0.0906, alpha1=0.0318, beta1=0.374, gamma1=0.1265)
 ORDERS_111 = ModelOrders(1, 1, 1)
@@ -334,6 +335,79 @@ class TestFitMle:
         assert f.init_mode is InitMode.ZERO_H
         assert f.converged
 
+    def test_converged_fit_reports_its_stop_reason(self, fitted):
+        assert fitted.stop_reason == "gradient tolerance"
+
+    def test_iteration_cap_is_reported(self, sample):
+        f = fit_mle(sample, ORDERS_111, FitOptions(max_iterations=1))
+        assert not f.converged
+        assert f.stop_reason == "iteration cap"
+        assert f.iterations == 1
+
+    def test_coefficient_that_reaches_zero_is_released(self):
+        # on this path a coefficient passes through 0 on the way to an
+        # interior maximum where d loglik / d alpha1 would be 8.3 had it
+        # been kept at 0
+        series, _ = simulate(SimConfig(MODEL_I, length=500, seed=53, burn_in=200))
+        f = fit_mle(series, ORDERS_111)
+        grad, _ = score_and_hessian(f.params, series, f.init_mode)
+        assert f.converged
+        assert f.boundary == ()
+        assert np.max(np.abs(grad)) < 1e-6
+        assert f.loglik > 109.72
+
+
+class TestProjectedNewton:
+    def test_leaves_bound_when_score_points_inward(self):
+        # maximize -|x - c|^2 over x >= 0 with c = (1, -1): the first
+        # coordinate starts at its bound with a positive score; the second
+        # is pushed onto its bound and held there against an outward score
+        c = np.array([1.0, -1.0])
+        theta, value, kkt, _, stop, _, _ = _projected_newton(
+            lambda x: -float(np.sum((x - c) ** 2)),
+            lambda x: (-2.0 * (x - c), -2.0 * np.eye(2)),
+            np.array([0.0, 0.5]), np.zeros(2), lambda x: True, 50, 1e-10, 30,
+        )
+        np.testing.assert_allclose(theta, [1.0, 0.0], atol=1e-12)
+        assert value == pytest.approx(-1.0, abs=1e-12)
+        assert kkt[1] == 0.0
+        assert stop == "gradient tolerance"
+
+    def test_fit_started_at_zero_coefficient_leaves_it(self, sample):
+        # alpha1 = 0 with an inward score at the start: the scale model
+        # must move it off the bound and reach the interior optimum
+        k = estimate_k(sample)
+        start = init_theta(sample, k, ORDERS_111).theta.copy()
+        start[1] = 0.0
+        m = init_theta(sample, k, ORDERS_111).with_theta(start)
+        grad0, _ = score_and_hessian(m, sample)
+        assert grad0[1] > 0
+        lower = np.array([-np.inf, 0.0, 0.0, 0.0])
+
+        def objective(th):
+            return loglik_eval(m.with_theta(th), sample)[0]
+
+        def derivs(th):
+            return score_and_hessian(m.with_theta(th), sample)
+
+        theta, value, kkt, _, stop, _, _ = _projected_newton(
+            objective, derivs, start, lower, lambda th: _feasible(k, th, ORDERS_111), 200, 1e-6, 30
+        )
+        assert stop == "gradient tolerance"
+        assert theta[1] > 0
+        assert np.max(np.abs(kkt)) < 1e-6
+        assert value == pytest.approx(fit_mle(sample, ORDERS_111).loglik, rel=1e-10)
+
+    def test_no_uphill_step(self):
+        # a flat objective with a nonzero "score" offers no improvement
+        theta0 = np.array([0.5])
+        *_, stop, _, _ = _projected_newton(
+            lambda x: 0.0 if x[0] == 0.5 else -1.0,
+            lambda x: (np.array([1.0]), np.array([[-1.0]])),
+            theta0, np.zeros(1), lambda x: True, 10, 1e-10, 5,
+        )
+        assert stop == "no uphill step"
+
 
 class TestFittedModelSerialization:
     def test_round_trip(self, fitted):
@@ -345,6 +419,16 @@ class TestFittedModelSerialization:
         assert again.std_errors == fitted.std_errors
         assert again.boundary == fitted.boundary
         assert again.init_mode == fitted.init_mode
+
+    def test_stop_reason_round_trips(self, fitted):
+        doc = json.loads(fitted.to_json())
+        assert doc["stop_reason"] == "gradient tolerance"
+        assert FittedModel.from_dict(doc).stop_reason == "gradient tolerance"
+
+    def test_document_without_stop_reason_loads(self, fitted):
+        doc = json.loads(fitted.to_json())
+        del doc["stop_reason"]
+        assert FittedModel.from_dict(doc).stop_reason is None
 
     def test_extra_keys_ignored(self, fitted):
         doc = json.loads(fitted.to_json())

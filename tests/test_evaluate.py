@@ -224,10 +224,24 @@ class TestFitGarch11:
         rng = np.random.default_rng(11)
         r = rng.normal(size=300)
         fit = fit_garch11(r)
+        assert fit.stop_reason == "gradient tolerance"
         s2 = fit.sigma2_path
         by_hand = -0.5 * np.sum(np.log(2.0 * np.pi) + np.log(s2) + r**2 / s2)
         assert fit.loglik == pytest.approx(by_hand, rel=1e-12)
         np.testing.assert_allclose(s2, garch11_path(fit.params, r), rtol=1e-12)
+
+    def test_loglik_at_cap_has_no_penalty(self):
+        # this fit ends past the persistence cap, where the optimizer's
+        # objective carries the penalty; loglik must not
+        series, _ = simulate(SimConfig(MODEL_I, length=500, seed=3, burn_in=200))
+        r = series.centers
+        fit = fit_garch11(r)
+        assert fit.params.persistence > 0.999
+        assert not fit.converged
+        s2 = garch11_path(fit.params, r)
+        by_hand = -0.5 * np.sum(np.log(2.0 * np.pi) + np.log(s2) + r**2 / s2)
+        assert fit.loglik == pytest.approx(by_hand, rel=1e-12)
+        np.testing.assert_array_equal(fit.sigma2_path, s2)
 
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 50"):
@@ -362,6 +376,9 @@ class TestRunBacktest:
         assert set(info) == {"skipped_refits", "garch_failed_refits", "garch_converged"}
         assert info["skipped_refits"] == []
         assert info["garch_failed_refits"] == []
+        # one (origin, converged) pair per baseline refit: origins 119..159
+        assert [t for t, _ in info["garch_converged"]] == [119, 139, 159]
+        assert all(type(ok) is bool for _, ok in info["garch_converged"])
 
     def test_insample_reports(self, backtest_inputs):
         series, rv = backtest_inputs
