@@ -268,7 +268,8 @@ def cmd_acf(args) -> int:
 
 def cmd_prepare(args) -> int:
     ticks = load_csv(args.ticks, "ticks")
-    cleaned = clean_quotes(ticks)
+    drops: dict = {}
+    cleaned = clean_quotes(ticks, drops)
     session = SessionSpec(
         start=_parse_time(args.session_start),
         end=_parse_time(args.session_end),
@@ -285,6 +286,7 @@ def cmd_prepare(args) -> int:
         ticks_clean=len(cleaned),
         days=len(days),
         intervals=len(series),
+        **{f"dropped_{rule}": n for rule, n in drops.items()},
     )
     save_intervals_csv(series, args.out_intervals, meta=meta)
     if args.out_bars:
@@ -292,7 +294,8 @@ def cmd_prepare(args) -> int:
     _print(
         args,
         f"ticks in {len(ticks)}, after cleaning {len(cleaned)}, "
-        f"days {len(days)}, intervals {len(series)}",
+        f"days {len(days)}, intervals {len(series)}, "
+        f"dropped by rules 1-4: {', '.join(str(n) for n in drops.values())}",
     )
     return 0
 

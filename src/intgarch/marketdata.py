@@ -1,30 +1,45 @@
 """Tick ingestion, cleaning, gridding, realized variance, and interval returns.
 
-The cleaning stage applies four rules in order: collapse duplicate
-timestamps to median quotes, drop negative spreads, drop spreads beyond 50
-times the day's median spread, and drop mid-quotes straying more than 10
-mean absolute deviations from a centered rolling median (window 25 back /
-25 forward, self excluded; at the edges all available neighbors are used,
-and ticks with fewer than 10 neighbors are not tested).
+The cleaning stage applies four rules in order (Q1-Q4 of Barndorff-Nielsen,
+Hansen, Lunde & Shephard 2009): collapse duplicate timestamps to median
+quotes, drop negative spreads, drop spreads beyond 50 times the day's median
+spread, and drop mid-quotes straying more than 10 mean absolute deviations
+from a centered rolling median (window 25 back / 25 forward, self excluded;
+at the edges all available neighbors are used, and ticks with fewer than 10
+neighbors are not tested). Price-only data skip the two spread rules.
+
+Cleaning runs as array passes over the sorted ticks, which are converted
+once to an int64 microsecond key. Rule 1 takes the median of each run of
+equal keys in one pass; a run of one keeps its original QuoteTick. The bid,
+ask and mid (or price) columns of the collapsed ticks then go through rules
+2-4 one day at a time: rules 2 and 3 as boolean masks, rule 4 as a sort of
+the rows of one 51-wide sliding window over the day, in blocks of bounded
+size. The day is padded with +inf on both sides and each window's centre
+set to +inf, so every row holds its tick's real neighbors first and +inf
+after them: edge ticks, short days and interior ticks share one pass and
+one median formula. Every median equals np.median's, bit for bit.
 
 Cleaned ticks are sampled onto an intra-session grid by carrying the last
-observation forward. A day's grid log prices give its realized variance
-(sum of squared consecutive differences) and its min/max, from which the
-daily interval return is
+observation forward, found by bisection on the sorted timestamps. A day's
+grid log prices give its realized variance (sum of squared consecutive
+differences) and its min/max, from which the daily interval return is
 
     r_t = [min_log(t) - max_log(t-1), max_log(t) - min_log(t-1)].
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as _dt
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DataError
 from .intervals import IntervalSeries
@@ -49,6 +64,11 @@ RULE4_HALF_WINDOW = 25
 RULE4_MIN_NEIGHBORS = 10
 RULE4_MAD_MULTIPLE = 10.0
 RULE3_SPREAD_MULTIPLE = 50.0
+_RULE4_BLOCK_ROWS = 512  # rows per rule-4 sort, bounding its memory
+
+_EPOCH = _dt.datetime(1970, 1, 1)
+_MICROSECOND = _dt.timedelta(microseconds=1)
+_DAY_US = 86_400_000_000
 
 
 @dataclass(frozen=True)
@@ -56,7 +76,8 @@ class QuoteTick:
     """One quote (bid/ask) or trade (price) observation.
 
     Quote ticks carry bid and ask; price-only ticks carry just price.
-    Spreads may be negative on ingest; cleaning removes them.
+    Every value given must be finite and positive. Spreads may be
+    negative on ingest; cleaning removes them.
     """
 
     timestamp: _dt.datetime
@@ -65,9 +86,16 @@ class QuoteTick:
     price: float | None = None
 
     def __post_init__(self) -> None:
-        has_quote = self.bid is not None and self.ask is not None
-        if not has_quote and self.price is None:
+        bid, ask, price = self.bid, self.ask, self.price
+        if (bid is None or ask is None) and price is None:
             raise DataError(f"tick at {self.timestamp} has neither quotes nor a price")
+        for value in (bid, ask, price):
+            # also false for NaN; the grid takes logs of these values
+            if value is not None and not 0 < value < math.inf:
+                raise DataError(
+                    f"tick at {self.timestamp}: bid {bid!r}, ask {ask!r}, price {price!r}; "
+                    "each given value must be finite and positive"
+                )
 
     @property
     def spread(self) -> float | None:
@@ -128,112 +156,141 @@ class SessionSpec:
             raise DataError("session start must precede end")
 
 
-def _is_price_only(ticks: Sequence[QuoteTick]) -> bool:
-    has_quotes = [t.bid is not None and t.ask is not None for t in ticks]
-    if all(has_quotes):
-        return False
-    if not any(has_quotes):
-        return True
-    raise DataError("mixed quote and price-only ticks; split the inputs")
+def _time_keys(ticks: Sequence[QuoteTick]) -> np.ndarray:
+    """Integer microseconds since 1970-01-01 of each tick's timestamp."""
+    try:
+        return np.fromiter(((t.timestamp - _EPOCH) // _MICROSECOND for t in ticks), np.int64, len(ticks))
+    except TypeError as exc:
+        raise DataError("tick timestamps must be naive exchange-local times") from exc
 
 
-def clean_quotes(ticks: Sequence[QuoteTick]) -> list:
+def _runs(ids: np.ndarray) -> tuple:
+    """Start index and length of each run of equal values in a sorted array."""
+    change = np.ones(len(ids), bool)
+    change[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.diff(np.r_[starts, len(ids)])
+
+
+def _run_medians(values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """One median per run of equal ids (sorted), in run order.
+
+    The middle element, or the mean of the two middle elements, of each
+    sorted run: the same bits as np.median of that run.
+    """
+    v = values[np.lexsort((values, ids))]
+    starts, counts = _runs(ids)
+    lo = v[starts + (counts - 1) // 2]
+    hi = v[starts + counts // 2]
+    return np.where(counts % 2 == 1, lo, (lo + hi) / 2)
+
+
+def _rule4_deviations(mid: np.ndarray) -> np.ndarray:
+    """|mid - median of its neighbours| for each tick of one day, NaN
+    where not tested.
+
+    Neighbours are up to RULE4_HALF_WINDOW ticks either side, the tick
+    itself excluded; a tick with fewer than RULE4_MIN_NEIGHBORS of them
+    is not tested. The day is padded with +inf on both sides and each
+    window's centre is set to +inf, so one pass serves interior and edge
+    ticks alike: after a row sort the m real neighbours come first, and
+    their middle one or two give the median bit for bit as np.median does.
+    """
+    n, w = len(mid), RULE4_HALF_WINDOW
+    i = np.arange(n)
+    neighbours = np.minimum(i, w) + np.minimum(n - 1 - i, w)
+    pad = np.full(w, np.inf)
+    windows = sliding_window_view(np.concatenate((pad, mid, pad)), 2 * w + 1)  # row i: tick i
+    dev = np.full(n, np.nan)
+    for b in range(0, n, _RULE4_BLOCK_ROWS):
+        rows = slice(b, b + _RULE4_BLOCK_ROWS)
+        block = windows[rows].copy()
+        block[:, w] = np.inf
+        block.sort(axis=1)
+        m, r = neighbours[rows], np.arange(len(block))
+        med = (block[r, (m - 1) // 2] + block[r, m // 2]) / 2
+        dev[rows] = np.where(m >= RULE4_MIN_NEIGHBORS, np.abs(mid[rows] - med), np.nan)
+    return dev
+
+
+def clean_quotes(ticks: Sequence[QuoteTick], drops: dict | None = None) -> list:
     """Apply the four cleaning rules in order; returns sorted ticks with
     strictly increasing timestamps.
 
-    For price-only data the quote rules (1-3) do not apply and the
-    rolling-median rule runs on prices. Empty input gives empty output.
+    For price-only data the quote rules (2-3) do not apply, rule 1 takes
+    median prices and the rolling-median rule runs on prices. Empty input
+    gives empty output. When drops is given, it receives the number of
+    ticks each rule removed under the keys "rule1" (duplicates merged) to
+    "rule4".
     """
-    ticks = sorted(ticks, key=lambda t: t.timestamp)
+    if drops is None:
+        drops = {}
+    drops.update(rule1=0, rule2=0, rule3=0, rule4=0)
     if not ticks:
         return []
-    price_only = _is_price_only(ticks)
+    ticks = sorted(ticks, key=attrgetter("timestamp"))
+    quoted = sum(t.bid is not None and t.ask is not None for t in ticks)
+    if 0 < quoted < len(ticks):
+        raise DataError("mixed quote and price-only ticks; split the inputs")
+    price_only = quoted == 0
+    key = _time_keys(ticks)
 
-    if not price_only:
-        # rule 1: one tick per timestamp, median bid and ask
-        collapsed: list = []
-        i = 0
-        while i < len(ticks):
-            j = i
-            while j < len(ticks) and ticks[j].timestamp == ticks[i].timestamp:
-                j += 1
-            if j - i == 1:
-                collapsed.append(ticks[i])
-            else:
-                group = ticks[i:j]
-                prices = [t.price for t in group if t.price is not None]
-                collapsed.append(
-                    QuoteTick(
-                        timestamp=ticks[i].timestamp,
-                        bid=float(np.median([t.bid for t in group])),
-                        ask=float(np.median([t.ask for t in group])),
-                        price=float(np.median(prices)) if prices else None,
-                    )
-                )
-            i = j
-        # rule 2: negative spreads out
-        ticks = [t for t in collapsed if t.spread >= 0]
-        # rule 3: per-day spread blowups out
-        kept: list = []
-        for day_ticks in _group_by_day(ticks):
-            med = float(np.median([t.spread for t in day_ticks]))
-            kept.extend(
-                t for t in day_ticks if t.spread <= RULE3_SPREAD_MULTIPLE * med
-            )
-        ticks = kept
+    # rule 1: one tick per timestamp; a run of several takes the median
+    # of each field over the run's ticks that have it
+    starts, counts = _runs(key)
+    reps = [ticks[i] for i in starts.tolist()]
+    merged = np.flatnonzero(counts > 1)
+    rows = np.flatnonzero(np.repeat(counts > 1, counts))
+    run = np.repeat(np.arange(len(merged)), counts[merged])
+    medians = {}
+    for f in ("price",) if price_only else ("bid", "ask", "price"):
+        # missing values become NaN; QuoteTick admits no other NaN
+        col = np.array([getattr(ticks[i], f) for i in rows.tolist()], dtype=float)
+        present = ~np.isnan(col)
+        medians[f] = np.full(len(merged), np.nan)
+        if present.any():
+            ids = run[present]
+            medians[f][ids[_runs(ids)[0]]] = _run_medians(col[present], ids)
+    for j, r in enumerate(merged.tolist()):
+        fields = {f: None if math.isnan(m[j]) else float(m[j]) for f, m in medians.items()}
+        reps[r] = QuoteTick(timestamp=reps[r].timestamp, **fields)
+    drops["rule1"] = len(ticks) - len(reps)
+
+    if price_only:
+        mid = np.array([t.price for t in reps])
     else:
-        # price-only: still collapse exact duplicates to keep output strict
-        dedup: list = []
-        i = 0
-        while i < len(ticks):
-            j = i
-            while j < len(ticks) and ticks[j].timestamp == ticks[i].timestamp:
-                j += 1
-            if j - i == 1:
-                dedup.append(ticks[i])
-            else:
-                group = ticks[i:j]
-                dedup.append(
-                    QuoteTick(
-                        timestamp=ticks[i].timestamp,
-                        price=float(np.median([t.price for t in group])),
-                    )
-                )
-            i = j
-        ticks = dedup
-
-    # rule 4: rolling-median outlier filter on mids (or prices)
-    out: list = []
-    for day_ticks in _group_by_day(ticks):
-        mids = np.array([t.mid for t in day_ticks])
-        n = len(mids)
-        deviations = np.full(n, np.nan)
-        for i in range(n):
-            lo = max(0, i - RULE4_HALF_WINDOW)
-            hi = min(n, i + RULE4_HALF_WINDOW + 1)
-            neighbors = np.concatenate((mids[lo:i], mids[i + 1 : hi]))
-            if neighbors.size < RULE4_MIN_NEIGHBORS:
-                continue  # edge rule: too few neighbors, tick not tested
-            deviations[i] = abs(mids[i] - float(np.median(neighbors)))
-        tested = np.isfinite(deviations)
+        bid = np.array([t.bid for t in reps])
+        ask = np.array([t.ask for t in reps])
+        mid = 0.5 * (bid + ask)
+    keep = np.ones(len(reps), bool)
+    for s, c in zip(*(a.tolist() for a in _runs(key[starts] // _DAY_US))):
+        day = slice(s, s + c)
+        kept = keep[day]  # a view: writes land in keep
+        if not price_only:
+            # rule 2: negative spreads out
+            spread = ask[day] - bid[day]
+            kept &= spread >= 0
+            drops["rule2"] += c - int(kept.sum())
+            # rule 3: spreads beyond a multiple of the day's median out
+            if kept.any():
+                cut = RULE3_SPREAD_MULTIPLE * float(np.median(spread[kept]))
+                wide = kept & ~(spread <= cut)
+                kept &= ~wide
+                drops["rule3"] += int(wide.sum())
+        # rule 4: rolling-median outlier filter on mids (or prices)
+        idx = np.flatnonzero(kept)
+        if not idx.size:
+            continue
+        dev = _rule4_deviations(mid[day][idx])
+        tested = np.isfinite(dev)
         if tested.any():
-            mad = float(deviations[tested].mean())
-            drop = tested & (deviations > RULE4_MAD_MULTIPLE * mad) if mad > 0 else np.zeros(n, bool)
-        else:
-            drop = np.zeros(n, bool)
-        out.extend(t for t, d in zip(day_ticks, drop) if not d)
-    return out
+            mad = float(dev[tested].mean())
+            if mad > 0:
+                outliers = idx[tested & (dev > RULE4_MAD_MULTIPLE * mad)]
+                kept[outliers] = False
+                drops["rule4"] += len(outliers)
 
-
-def _group_by_day(ticks: Sequence[QuoteTick]) -> Iterable:
-    day: list = []
-    for t in ticks:
-        if day and t.timestamp.date() != day[-1].timestamp.date():
-            yield day
-            day = []
-        day.append(t)
-    if day:
-        yield day
+    return [t for t, k in zip(reps, keep.tolist()) if k]
 
 
 def resample_to_grid(
@@ -246,21 +303,24 @@ def resample_to_grid(
     with fewer than 2 grid prices are skipped with a warning.
     """
     session = session or SessionSpec()
+    ticks = sorted(ticks, key=attrgetter("timestamp"))
+    times = [t.timestamp for t in ticks]
+    step = _dt.timedelta(minutes=session.grid_minutes)
     days: list = []
-    for day_ticks in _group_by_day(sorted(ticks, key=lambda t: t.timestamp)):
-        date = day_ticks[0].timestamp.date()
+    first = 0
+    while first < len(ticks):
+        date = times[first].date()
+        end = bisect.bisect_left(times, _dt.datetime.combine(date + _dt.timedelta(days=1), _dt.time()), first)
         grid_time = _dt.datetime.combine(date, session.start)
         end_time = _dt.datetime.combine(date, session.end)
-        step = _dt.timedelta(minutes=session.grid_minutes)
         prices: list = []
-        idx = -1  # last tick at or before the grid time
-        n = len(day_ticks)
         while grid_time <= end_time:
-            while idx + 1 < n and day_ticks[idx + 1].timestamp <= grid_time:
-                idx += 1
-            if idx >= 0:
-                prices.append(math.log(day_ticks[idx].mid))
+            # the last tick at or before the grid time
+            idx = bisect.bisect_right(times, grid_time, first, end) - 1
+            if idx >= first:
+                prices.append(math.log(ticks[idx].mid))
             grid_time = grid_time + step
+        first = end
         if len(prices) < 2:
             warnings.warn(f"{date}: fewer than 2 grid observations, day skipped")
             continue

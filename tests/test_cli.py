@@ -218,11 +218,14 @@ class TestPrepare:
                    "--out-intervals", str(iv), "--out-bars", str(bars)) == 0
         out = capsys.readouterr().out
         assert "ticks in 238, after cleaning 237" in out
+        assert "dropped by rules 1-4: 0, 1, 0, 0" in out
         assert len(data_rows(iv)) == 1 + 2  # header + one return per day pair
         bar_rows = data_rows(bars)
         assert bar_rows[0] == "date,min_log,max_log,rv"
         assert len(bar_rows) == 1 + 3
         assert "# ticks_clean = 237" in bars.read_text()
+        for rule, n in [(1, 0), (2, 1), (3, 0), (4, 0)]:
+            assert f"# dropped_rule{rule} = {n}" in iv.read_text()
 
 
     def test_offset_timestamps_exit_two_naming_the_line(self, tmp_path, capsys):
@@ -237,6 +240,21 @@ class TestPrepare:
                    "--out-intervals", str(tmp_path / "iv.csv")) == 2
         err = capsys.readouterr().err
         assert "line 3" in err and "UTC offset" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row", ["99.98,100.02,0", "-5,-4.9,", "99.98,100.02,nan", "99.98,inf,"])
+    def test_bad_prices_exit_two_naming_the_line(self, tmp_path, capsys, row):
+        tick_path = tmp_path / "ticks.csv"
+        tick_path.write_text(
+            "timestamp,bid,ask,price\n"
+            "2024-03-04T10:00:00,99.99,100.01,\n"
+            f"2024-03-04T10:05:00,{row}\n"
+            "2024-03-04T10:10:00,99.97,100.03,\n"
+        )
+        assert run("prepare", "--ticks", str(tick_path),
+                   "--out-intervals", str(tmp_path / "iv.csv")) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "finite and positive" in err
         assert "Traceback" not in err
 
 

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,13 @@ from intgarch import (
     save_bars_csv,
     save_intervals_csv,
     save_ticks_csv,
+)
+from intgarch.marketdata import (
+    RULE3_SPREAD_MULTIPLE,
+    RULE4_HALF_WINDOW,
+    RULE4_MAD_MULTIPLE,
+    RULE4_MIN_NEIGHBORS,
+    _rule4_deviations,
 )
 
 T0 = dt.datetime(2024, 3, 4, 9, 30)
@@ -63,6 +71,13 @@ class TestQuoteTick:
         with pytest.raises(DataError, match="neither"):
             QuoteTick(T0)
 
+    @pytest.mark.parametrize(
+        "values", [{"price": 0.0}, {"bid": -5.0, "ask": -4.9}, {"price": math.nan}, {"bid": 10.0, "ask": math.inf}]
+    )
+    def test_values_must_be_finite_and_positive(self, values):
+        with pytest.raises(DataError, match="finite and positive"):
+            QuoteTick(T0, **values)
+
 
 class TestCleaningRules:
     def test_rule1_median_collapse(self):
@@ -86,6 +101,14 @@ class TestCleaningRules:
         out = clean_quotes(ticks)
         assert len(out) == 9
         assert all(t.spread == pytest.approx(0.01) for t in out)
+
+    def test_rule3_cut_is_inclusive(self):
+        # dyadic quotes make the spreads exact: 3.125 is 50 x 0.0625 and stays
+        ticks = [tick(10 * i, bid=100.0, ask=100.0625) for i in range(9)]
+        ticks.append(tick(95, bid=100.0, ask=103.125))
+        assert len(clean_quotes(ticks)) == 10
+        ticks[-1] = tick(95, bid=100.0, ask=103.25)
+        assert len(clean_quotes(ticks)) == 9
 
     def test_rule3_is_per_day(self):
         # a generally wide day must not be judged by another day's median
@@ -137,6 +160,268 @@ class TestCleaningRules:
         ticks = [tick(0, bid=10.0, ask=10.1), tick(5, price=10.0)]
         with pytest.raises(DataError, match="mixed"):
             clean_quotes(ticks)
+
+    def test_offset_timestamps_rejected(self):
+        utc = T0.replace(tzinfo=dt.timezone.utc)
+        with pytest.raises(DataError, match="naive"):
+            clean_quotes([QuoteTick(utc, bid=10.0, ask=10.1)])
+
+    def test_drop_counts_per_rule(self):
+        ticks = steady_day(60, outlier_at=30)
+        ticks += [tick(0, bid=99.99, ask=100.01), tick(0, bid=99.99, ask=100.01)]  # rule 1: 2 merged
+        ticks.append(tick(5, bid=100.0, ask=99.9))  # rule 2
+        ticks.append(tick(15, bid=99.0, ask=101.0))  # rule 3: 100x the median spread
+        drops = {}
+        out = clean_quotes(ticks, drops)
+        assert drops == {"rule1": 2, "rule2": 1, "rule3": 1, "rule4": 1}
+        assert len(out) == len(ticks) - 5
+
+    def test_drop_counts_price_only_and_empty(self):
+        drops = {}
+        clean_quotes([tick(0, price=10.0), tick(0, price=12.0), tick(5, price=11.0)], drops)
+        assert drops == {"rule1": 1, "rule2": 0, "rule3": 0, "rule4": 0}
+        drops = {"rule4": 7}
+        assert clean_quotes([], drops) == []
+        assert drops == {"rule1": 0, "rule2": 0, "rule3": 0, "rule4": 0}
+
+    def test_merged_quote_crossed_by_its_medians_is_dropped(self):
+        # two of the three rows are proper quotes, but the median bid 10.2
+        # exceeds the median ask 10.15, so rule 2 removes the merged row
+        group = [tick(300, bid=10.0, ask=10.1), tick(300, bid=10.2, ask=10.15), tick(300, bid=10.25, ask=10.3)]
+        ticks = [tick(10 * i, bid=10.1, ask=10.12) for i in range(20)] + group
+        drops = {}
+        out = clean_quotes(ticks, drops)
+        assert T0 + dt.timedelta(seconds=300) not in [t.timestamp for t in out]
+        assert drops == {"rule1": 2, "rule2": 1, "rule3": 0, "rule4": 0}
+        assert out == reference_clean(ticks)
+
+
+class TestRule4Boundaries:
+    def test_ten_ticks_none_tested(self):
+        # 9 neighbours each: below RULE4_MIN_NEIGHBORS, so no tick is tested
+        for at in range(10):
+            drops = {}
+            assert len(clean_quotes(steady_day(10, outlier_at=at), drops)) == 10
+            assert drops["rule4"] == 0
+
+    def test_eleven_ticks_all_tested(self):
+        # 10 neighbours each: an outlier is caught wherever it sits
+        for at in range(11):
+            ticks = steady_day(11, outlier_at=at)
+            out = clean_quotes(ticks)
+            assert len(out) == 10 and all(t.mid < 110 for t in out), at
+            assert out == reference_clean(ticks)
+
+    @pytest.mark.parametrize("n", [51, 52])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_full_window_boundary(self, n, where):
+        # n = 51 has one tick with a full 25 + 25 window (position 25),
+        # n = 52 has two; every other tick takes the edge neighbour sets
+        at = {"first": 0, "middle": 25, "last": n - 1}[where]
+        ticks = steady_day(n, outlier_at=at)
+        drops = {}
+        out = clean_quotes(ticks, drops)
+        assert ticks[at] not in out and len(out) == n - 1
+        assert drops["rule4"] == 1
+        assert out == reference_clean(ticks)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-tick loop implementation the columnar passes replace.
+
+
+def _ref_group_by_day(ticks):
+    day = []
+    for t in ticks:
+        if day and t.timestamp.date() != day[-1].timestamp.date():
+            yield day
+            day = []
+        day.append(t)
+    if day:
+        yield day
+
+
+def reference_clean(ticks):
+    ticks = sorted(ticks, key=lambda t: t.timestamp)
+    if not ticks:
+        return []
+    has_quotes = [t.bid is not None and t.ask is not None for t in ticks]
+    if not all(has_quotes) and any(has_quotes):
+        raise DataError("mixed quote and price-only ticks; split the inputs")
+    price_only = not any(has_quotes)
+
+    if not price_only:
+        collapsed = []
+        i = 0
+        while i < len(ticks):
+            j = i
+            while j < len(ticks) and ticks[j].timestamp == ticks[i].timestamp:
+                j += 1
+            if j - i == 1:
+                collapsed.append(ticks[i])
+            else:
+                group = ticks[i:j]
+                prices = [t.price for t in group if t.price is not None]
+                collapsed.append(
+                    QuoteTick(
+                        timestamp=ticks[i].timestamp,
+                        bid=float(np.median([t.bid for t in group])),
+                        ask=float(np.median([t.ask for t in group])),
+                        price=float(np.median(prices)) if prices else None,
+                    )
+                )
+            i = j
+        ticks = [t for t in collapsed if t.spread >= 0]
+        kept = []
+        for day_ticks in _ref_group_by_day(ticks):
+            med = float(np.median([t.spread for t in day_ticks]))
+            kept.extend(t for t in day_ticks if t.spread <= RULE3_SPREAD_MULTIPLE * med)
+        ticks = kept
+    else:
+        dedup = []
+        i = 0
+        while i < len(ticks):
+            j = i
+            while j < len(ticks) and ticks[j].timestamp == ticks[i].timestamp:
+                j += 1
+            if j - i == 1:
+                dedup.append(ticks[i])
+            else:
+                group = ticks[i:j]
+                dedup.append(
+                    QuoteTick(timestamp=ticks[i].timestamp, price=float(np.median([t.price for t in group])))
+                )
+            i = j
+        ticks = dedup
+
+    out = []
+    for day_ticks in _ref_group_by_day(ticks):
+        deviations = reference_deviations(np.array([t.mid for t in day_ticks]))
+        n = len(deviations)
+        tested = np.isfinite(deviations)
+        if tested.any():
+            mad = float(deviations[tested].mean())
+            drop = tested & (deviations > RULE4_MAD_MULTIPLE * mad) if mad > 0 else np.zeros(n, bool)
+        else:
+            drop = np.zeros(n, bool)
+        out.extend(t for t, d in zip(day_ticks, drop) if not d)
+    return out
+
+
+def reference_deviations(mids):
+    n = len(mids)
+    deviations = np.full(n, np.nan)
+    for i in range(n):
+        lo = max(0, i - RULE4_HALF_WINDOW)
+        hi = min(n, i + RULE4_HALF_WINDOW + 1)
+        neighbors = np.concatenate((mids[lo:i], mids[i + 1 : hi]))
+        if neighbors.size < RULE4_MIN_NEIGHBORS:
+            continue
+        deviations[i] = abs(mids[i] - float(np.median(neighbors)))
+    return deviations
+
+
+def reference_grid(ticks, session=None):
+    session = session or SessionSpec()
+    days = []
+    for day_ticks in _ref_group_by_day(sorted(ticks, key=lambda t: t.timestamp)):
+        date = day_ticks[0].timestamp.date()
+        grid_time = dt.datetime.combine(date, session.start)
+        end_time = dt.datetime.combine(date, session.end)
+        step = dt.timedelta(minutes=session.grid_minutes)
+        prices = []
+        idx = -1
+        n = len(day_ticks)
+        while grid_time <= end_time:
+            while idx + 1 < n and day_ticks[idx + 1].timestamp <= grid_time:
+                idx += 1
+            if idx >= 0:
+                prices.append(math.log(day_ticks[idx].mid))
+            grid_time = grid_time + step
+        if len(prices) < 2:
+            continue
+        days.append(make_day_bars(date, prices))
+    return days
+
+
+def random_ticks(seed):
+    """A seeded tick set mixing every case the cleaning rules and the grid
+    distinguish: duplicate timestamps (with and without prices), crossed
+    and wide quotes, outliers, price-only data, days of 1-12, 45-60 and
+    up to 200 ticks, microsecond times, times before the session, after
+    it and exactly on 5-minute grid points, in shuffled order."""
+    rng = np.random.default_rng([seed, 7])
+    price_only = rng.random() < 0.3
+    ticks = []
+    for d in range(int(rng.integers(1, 5))):
+        date = dt.datetime(2024, 3, 4) + dt.timedelta(days=d)
+        n = int(rng.choice([rng.integers(1, 13), rng.integers(45, 61), rng.integers(60, 201)]))
+        us = rng.integers(9 * 3600, 16 * 3600 + 1800, n) * 10**6
+        us += rng.integers(0, 10**6, n) * (rng.random(n) < 0.3)
+        on_grid = rng.random(n) < 0.15
+        us[on_grid] = (9 * 3600 + 1800 + 300 * rng.integers(0, 79, on_grid.sum())) * 10**6
+        dup = rng.random(n) < 0.15
+        us[dup] = rng.choice(us, dup.sum())
+        mid = np.round(100 * np.exp(np.cumsum(0.001 * rng.standard_normal(n))), 3)
+        mid[rng.random(n) < 0.03] *= 1.2
+        spread = np.round(rng.uniform(0.01, 0.05, n), 3)
+        spread[rng.random(n) < 0.05] *= -1
+        spread[rng.random(n) < 0.05] *= 80
+        with_price = rng.random(n) < 0.3
+        for u, m, s, p in zip(us.tolist(), mid.tolist(), spread.tolist(), with_price.tolist()):
+            ts = date + dt.timedelta(microseconds=u)
+            if price_only:
+                ticks.append(QuoteTick(ts, price=m))
+            else:
+                ticks.append(QuoteTick(ts, bid=m - s / 2, ask=m + s / 2, price=m if p else None))
+    rng.shuffle(ticks)
+    return ticks
+
+
+class TestColumnarEquivalence:
+    @pytest.mark.parametrize("block", range(8))
+    def test_matches_loop_reference(self, block):
+        for seed in range(30 * block, 30 * (block + 1)):
+            ticks = random_ticks(seed)
+            drops = {}
+            cleaned = clean_quotes(ticks, drops)
+            assert cleaned == reference_clean(ticks), seed
+            assert len(ticks) - sum(drops.values()) == len(cleaned)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert resample_to_grid(cleaned) == reference_grid(cleaned), seed
+                assert resample_to_grid(ticks) == reference_grid(ticks), seed
+
+    def test_rule4_deviations_bit_identical(self):
+        # which ticks survive hides small errors in a median; the
+        # deviations themselves must match the loop to the last bit,
+        # for short days, the 51-tick boundary and days of several blocks
+        rng = np.random.default_rng(3)
+        for n in [1, 9, 10, 11, 12, 50, 51, 52, 53, 120, 1100]:
+            for _ in range(4):
+                mids = np.round(100 + rng.standard_normal(n).cumsum() * 0.01, 2)
+                np.testing.assert_array_equal(_rule4_deviations(mids), reference_deviations(mids))
+
+    def test_cases_covered(self):
+        sets = [random_ticks(seed) for seed in range(240)]
+        quote_sets = [s for s in sets if s[0].bid is not None]
+        assert 0 < len(quote_sets) < len(sets)
+        day_sizes = [
+            sum(1 for t in s if t.timestamp.date() == d)
+            for s in sets
+            for d in {t.timestamp.date() for t in s}
+        ]
+        assert min(day_sizes) < RULE4_MIN_NEIGHBORS + 1 and max(day_sizes) > 150
+        drops = []
+        for ticks in sets:
+            drops.append({})
+            clean_quotes(ticks, drops[-1])
+        for rule in ("rule1", "rule2", "rule3", "rule4"):
+            assert sum(d[rule] > 0 for d in drops) > 10, rule
+        times = [t.timestamp.time() for s in sets for t in s]
+        assert min(times) < dt.time(9, 30) and max(times) > dt.time(16, 0)
+        assert any(t.microsecond for t in times)
+        assert any(t.minute % 5 == 0 and not t.second and not t.microsecond for t in times)
 
 
 class TestResampling:
@@ -391,6 +676,23 @@ class TestCsvErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "ghost.csv", "intervals")
+
+    @pytest.mark.parametrize("row", ["99.99,100.01,0", "-5,-4.9,", "99.99,100.01,nan", "99.99,inf,"])
+    def test_bad_tick_value_names_line(self, tmp_path, row):
+        p = tmp_path / "ticks.csv"
+        p.write_text(
+            "timestamp,bid,ask,price\n"
+            "2024-03-04T10:00:00,99.99,100.01,\n"
+            f"2024-03-04T10:05:00,{row}\n"
+            "2024-03-04T10:10:00,99.97,100.03,\n"
+        )
+        with pytest.raises(DataError, match="line 3: .* finite and positive"):
+            load_csv(p, "ticks")
+
+    def test_crossed_quotes_still_load(self, tmp_path):
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,bid,ask\n2024-03-04T10:00:00,100.01,99.99\n")
+        assert load_csv(p, "ticks")[0].spread < 0
 
     def test_unsorted_ticks_warn_and_sort(self, tmp_path):
         p = tmp_path / "ticks.csv"
