@@ -34,11 +34,9 @@ from .process import (
     InitMode,
     ModelOrders,
     ModelParams,
-    ProcessState,
     TheoreticalMoments,
     conditional_variance,
     mean_stationarity,
-    step_h,
     strict_stationarity_check,
     theoretical_acf,
     theoretical_acov,
@@ -122,9 +120,7 @@ __all__ = [
     "InitMode",
     "ModelOrders",
     "ModelParams",
-    "ProcessState",
     "TheoreticalMoments",
-    "step_h",
     "conditional_variance",
     "volatility",
     "mean_stationarity",

@@ -230,6 +230,7 @@ def cmd_forecast(args) -> int:
     meta = _meta(
         args,
         ["model", "data", "horizon", "init"],
+        init=args.init if fitted is None else fitted.init_mode.value,
         origin_index=result.origin_index,
         origin_date=result.origin_date,
     )
@@ -433,7 +434,8 @@ def build_parser() -> tuple:
     sp.add_argument("--data", help="intervals CSV")
     sp.add_argument("--horizon", type=int, help="steps ahead")
     sp.add_argument("--origin", type=int, default=None, help="origin index (default: last)")
-    sp.add_argument("--init", choices=["zero", "mean"], default="mean", help="pre-sample h")
+    sp.add_argument("--init", choices=["zero", "mean"], default="mean",
+                    help="pre-sample h for a parameter document; a fit document keeps its own")
     sp.add_argument("--out", default=None, help="optional CSV path")
 
     sp = add("acf", cmd_acf, "sample (and theoretical) autocorrelations", ["data"])

@@ -16,13 +16,18 @@ their stationary expectations (centers 0, radii k*E(h;theta), h either
 E(h;theta) or 0), and because E(h;theta) moves with theta, its first and
 second derivatives are carried through the recursions; the resulting score
 and Hessian match finite differences of the likelihood to near machine
-precision. A direct-derivative variant (no recursion through the h lags,
-no pre-sample dependence) is available via score_and_hessian(recursive=False).
+precision.
 
 The recursion h_t = base_t + sum_j gamma_j h_{t-j} and the identical
-recursions for dh/dtheta and d2h/dtheta2 are linear AR filters in gamma,
-evaluated with scipy.signal.lfilter after folding the initial conditions
-into the first w rows of the driving term.
+recursion for the d columns of dh/dtheta are solved by process.recurse,
+with the pre-sample values folded into the first w rows of the source.
+The Hessian's second-order term sum_t u_t d2h_t/dtheta2 is taken in
+adjoint (reverse-mode) form, sum_t u~_t Q_t (Griewank & Walther 2008):
+u~ is the reverse filter of the score weights u with the same gamma, and
+the second-derivative source Q_t is nonzero only in the gamma rows and
+columns, in the rows t < i of the pre-sample radius terms of beta_i, and
+in the folded pre-sample rows t < w. So the term costs a few d-wide
+contractions and needs no (T, d, d) array.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exceptions import ConvergenceError, DataError, ModelError, NumericalError
 from .intervals import IntervalSeries
-from .process import ABS_NORMAL_MEAN, InitMode, ModelOrders, ModelParams
+from .process import ABS_NORMAL_MEAN, InitMode, ModelOrders, ModelParams, recurse
 
 __all__ = [
     "FitOptions",
@@ -252,23 +256,13 @@ def _level_grad_hess(k: float, theta: np.ndarray, o: ModelOrders) -> tuple:
     return level, grad, hess
 
 
-def _ar_recurse(source: np.ndarray, gamma: np.ndarray, init: np.ndarray) -> np.ndarray:
-    """Solve y_t = source_t + sum_j gamma_j y_{t-j} for t = 1..T.
-
-    source: (T,) or (T, d); init: pre-sample values [y_0, y_{-1}, ...],
-    shaped (w,) or (w, d). Initial conditions are folded into the first w
-    source rows, then the zero-state filter runs at C speed.
-    """
-    w = len(gamma)
-    if w == 0:
-        return np.array(source, dtype=float, copy=True)
-    src = np.array(source, dtype=float, copy=True)
-    T = src.shape[0]
-    for t in range(min(w, T)):
-        for lag in range(t + 1, w + 1):
-            src[t] += gamma[lag - 1] * init[lag - t - 1]
-    a = np.concatenate(([1.0], -gamma))
-    return lfilter([1.0], a, src, axis=0)
+def _fold(source: np.ndarray, gamma: np.ndarray, init) -> np.ndarray:
+    """Copy of source with the pre-sample terms sum_{j>t} gamma_j * init
+    added to each row t < w, for `recurse`'s zero pre-sample."""
+    src = np.array(source, dtype=float)
+    for t in range(min(len(gamma), len(src))):
+        src[t] += gamma[t:].sum() * init
+    return src
 
 
 def _h_recursion(
@@ -279,7 +273,7 @@ def _h_recursion(
     o: ModelOrders,
     init_mode: InitMode,
 ) -> tuple:
-    """h path plus the extended lag arrays and pre-sample levels."""
+    """h path plus the extended lag arrays and the pre-sample h."""
     T = lam.shape[0]
     m = o.max_lag
     mu, alpha, beta, gamma = _split_theta(theta, o)
@@ -293,8 +287,8 @@ def _h_recursion(
         base += alpha[i - 1] * abs_lam_ext[m - i : m - i + T]
     for i in range(1, o.q + 1):
         base += beta[i - 1] * dlt_ext[m - i : m - i + T]
-    h = _ar_recurse(base, gamma, np.full(max(o.w, 1), h0))
-    return h, abs_lam_ext, dlt_ext, h0, level
+    h = recurse(_fold(base, gamma, h0), gamma)
+    return h, abs_lam_ext, dlt_ext, h0
 
 
 def _loglik_raw(
@@ -319,68 +313,57 @@ def _score_hessian_raw(
     dlt: np.ndarray,
     o: ModelOrders,
     init_mode: InitMode,
-    recursive: bool = True,
 ) -> tuple:
     """Analytic score and Hessian of the conditional log-likelihood."""
     T = lam.shape[0]
     d = o.n_params
     m = o.max_lag
-    _, alpha, beta, gamma = _split_theta(theta, o)
-    h, abs_lam_ext, dlt_ext, h0, level = _h_recursion(k, theta, lam, dlt, o, init_mode)
+    _, _, beta, gamma = _split_theta(theta, o)
+    h, abs_lam_ext, dlt_ext, h0 = _h_recursion(k, theta, lam, dlt, o, init_mode)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise NumericalError("numerical overflow in h recursion")
+    _, level_grad, level_hess = _level_grad_hess(k, theta, o)
+    k_level_grad = k * level_grad
+    mean_init = init_mode is InitMode.MEAN_H
+    dh0 = level_grad if mean_init else np.zeros(d)
 
-    # direct derivative of h_t in theta: [1, |lam| lags, del lags, h lags]
+    # first-derivative source: the direct derivative of h_t in theta
+    # [1, |lam| lags, del lags, h lags] plus the pre-sample radius terms
     h_ext = np.concatenate((np.full(m, h0), h))
-    direct = np.zeros((T, d))
-    direct[:, 0] = 1.0
+    src = np.empty((T, d))
+    src[:, 0] = 1.0
     for i in range(1, o.p + 1):
-        direct[:, i] = abs_lam_ext[m - i : m - i + T]
+        src[:, i] = abs_lam_ext[m - i : m - i + T]
     for i in range(1, o.q + 1):
-        direct[:, o.p + i] = dlt_ext[m - i : m - i + T]
+        src[:, o.p + i] = dlt_ext[m - i : m - i + T]
     for i in range(1, o.w + 1):
-        direct[:, o.p + o.q + i] = h_ext[m - i : m - i + T]
+        src[:, o.p + o.q + i] = h_ext[m - i : m - i + T]
+    for i in range(1, o.q + 1):
+        src[:i] += beta[i - 1] * k_level_grad  # rows whose del_{t-i} is pre-sample
+    D = recurse(_fold(src, gamma, dh0), gamma)
 
     u = -(k + 1.0) / h + lam**2 / h**3 + dlt / h**2
     v = (k + 1.0) / h**2 - 3.0 * lam**2 / h**4 - 2.0 * dlt / h**3
-
-    if not recursive:
-        grad = direct.T @ u
-        hess = np.einsum("t,ti,tj->ij", v, direct, direct)
-        return grad, hess
-
-    _, level_grad, level_hess = _level_grad_hess(k, theta, o)
-
-    # first-derivative source: direct terms plus pre-sample radius dependence
-    src = direct.copy()
-    for i in range(1, o.q + 1):
-        rows = min(i, T)  # rows whose del_{t-i} is pre-sample
-        src[:rows, :] += beta[i - 1] * k * level_grad[None, :]
-    dh0 = level_grad if init_mode is InitMode.MEAN_H else np.zeros(d)
-    D = _ar_recurse(src, gamma, np.tile(dh0, (max(o.w, 1), 1)))
-
-    # second-derivative source
-    D_ext = np.concatenate((np.tile(dh0, (m, 1)), D), axis=0)
-    Q = np.zeros((T, d, d))
-    for i in range(1, o.w + 1):
-        gi = o.p + o.q + i
-        Q[:, gi, :] += D_ext[m - i : m - i + T, :]
-        Q[:, :, gi] += D_ext[m - i : m - i + T, :]
-    k_level_grad = k * level_grad
-    k_level_hess = k * level_hess
-    for i in range(1, o.q + 1):
-        bi = o.p + i
-        rows = min(i, T)
-        Q[:rows, bi, :] += k_level_grad[None, :]
-        Q[:rows, :, bi] += k_level_grad[None, :]
-        Q[:rows, :, :] += beta[i - 1] * k_level_hess[None, :, :]
-    d2h0 = level_hess if init_mode is InitMode.MEAN_H else np.zeros((d, d))
-    M = _ar_recurse(
-        Q.reshape(T, d * d), gamma, np.tile(d2h0.reshape(1, d * d), (max(o.w, 1), 1))
-    ).reshape(T, d, d)
-
     grad = D.T @ u
-    hess = np.einsum("t,ti,tj->ij", v, D, D) + np.tensordot(u, M, axes=1)
+    hess = (D * v[:, None]).T @ D
+
+    # second-order term sum_t u_t d2h_t/dtheta2 in adjoint form: sum_t ur_t Q_t,
+    # with ur the reverse filter of u and Q_t the second-derivative source
+    ur = recurse(u[::-1], gamma)[::-1]
+    D_ext = np.concatenate((np.tile(dh0, (m, 1)), D), axis=0)
+    for i in range(1, o.w + 1):
+        z = ur @ D_ext[m - i : m - i + T]
+        gi = o.p + o.q + i
+        hess[gi, :] += z
+        hess[:, gi] += z
+    for i in range(1, o.q + 1):
+        weight = ur[:i].sum()  # rows whose del_{t-i} is pre-sample
+        bi = o.p + i
+        hess[bi, :] += weight * k_level_grad
+        hess[:, bi] += weight * k_level_grad
+        hess += weight * beta[i - 1] * k * level_hess
+    if mean_init:  # the pre-sample second derivatives folded into rows t < w
+        hess += sum(ur[t] * gamma[t:].sum() for t in range(min(o.w, T))) * level_hess
     return grad, hess
 
 
@@ -410,25 +393,17 @@ def score_and_hessian(
     params: ModelParams,
     series: IntervalSeries,
     init_mode: InitMode = InitMode.MEAN_H,
-    recursive: bool = True,
 ) -> tuple:
     """Score vector and Hessian matrix of the log-likelihood at params.
 
-    With recursive=True (default) the derivatives account for the h-lag
-    recursion and the theta-dependent pre-sample expectations, matching
-    finite differences of loglik_eval. recursive=False keeps only the
-    direct derivative terms and the outer-product Hessian.
+    The derivatives account for the h-lag recursion and the
+    theta-dependent pre-sample expectations, matching finite differences
+    of loglik_eval.
     """
     if len(series) == 0:
         raise DataError("empty input")
     return _score_hessian_raw(
-        params.k,
-        params.theta,
-        series.centers,
-        series.radii,
-        params.orders,
-        init_mode,
-        recursive,
+        params.k, params.theta, series.centers, series.radii, params.orders, init_mode
     )
 
 

@@ -25,13 +25,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .estimate import FitOptions, _projected_newton, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
 from .forecast import rolling_forecast
 from .intervals import IntervalSeries
-from .process import ModelOrders, ModelParams, volatility
+from .process import ModelOrders, ModelParams, recurse, volatility
 from .simulate import SimConfig, simulate
 
 __all__ = [
@@ -189,7 +188,7 @@ def _garch_variance(theta, r2: np.ndarray, s2_init: float) -> np.ndarray:
     src = np.empty(r2.size)
     src[0] = s2_init
     src[1:] = w + a * r2[:-1]
-    return lfilter([1.0], [1.0, -b], src)
+    return recurse(src, [b])
 
 
 def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> float:
@@ -203,27 +202,25 @@ def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> float
 
 def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
     """Gradient and Hessian of _garch_objective."""
-    t_len = r2.size
     b = theta[2]
     s2 = _garch_variance(theta, r2, s2_init)
-    # dsigma2/dtheta via the same AR(1) filter; the path is fixed at t=1
-    src_d = np.zeros((t_len, 3))
+    # dsigma2/dtheta via the same AR(1) recurrence; the path is fixed at t=0
+    src_d = np.zeros((r2.size, 3))
     src_d[1:, 0] = 1.0
     src_d[1:, 1] = r2[:-1]
     src_d[1:, 2] = s2[:-1]
-    d = lfilter([1.0], [1.0, -b], src_d, axis=0)
-
-    src_m = np.zeros((t_len, 9))
-    e_b = np.array([0.0, 0.0, 1.0])
-    outer = d[:-1, :, None] * e_b[None, None, :]  # D_{t-1} e_b^T
-    sym = outer + outer.transpose(0, 2, 1)
-    src_m[1:] = sym.reshape(t_len - 1, 9)
-    m = lfilter([1.0], [1.0, -b], src_m, axis=0).reshape(t_len, 3, 3)
+    d = recurse(src_d, [b])
 
     g = 0.5 * (r2 / s2**2 - 1.0 / s2)
     q = 0.5 * (1.0 / s2**2 - 2.0 * r2 / s2**3)
     grad = d.T @ g
-    hess = np.einsum("t,ti,tj->ij", q, d, d) + np.tensordot(g, m, axes=1)
+    hess = (d * q[:, None]).T @ d
+    # second-order term sum_t g_t d2sigma2_t/dtheta2 in adjoint form: its
+    # source at t is D_{t-1} e_b^T + e_b D_{t-1}^T, weighted by the reverse
+    # filter of g
+    z = recurse(g[::-1], [b])[::-1][1:] @ d[:-1]
+    hess[2, :] += z
+    hess[:, 2] += z
     pen = theta[1] + theta[2] - _GARCH_CAP
     if pen > 0:
         u = np.array([0.0, 1.0, 1.0])
@@ -256,11 +253,9 @@ def garch11_forecast(
     r = np.asarray(returns, dtype=float)
     if sigma2_path is None:
         sigma2_path = garch11_path(params, r)
-    out = np.empty(horizon)
-    out[0] = params.omega + params.a * r[-1] ** 2 + params.b * sigma2_path[-1]
-    for j in range(1, horizon):
-        out[j] = params.omega + (params.a + params.b) * out[j - 1]
-    return out
+    source = np.full(horizon, params.omega)
+    source[0] = params.omega + params.a * r[-1] ** 2 + params.b * sigma2_path[-1]
+    return recurse(source, [params.a + params.b])
 
 
 def fit_garch11(returns) -> Garch11Fit:

@@ -4,7 +4,10 @@ The one-step forecast evaluates the scale recursion at observed lags. For
 longer steps every quantity that is not yet observed is replaced by its
 conditional expectation given information at the origin: |lam_{t+j}| by
 sqrt(2/pi) h-hat(j), del_{t+j} by k h-hat(j), and h_{t+j} by h-hat(j).
-For first-order models this collapses to
+The forecasts therefore solve the scale recursion with constant weights
+mu_i = alpha_i sqrt(2/pi) + beta_i k + gamma_i, one `process.recurse` call
+whose source carries mu and the observed lags. For first-order models this
+collapses to
 
     h-hat(l) = mu + c1 * h-hat(l-1),
 
@@ -22,7 +25,7 @@ import numpy as np
 from .estimate import MIN_OBS_PER_PARAM, FitOptions, FittedModel, fit_mle, loglik_eval
 from .exceptions import DataError, IntGarchError
 from .intervals import IntervalSeries
-from .process import ABS_NORMAL_MEAN, InitMode, ModelOrders, ModelParams, volatility
+from .process import InitMode, ModelOrders, ModelParams, mu_weights, recurse, volatility
 
 __all__ = ["ForecastResult", "forecast", "rolling_forecast"]
 
@@ -60,17 +63,19 @@ def forecast(
     Parameters
     ----------
     model : FittedModel or ModelParams
-        Parameters to forecast under. A FittedModel's stored h path is
-        reused when it matches the series; otherwise the path is
-        recomputed from the model with the given init_mode.
+        Parameters to forecast under. A FittedModel's own init_mode
+        applies, in place of the init_mode argument.
     series : IntervalSeries
         Observed returns; the origin must have max(p,q,w)-1 predecessors.
     horizon : int
         Number of steps ahead, >= 1.
     h_path : ndarray, optional
-        Precomputed scale path aligned with series (overrides the model's).
+        Precomputed scale path aligned with series; without it the path is
+        rebuilt from the model up to the origin with loglik_eval.
     origin_index : int, optional
         Index of the forecast origin; defaults to the last observation.
+    init_mode : InitMode
+        Pre-sample treatment for rebuilding the path from a ModelParams.
     """
     params = _resolve_params(model)
     if horizon < 1:
@@ -85,35 +90,25 @@ def forecast(
         raise DataError(
             f"insufficient history: origin {t} needs {m} observed lags"
         )
-    if h_path is None and isinstance(model, FittedModel) and model.h_path is not None:
-        if model.h_path.shape[0] == n:
-            h_path = model.h_path
-            init_mode = model.init_mode
+    if isinstance(model, FittedModel):
+        init_mode = model.init_mode
     if h_path is None:
         _, h_path = loglik_eval(params, series[: t + 1], init_mode)
     h_path = np.asarray(h_path, dtype=float)
     if h_path.shape[0] < t + 1:
         raise DataError("h_path shorter than the forecast origin")
 
-    abs_lam = np.abs(series.centers)
-    dlt = series.radii
-    k = params.k
-    h_hat = np.empty(horizon)
-    for j in range(1, horizon + 1):
-        acc = params.mu
-        for i in range(1, o.p + 1):
-            acc += params.alpha[i - 1] * (
-                abs_lam[t + j - i] if j - i <= 0 else ABS_NORMAL_MEAN * h_hat[j - i - 1]
-            )
-        for i in range(1, o.q + 1):
-            acc += params.beta[i - 1] * (
-                dlt[t + j - i] if j - i <= 0 else k * h_hat[j - i - 1]
-            )
-        for i in range(1, o.w + 1):
-            acc += params.gamma[i - 1] * (
-                h_path[t + j - i] if j - i <= 0 else h_hat[j - i - 1]
-            )
-        h_hat[j - 1] = acc
+    # step j's source holds mu and the observed lags i >= j; recurse adds
+    # the forecast lags, weighted by their expectations mu_i
+    source = np.full(horizon, params.mu)
+    for j in range(1, min(horizon, m) + 1):
+        for i in range(j, o.p + 1):
+            source[j - 1] += params.alpha[i - 1] * abs(series.centers[t + j - i])
+        for i in range(j, o.q + 1):
+            source[j - 1] += params.beta[i - 1] * series.radii[t + j - i]
+        for i in range(j, o.w + 1):
+            source[j - 1] += params.gamma[i - 1] * h_path[t + j - i]
+    h_hat = recurse(source, mu_weights(params))
     date = series.dates[t] if series.dates is not None else None
     return ForecastResult(
         origin_index=t,

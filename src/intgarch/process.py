@@ -14,6 +14,14 @@ its lag order allows) sum below 1. For first-order models the driving
 variable x_t = alpha1*|eps_t| + beta1*eta_t + gamma1 has first and second
 moments c1, c2, and weak stationarity holds iff c2 < 1, giving closed forms
 for E(h), E(h^2), Var(r) and the autocovariances.
+
+Every recursion of the program is one linear recurrence
+y_t = s_t + sum_i c_{t,i} y_{t-i}, solved by `recurse`. The likelihood's h
+path and its derivatives use the constant weights gamma; simulation uses
+the random weights c_{t,i} = alpha_i |eps_{t-i}| + beta_i eta_{t-i} + gamma_i,
+since |lam_{t-i}| = h_{t-i} |eps_{t-i}| and del_{t-i} = h_{t-i} eta_{t-i};
+forecasting uses their expectations mu_i; the GARCH(1,1) baseline in
+evaluate is the same recurrence at order 1.
 """
 
 from __future__ import annotations
@@ -21,22 +29,22 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DataError, ModelError
-from .intervals import Interval, IntervalSeries
+from .intervals import Interval
 
 __all__ = [
     "ABS_NORMAL_MEAN",
     "InitMode",
     "ModelOrders",
     "ModelParams",
-    "ProcessState",
     "TheoreticalMoments",
-    "step_h",
+    "recurse",
     "conditional_variance",
     "volatility",
     "mean_stationarity",
@@ -196,44 +204,6 @@ class ModelParams:
         return cls.from_dict(doc)
 
 
-@dataclass(frozen=True)
-class ProcessState:
-    """Lag state for one recursion step, most recent first.
-
-    h_history[0] is h_{t-1}; return_history[0] is r_{t-1}. Histories must
-    cover max(p, q, w) lags.
-    """
-
-    h_history: tuple
-    return_history: tuple
-
-    @classmethod
-    def from_arrays(
-        cls, h: Sequence[float], centers: Sequence[float], radii: Sequence[float]
-    ) -> "ProcessState":
-        """Build from time-ordered arrays (oldest first), keeping all lags."""
-        ivs = tuple(
-            Interval(float(c), float(r)) for c, r in zip(reversed(centers), reversed(radii))
-        )
-        return cls(tuple(float(x) for x in reversed(h)), ivs)
-
-
-def step_h(params: ModelParams, state: ProcessState) -> float:
-    """One step of the scale recursion given the lag state."""
-    o = params.orders
-    m = o.max_lag
-    if len(state.h_history) < max(o.w, 1) or len(state.return_history) < m:
-        raise ModelError(f"state must hold at least {m} lags")
-    h = params.mu
-    for i in range(o.p):
-        h += params.alpha[i] * abs(state.return_history[i].center)
-    for i in range(o.q):
-        h += params.beta[i] * state.return_history[i].radius
-    for i in range(o.w):
-        h += params.gamma[i] * state.h_history[i]
-    return float(h)
-
-
 def conditional_variance(params: ModelParams, h: float) -> float:
     """Conditional variance of the interval return: h^2 * (1 + k)."""
     return h * h * (1.0 + params.k)
@@ -246,6 +216,59 @@ def volatility(params: ModelParams, h: float | np.ndarray) -> float | np.ndarray
     interval, integrating over both the shock and the uniform draw.
     """
     return (1.0 + params.k / 3.0) * np.square(h)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, as elementwise products in a fixed order."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def recurse(source, coefs) -> np.ndarray:
+    """Solve y_t = source_t + sum_{i=1..m} c_{t,i} y_{t-i} with y_t = 0
+    before the sample.
+
+    Time is axis 0. coefs is constant, shaped (m,), or time-varying,
+    shaped (T, ..., m); source broadcasts against coefs.shape[:-1], so
+    paths and derivative columns run in one call. Callers fold pre-sample
+    values into the first m source rows.
+
+    Hillis-Steele doubling on the companion form: the pass with shift s
+    adds to each row t >= s the product of the companion matrices of rows
+    t-s+1..t times the state of row t-s, then squares the products. The
+    passes stop once s >= T or every product still to be used has
+    underflowed to 0, past which they would add exact zeros. Element t's
+    operations depend only on t, so a longer run or more paths leave the
+    earlier elements bit for bit unchanged.
+    """
+    coefs = np.asarray(coefs, dtype=float)
+    m = coefs.shape[-1]
+    varying = coefs.ndim > 1
+    y = np.array(source, dtype=float)
+    if varying:
+        y = y + np.zeros(coefs.shape[:-1])
+    if m == 0:
+        return y
+    if m == 1:
+        state, step = y, operator.mul
+        prod = coefs[1:, ..., 0] if varying else float(coefs[0])
+    else:  # states are column vectors (y_t, ..., y_{t-m+1})
+        state, step = np.zeros(y.shape + (m, 1)), _matmul
+        state[..., 0, 0] = y
+        prod = np.zeros(coefs.shape + (m,))
+        prod[..., 0, :] = coefs
+        prod[..., np.arange(1, m), np.arange(m - 1)] = 1.0
+        if varying:
+            prod = prod[1:]
+    # prod holds the products for rows s.. when varying, else one matrix power
+    s = 1
+    while s < len(y) and (prod != 0.0 if isinstance(prod, float) else prod.any()):
+        state[s:] += step(prod, state[:-s])
+        prod = step(prod[s:], prod[:-s]) if varying else step(prod, prod)
+        s *= 2
+    return state if m == 1 else state[..., 0, 0]
 
 
 def mu_weights(params: ModelParams) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ModelError, NumericalError
 from .intervals import IntervalSeries
-from .process import InitMode, ModelParams, mean_stationarity
+from .process import InitMode, ModelParams, mean_stationarity, recurse
 
 __all__ = ["SimConfig", "simulate", "simulate_paths"]
 
@@ -94,10 +94,11 @@ def simulate_paths(
 ) -> tuple:
     """Simulate n_paths independent paths (vectorized across paths).
 
-    Returns (centers, radii, h), each shaped (n_paths, length). Paths share
-    the time loop but use independent slices of the two shock substreams;
-    the whole block is reproducible from (seed, n_paths, length, burn_in,
-    init_mode).
+    Returns (centers, radii, h), each shaped (n_paths, length). The h
+    paths of all paths come from one time-varying `recurse` call, and each
+    path uses its own slices of the two shock substreams; the whole block
+    is reproducible from (seed, n_paths, length, burn_in, init_mode), and a
+    path's values do not depend on how many paths run beside it.
     """
     if n_paths < 1:
         raise ModelError("n_paths must be >= 1")
@@ -115,41 +116,27 @@ def simulate_paths(
     eta = np.random.default_rng(seq_eta).gamma(params.k, 1.0, (n_paths, total))
 
     h_init, radius_level = _presample_level(params, init_mode)
+    # coefficient groups padded with zeros to the longest lag
+    alpha, beta, gamma = (
+        np.pad(c, (0, m - len(c))) for c in (params.alpha, params.beta, params.gamma)
+    )
 
-    # rolling lag buffers, most recent in column 0
-    abs_lam = np.zeros((n_paths, m))
-    dlt = np.full((n_paths, m), radius_level)
-    h_lag = np.full((n_paths, max(o.w, 1)), h_init)
-
-    alpha = np.asarray(params.alpha)
-    beta = np.asarray(params.beta)
-    gamma = np.asarray(params.gamma)
-
-    centers = np.empty((n_paths, length))
-    radii = np.empty((n_paths, length))
-    h_out = np.empty((n_paths, length))
+    # h_t = mu + sum_i c_{t,i} h_{t-i} with c_{t,i} = alpha_i |eps_{t-i}| +
+    # beta_i eta_{t-i} + gamma_i; lags before the sample enter the source
+    # with centre 0, radius radius_level and h h_init
+    abs_eps, eta_t = np.abs(eps.T), eta.T
+    coefs = np.zeros((total, n_paths, m))
+    source = np.full((total, 1), params.mu)
+    for i in range(1, m + 1):
+        coefs[i:, :, i - 1] = alpha[i - 1] * abs_eps[:-i] + beta[i - 1] * eta_t[:-i] + gamma[i - 1]
+        source[: min(i, total)] += beta[i - 1] * radius_level + gamma[i - 1] * h_init
 
     # overflow surfaces as a raised error below, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(total):
-            h = params.mu + abs_lam[:, : o.p] @ alpha + dlt[:, : o.q] @ beta
-            if o.w:
-                h += h_lag[:, : o.w] @ gamma
-            lam_t = h * eps[:, t]
-            dlt_t = h * eta[:, t]
-            if t >= burn_in:
-                j = t - burn_in
-                centers[:, j] = lam_t
-                radii[:, j] = dlt_t
-                h_out[:, j] = h
-            if m > 1:
-                abs_lam[:, 1:] = abs_lam[:, :-1]
-                dlt[:, 1:] = dlt[:, :-1]
-            abs_lam[:, 0] = np.abs(lam_t)
-            dlt[:, 0] = dlt_t
-            if o.w > 1:
-                h_lag[:, 1:] = h_lag[:, :-1]
-            h_lag[:, 0] = h
+        h = recurse(source, coefs).T
+        centers = np.ascontiguousarray((h * eps)[:, burn_in:])
+        radii = np.ascontiguousarray((h * eta)[:, burn_in:])
+    h_out = np.ascontiguousarray(h[:, burn_in:])
 
     if not np.all(np.isfinite(h_out)):
         raise NumericalError("numerical overflow in h recursion")

@@ -9,9 +9,15 @@ import json
 import numpy as np
 import pytest
 
-from intgarch import FittedModel, ModelOrders, ModelParams
+from intgarch import FittedModel, InitMode, ModelOrders, ModelParams, forecast
 from intgarch import cli
-from intgarch.marketdata import QuoteTick, make_day_bars, save_bars_csv, save_ticks_csv
+from intgarch.marketdata import (
+    QuoteTick,
+    load_csv,
+    make_day_bars,
+    save_bars_csv,
+    save_ticks_csv,
+)
 
 MODEL_I = ModelParams(ModelOrders(1, 1, 1), 1.8147, 0.0906, (0.0318,), (0.374,), (0.1265,))
 
@@ -175,6 +181,23 @@ class TestForecast:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "step,h_hat,sigma2"
         assert len(lines) == 4
+
+    def test_fit_document_keeps_its_init_mode(self, workdir, tmp_path, capsys):
+        fit_path = tmp_path / "fit_zero.json"
+        data = str(workdir / "train.csv")
+        assert run("fit", "--data", data, "--init", "zero", "--out", str(fit_path)) == 0
+        outputs = []
+        for init in ("zero", "mean"):
+            capsys.readouterr()
+            assert run("forecast", "--model", str(fit_path), "--data", data,
+                       "--horizon", "2", "--origin", "0", "--init", init) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        fitted = FittedModel.from_json(fit_path.read_text())
+        series = load_csv(data, "intervals")
+        want = forecast(fitted.params, series, 2, origin_index=0, init_mode=InitMode.ZERO_H)
+        got = [float(line.split(",")[1]) for line in outputs[0].splitlines()[1:]]
+        assert got == [float(x) for x in want.h_hat]
 
     def test_bad_horizon(self, fit_dir, capsys):
         assert run("forecast", "--model", str(fit_dir / "model.json"),

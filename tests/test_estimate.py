@@ -223,25 +223,50 @@ class TestScoreHessian:
         grad, _ = score_and_hessian(m, s)
         np.testing.assert_allclose(grad, np.zeros(3), atol=1e-10)
 
-    def test_direct_variant_agrees_without_memory(self, sample):
-        # at beta=0 with no gamma terms and a zero-level start, first-order
-        # recursive propagation vanishes and the gradients coincide (the
-        # Hessians still differ through pre-sample second derivatives)
-        m = ModelParams(ModelOrders(1, 1, 0), MODEL_I.k, 0.1, (0.05,), (0.0,), ())
-        g_full, _ = score_and_hessian(m, sample, init_mode=InitMode.ZERO_H, recursive=True)
-        g_direct, _ = score_and_hessian(m, sample, init_mode=InitMode.ZERO_H, recursive=False)
-        np.testing.assert_allclose(g_full, g_direct, rtol=1e-10)
 
-    def test_direct_variant_is_approximate_with_memory(self, sample):
-        # with gamma > 0 only the full gradient tracks finite differences;
-        # the direct-term variant ignores the h-propagation chain
-        m = ModelParams(ORDERS_111, MODEL_I.k, 0.1, (0.05,), (0.3,), (0.15,))
-        fd = self.fd_gradient(m, sample)
-        g_full, _ = score_and_hessian(m, sample, recursive=True)
-        g_direct, _ = score_and_hessian(m, sample, recursive=False)
-        np.testing.assert_allclose(g_full, fd, rtol=1e-5)
-        rel = np.abs(g_direct - fd) / np.maximum(np.abs(fd), 1.0)
-        assert rel.max() > 1e-3
+# interior points of higher-order models, with weight sums well below 1
+HIGHER_ORDER_MODELS = {
+    "222": ModelParams(ModelOrders(2, 2, 2), 1.5, 0.1, (0.04, 0.02), (0.15, 0.05), (0.2, 0.1)),
+    "123": ModelParams(ModelOrders(1, 2, 3), 1.2, 0.1, (0.05,), (0.2, 0.08), (0.1, 0.06, 0.05)),
+    "110": ModelParams(ModelOrders(1, 1, 0), 1.8, 0.15, (0.1,), (0.3,), ()),
+}
+
+
+class TestScoreHessianHigherOrders:
+    """Score and Hessian against central differences beyond (1,1,1)."""
+
+    @pytest.fixture(scope="class", params=sorted(HIGHER_ORDER_MODELS))
+    def model_and_sample(self, request):
+        m = HIGHER_ORDER_MODELS[request.param]
+        series, _ = simulate(SimConfig(m, length=600, seed=61, burn_in=100))
+        # evaluate away from the generating point, so the score is not ~0
+        return m.with_theta(m.theta * np.linspace(0.8, 1.2, m.theta.size)), series
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_matches_finite_differences(self, model_and_sample, mode):
+        m, series = model_and_sample
+        theta = m.theta
+        grad, hess = score_and_hessian(m, series, mode)
+        fd_g = np.empty_like(theta)
+        fd_h = np.empty((theta.size, theta.size))
+        for i in range(theta.size):
+            up, dn = theta.copy(), theta.copy()
+            step = 1e-6 * (1.0 + abs(theta[i]))
+            up[i] += step
+            dn[i] -= step
+            fd_g[i] = (
+                loglik_eval(m.with_theta(up), series, mode)[0]
+                - loglik_eval(m.with_theta(dn), series, mode)[0]
+            ) / (2 * step)
+            up[i] += 9 * step  # the Hessian takes differences of the score at 1e-5
+            dn[i] -= 9 * step
+            fd_h[:, i] = (
+                score_and_hessian(m.with_theta(up), series, mode)[0]
+                - score_and_hessian(m.with_theta(dn), series, mode)[0]
+            ) / (20 * step)
+        assert np.max(np.abs(grad - fd_g)) / max(1.0, np.max(np.abs(grad))) < 1e-5
+        assert np.max(np.abs(hess - fd_h)) / max(1.0, np.max(np.abs(hess))) < 1e-4
+        np.testing.assert_allclose(hess, hess.T, rtol=1e-10, atol=1e-12 * np.abs(hess).max())
 
 
 class TestFitMle:

@@ -158,6 +158,66 @@ class TestGarch11Params:
             Garch11Params(0.1, 0.6, 0.5)
 
 
+def reference_garch_path(omega, a, b, r, s2_init):
+    """The baseline variance recursion as a plain loop."""
+    out = [s2_init]
+    for t in range(1, len(r)):
+        out.append(omega + a * r[t - 1] ** 2 + b * out[-1])
+    return np.array(out)
+
+
+def reference_garch_forecast(omega, a, b, r, s2_path, horizon):
+    """The forecast loop that the kernel replaced."""
+    out = [omega + a * r[-1] ** 2 + b * s2_path[-1]]
+    for _ in range(1, horizon):
+        out.append(omega + (a + b) * out[-1])
+    return np.array(out)
+
+
+class TestGarch11LoopReference:
+    # persistence from white noise to the optimizer's cap, a coefficient 0
+    PARAMS = [(0.1, 0.0, 0.0), (0.05, 0.08, 0.88), (0.02, 0.0, 0.95), (0.3, 0.2, 0.0),
+              (1e-3, 0.05, 0.949)]
+
+    @pytest.mark.parametrize("omega,a,b", PARAMS)
+    def test_path_and_forecast_match_loops(self, omega, a, b):
+        r = np.random.default_rng(3).standard_t(5, size=700)
+        p = Garch11Params(omega, a, b)
+        path = garch11_path(p, r)
+        want = reference_garch_path(omega, a, b, r, np.var(r))
+        np.testing.assert_allclose(path, want, rtol=1e-12)
+        for horizon in (1, 2, 3, 50):
+            np.testing.assert_allclose(
+                garch11_forecast(p, r, horizon, path),
+                reference_garch_forecast(omega, a, b, r, want, horizon),
+                rtol=1e-12,
+            )
+
+    @pytest.mark.parametrize("theta", [(0.05, 0.08, 0.88), (0.3, 0.2, 0.1), (0.02, 0.1, 0.95)])
+    def test_derivatives_match_finite_differences(self, theta):
+        # the Hessian's second-order term is taken in adjoint form
+        from intgarch.evaluate import _garch_derivs, _garch_objective
+
+        r2 = np.random.default_rng(4).standard_t(5, size=600) ** 2
+        theta = np.array(theta)
+        s2_init = float(np.mean(r2))
+        grad, hess = _garch_derivs(theta, r2, s2_init)
+        fd_g, fd_h = np.empty(3), np.empty((3, 3))
+        for i in range(3):
+            step = 1e-7 * max(theta[i], 1e-3)
+            up, dn = theta.copy(), theta.copy()
+            up[i] += step
+            dn[i] -= step
+            fd_g[i] = (_garch_objective(up, r2, s2_init) - _garch_objective(dn, r2, s2_init)) / (
+                2 * step
+            )
+            fd_h[:, i] = (_garch_derivs(up, r2, s2_init)[0] - _garch_derivs(dn, r2, s2_init)[0]) / (
+                2 * step
+            )
+        assert np.max(np.abs(grad - fd_g)) / np.max(np.abs(grad)) < 1e-5
+        assert np.max(np.abs(hess - fd_h)) / np.max(np.abs(hess)) < 1e-5
+
+
 class TestGarch11Path:
     def test_hand_recursion(self):
         p = Garch11Params(0.1, 0.2, 0.5)

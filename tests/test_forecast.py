@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from intgarch import (
+    ABS_NORMAL_MEAN,
     DataError,
     FitOptions,
+    FittedModel,
     InitMode,
     IntervalSeries,
     ModelOrders,
@@ -30,6 +32,72 @@ ORDERS_111 = ModelOrders(1, 1, 1)
 # one-observation series fixing the origin state lambda=0.2, delta=1.0, h=0.5
 ORIGIN = IntervalSeries([0.2], [1.0])
 ORIGIN_H = np.array([0.5])
+
+
+def reference_forecast(params, series, h_path, t, horizon):
+    """The triple loop that the kernel replaced: each lag of each step is
+    an observed value or the expectation of a forecast one."""
+    o = params.orders
+    abs_lam = np.abs(series.centers)
+    h_hat = np.empty(horizon)
+    for j in range(1, horizon + 1):
+        acc = params.mu
+        for i in range(1, o.p + 1):
+            acc += params.alpha[i - 1] * (
+                abs_lam[t + j - i] if j - i <= 0 else ABS_NORMAL_MEAN * h_hat[j - i - 1]
+            )
+        for i in range(1, o.q + 1):
+            acc += params.beta[i - 1] * (
+                series.radii[t + j - i] if j - i <= 0 else params.k * h_hat[j - i - 1]
+            )
+        for i in range(1, o.w + 1):
+            acc += params.gamma[i - 1] * (h_path[t + j - i] if j - i <= 0 else h_hat[j - i - 1])
+        h_hat[j - 1] = acc
+    return h_hat
+
+
+class TestLoopReference:
+    # orders (1,1,0), (1,1,1), (2,1,1) and (1,2,3), with coefficients of 0
+    # in the middle and at the end of a lag group
+    MODELS = [
+        ModelParams(ModelOrders(1, 1, 0), 1.5, 0.1, (0.1,), (0.3,), ()),
+        MODEL_I,
+        ModelParams(ModelOrders(2, 1, 1), 1.2, 0.1, (0.08, 0.0), (0.3,), (0.2,)),
+        ModelParams(ModelOrders(1, 2, 3), 1.1, 0.1, (0.05,), (0.2, 0.0), (0.15, 0.0, 0.1)),
+    ]
+
+    @pytest.mark.parametrize("params", MODELS, ids=lambda m: "%d%d%d" % (
+        m.orders.p, m.orders.q, m.orders.w))
+    def test_matches_triple_loop(self, params):
+        rng = np.random.default_rng(params.orders.n_params)
+        series = IntervalSeries(rng.normal(0, 0.5, 40), rng.gamma(2.0, 0.3, 40))
+        h_path = rng.uniform(0.2, 0.8, 40)
+        for t in (params.orders.max_lag - 1, 20, 39):
+            for horizon in (1, 2, 3, 4, 30):
+                got = forecast(params, series, horizon, h_path=h_path, origin_index=t)
+                want = reference_forecast(params, series, h_path, t, horizon)
+                np.testing.assert_allclose(got.h_hat, want, rtol=1e-12)
+
+
+class TestOneStepHandValues:
+    def test_direct_substitution(self):
+        # mu=0.1, alpha=0.5, beta=0.5, gamma=0.5 with |lambda|=1, delta=2, h=1
+        m = ModelParams.first_order(k=1.0, mu=0.1, alpha1=0.5, beta1=0.5, gamma1=0.5)
+        r = forecast(m, IntervalSeries([-1.0], [2.0]), 1, h_path=[1.0])
+        assert r.h_hat[0] == pytest.approx(0.1 + 0.5 + 1.0 + 0.5)
+
+    def test_newest_lag_is_read(self):
+        # series and h path run oldest first; the step reads the last entry
+        m = ModelParams.first_order(k=1.0, mu=0.1, alpha1=1.0, beta1=0.0, gamma1=0.0)
+        r = forecast(m, IntervalSeries([9.0, 2.0], [0.0, 0.0]), 1, h_path=[9.0, 1.0])
+        assert r.h_hat[0] == pytest.approx(0.1 + 2.0)
+
+    def test_higher_order(self):
+        m = ModelParams(ModelOrders(2, 1, 0), 1.0, 0.1, (0.5, 0.25), (1.0,), ())
+        s = IntervalSeries([4.0, 2.0], [0.5, 0.25])
+        r = forecast(m, s, 1, h_path=[1.0, 1.0])
+        # 0.1 + 0.5*2 + 0.25*4 + 1.0*0.25
+        assert r.h_hat[0] == pytest.approx(2.35)
 
 
 class TestPointForecasts:
@@ -143,6 +211,24 @@ class TestOriginHandling:
             + p.gamma[0] * f.h_path[-1]
         )
         assert r.h_hat[0] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_fitted_model_init_mode_applies(self, series_h, mode):
+        # a fit's own pre-sample mode rebuilds the path, also when the fit
+        # was read from JSON without its path, and whatever init_mode says
+        series, _ = series_h
+        f = fit_mle(series[:250], ORDERS_111, FitOptions(init_mode=mode))
+        loaded = FittedModel.from_json(f.to_json())
+        assert loaded.h_path is None
+        other = next(x for x in InitMode if x is not mode)
+        # the first origin, where the pre-sample start shows most in h
+        at = dict(origin_index=0)
+        want = forecast(f.params, series, 3, init_mode=mode, **at).h_hat
+        np.testing.assert_array_equal(forecast(f, series, 3, init_mode=other, **at).h_hat, want)
+        got = forecast(loaded, series, 3, init_mode=other, **at).h_hat
+        np.testing.assert_array_equal(got, want)
+        other_h = forecast(f.params, series, 3, init_mode=other, **at).h_hat
+        assert np.max(np.abs(other_h / want - 1.0)) > 1e-6
 
     def test_origin_date_carried(self):
         d = [dt.date(2020, 1, 6), dt.date(2020, 1, 7)]

@@ -8,14 +8,11 @@ import pytest
 
 from intgarch import (
     ABS_NORMAL_MEAN,
-    Interval,
     ModelError,
     ModelOrders,
     ModelParams,
-    ProcessState,
     conditional_variance,
     mean_stationarity,
-    step_h,
     strict_stationarity_check,
     theoretical_acf,
     theoretical_acov,
@@ -23,6 +20,7 @@ from intgarch import (
     volatility,
     weak_stationarity,
 )
+from intgarch.process import recurse
 
 # Benchmark parameter set used throughout: k=1.8147, mu=0.0906,
 # alpha1=0.0318, beta1=0.374, gamma1=0.1265.
@@ -123,36 +121,6 @@ class TestModelParams:
             ModelParams.from_dict({"orders": [1, 1, 1], "k": 1.0})
         with pytest.raises(DataError, match="invalid model JSON"):
             ModelParams.from_json("{not json")
-
-
-class TestStepH:
-    def test_direct_substitution(self):
-        # mu=0.1, alpha=0.5, beta=0.5, gamma=0.5 with |lambda|=1, delta=2, h=1
-        m = ModelParams.first_order(k=1.0, mu=0.1, alpha1=0.5, beta1=0.5, gamma1=0.5)
-        state = ProcessState(h_history=(1.0,), return_history=(Interval(-1.0, 2.0),))
-        assert step_h(m, state) == pytest.approx(0.1 + 0.5 + 1.0 + 0.5)
-
-    def test_benchmark_values(self):
-        state = ProcessState(h_history=(0.5,), return_history=(Interval(0.2, 1.0),))
-        assert step_h(MODEL_I, state) == pytest.approx(0.53421, rel=1e-12)
-
-    def test_from_arrays_ordering(self):
-        # from_arrays takes oldest-first input; step must read the newest lag
-        m = ModelParams.first_order(k=1.0, mu=0.1, alpha1=1.0, beta1=0.0, gamma1=0.0)
-        state = ProcessState.from_arrays(h=[9.0, 1.0], centers=[9.0, 2.0], radii=[0.0, 0.0])
-        assert step_h(m, state) == pytest.approx(0.1 + 2.0)
-
-    def test_higher_order(self):
-        m = ModelParams(ModelOrders(2, 1, 0), 1.0, 0.1, (0.5, 0.25), (1.0,), ())
-        state = ProcessState.from_arrays(h=[1.0, 1.0], centers=[4.0, 2.0], radii=[0.5, 0.25])
-        # 0.1 + 0.5*2 + 0.25*4 + 1.0*0.25
-        assert step_h(m, state) == pytest.approx(2.35)
-
-    def test_short_state_rejected(self):
-        m = ModelParams(ModelOrders(2, 1, 1), 1.0, 0.1, (0.1, 0.1), (0.1,), (0.1,))
-        state = ProcessState(h_history=(1.0,), return_history=(Interval(0.0, 1.0),))
-        with pytest.raises(ModelError, match="lags"):
-            step_h(m, state)
 
 
 class TestVarianceScales:
@@ -310,3 +278,61 @@ class TestAutocovariance:
     def test_negative_lag_rejected(self):
         with pytest.raises(ModelError, match="lag"):
             theoretical_acov(MODEL_I, -1)
+
+
+def reference_recurse(source, coefs) -> np.ndarray:
+    """Plain loop: y_t = source_t + sum_i c_{t,i} y_{t-i}, zero pre-sample."""
+    coefs = np.asarray(coefs, dtype=float)
+    y = np.array(source, dtype=float)
+    if coefs.ndim > 1:
+        y = y + np.zeros(coefs.shape[:-1])
+    for t in range(len(y)):
+        for i in range(1, min(coefs.shape[-1], t) + 1):
+            c = coefs[t, ..., i - 1] if coefs.ndim > 1 else coefs[i - 1]
+            y[t] = y[t] + c * y[t - i]
+    return y
+
+
+class TestRecurse:
+    """The one linear-recurrence kernel against a plain loop."""
+
+    # zero coefficients in the middle and at the end of the lag group
+    CONSTANT = [(), (0.6,), (0.3, 0.0, 0.25), (0.2, 0.1, 0.0), (0.5, 0.3)]
+
+    @pytest.mark.parametrize("coefs", CONSTANT)
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 64, 300])
+    def test_constant_coefficients(self, coefs, length):
+        source = np.random.default_rng(length).uniform(0.1, 1.0, (length, 3))
+        np.testing.assert_allclose(
+            recurse(source, coefs), reference_recurse(source, coefs), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 5, 300])
+    def test_time_varying_coefficients(self, m, length):
+        rng = np.random.default_rng(10 * m + length)
+        coefs = rng.uniform(0.0, 1.1 / m, (length, 4, m))
+        coefs[:, 1, m // 2] = 0.0
+        source = rng.uniform(0.1, 1.0, (length, 1))  # broadcasts over the 4 paths
+        got = recurse(source, coefs)
+        assert got.shape == (length, 4)
+        np.testing.assert_allclose(got, reference_recurse(source, coefs), rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_prefix_is_bit_identical(self, m):
+        # element t's operations depend only on t, never on the length
+        rng = np.random.default_rng(m)
+        coefs = rng.uniform(0.0, 0.9 / m, (500, 2, m))
+        source = rng.uniform(0.1, 1.0, (500, 2))
+        full = recurse(source, coefs)
+        for n in (1, 37, 256, 257):
+            np.testing.assert_array_equal(recurse(source[:n], coefs[:n]), full[:n])
+        np.testing.assert_array_equal(recurse(source[:, :1], coefs[:, :1]), full[:, :1])
+
+    def test_underflowed_products_stop_the_passes(self):
+        # c^2 is subnormal and c^4 is 0, so the passes stop after s = 2
+        source = np.r_[1.0, np.zeros(40), 1.0, np.zeros(9)]
+        want = reference_recurse(source, [1e-160])
+        assert want[2] > 0 and want[3] == 0
+        np.testing.assert_array_equal(recurse(source, [1e-160]), want)
+        np.testing.assert_array_equal(recurse(source, np.full((51, 1), 1e-160)), want)

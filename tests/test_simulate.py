@@ -9,15 +9,55 @@ from scipy import stats
 from intgarch import (
     InitMode,
     ModelError,
+    ModelOrders,
     ModelParams,
     NumericalError,
     SimConfig,
     simulate,
+    mean_stationarity,
     simulate_paths,
     theoretical_moments,
 )
 
 MODEL_I = ModelParams.first_order(k=1.8147, mu=0.0906, alpha1=0.0318, beta1=0.374, gamma1=0.1265)
+
+# orders (1,1,0), (1,1,1), (2,1,1) and (1,2,3), with coefficients of 0 in
+# the middle and at the end of a lag group
+REFERENCE_MODELS = [
+    ModelParams(ModelOrders(1, 1, 0), 1.5, 0.1, (0.1,), (0.3,), ()),
+    ModelParams(ModelOrders(1, 1, 1), 1.8147, 0.0906, (0.0318,), (0.374,), (0.1265,)),
+    ModelParams(ModelOrders(2, 1, 1), 1.2, 0.1, (0.08, 0.0), (0.3,), (0.2,)),
+    ModelParams(ModelOrders(1, 2, 3), 1.1, 0.1, (0.05,), (0.2, 0.0), (0.15, 0.0, 0.1)),
+]
+
+
+def reference_simulate_paths(params, n_paths, length, seed, burn_in=0, init_mode=InitMode.ZERO_H):
+    """The time loop with rolling lag buffers that the kernel replaced."""
+    o = params.orders
+    m = o.max_lag
+    total = length + burn_in
+    seq_eps, seq_eta = np.random.SeedSequence(seed).spawn(2)
+    eps = np.random.default_rng(seq_eps).standard_normal((n_paths, total))
+    eta = np.random.default_rng(seq_eta).gamma(params.k, 1.0, (n_paths, total))
+    level = params.mu / (1.0 - mean_stationarity(params)[1])
+    h_init = level if init_mode is InitMode.MEAN_H else 0.0
+    abs_lam = np.zeros((n_paths, m))  # most recent lag in column 0
+    dlt = np.full((n_paths, m), params.k * level)
+    h_lag = np.full((n_paths, max(o.w, 1)), h_init)
+    out = np.empty((3, n_paths, length))
+    for t in range(total):
+        h = params.mu + abs_lam[:, : o.p] @ params.alpha + dlt[:, : o.q] @ params.beta
+        if o.w:
+            h += h_lag[:, : o.w] @ params.gamma
+        if t >= burn_in:
+            out[:, :, t - burn_in] = h * eps[:, t], h * eta[:, t], h
+        abs_lam = np.roll(abs_lam, 1, axis=1)
+        dlt = np.roll(dlt, 1, axis=1)
+        h_lag = np.roll(h_lag, 1, axis=1)
+        abs_lam[:, 0] = np.abs(h * eps[:, t])
+        dlt[:, 0] = h * eta[:, t]
+        h_lag[:, 0] = h
+    return out
 
 
 class TestReproducibility:
@@ -58,6 +98,17 @@ class TestReproducibility:
         c, r, _ = simulate_paths(MODEL_I, n_paths=3, length=100, seed=3)
         assert not np.array_equal(c[0], c[1])
         assert not np.array_equal(c[1], c[2])
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("mode", list(InitMode))
+    @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: "%d%d%d" % (
+        m.orders.p, m.orders.q, m.orders.w))
+    def test_matches_time_loop(self, model, mode):
+        got = simulate_paths(model, n_paths=3, length=400, seed=12, burn_in=30, init_mode=mode)
+        want = reference_simulate_paths(model, 3, 400, 12, burn_in=30, init_mode=mode)
+        for x, y in zip(got, want):
+            np.testing.assert_allclose(x, y, rtol=1e-12)
 
 
 class TestShapeAndBounds:
