@@ -99,6 +99,19 @@ class TestOneStepHandValues:
         # 0.1 + 0.5*2 + 0.25*4 + 1.0*0.25
         assert r.h_hat[0] == pytest.approx(2.35)
 
+    def test_benchmark_values(self):
+        # mu + alpha1 |lambda| + beta1 delta + gamma1 h at lambda=0.2, delta=1.0, h=0.5
+        r = forecast(MODEL_I, ORIGIN, 1, h_path=ORIGIN_H)
+        by_hand = 0.0906 + 0.0318 * 0.2 + 0.374 * 1.0 + 0.1265 * 0.5
+        assert r.h_hat[0] == pytest.approx(by_hand, rel=1e-14)
+        assert r.h_hat[0] == pytest.approx(0.53421, rel=1e-12)
+
+    def test_short_state_rejected(self):
+        # a (2,1,1) step needs two lags; a one-observation origin has one
+        m = ModelParams(ModelOrders(2, 1, 1), 1.0, 0.1, (0.1, 0.1), (0.1,), (0.1,))
+        with pytest.raises(DataError, match="history"):
+            forecast(m, IntervalSeries([0.0], [1.0]), 1, h_path=[1.0])
+
 
 class TestPointForecasts:
     def test_one_step_hand_value(self):
