@@ -34,6 +34,8 @@ from .forecast import forecast
 from .intervals import IntervalSeries, sample_acf
 from .marketdata import (
     SessionSpec,
+    _csv_lines,
+    _write_csv,
     clean_quotes,
     interval_returns,
     load_csv,
@@ -126,17 +128,6 @@ def _synth_dates(n: int, start: _dt.date) -> list:
     return out
 
 
-def _write_table(path, meta: dict, body: str) -> None:
-    with open(path, "w") as fh:
-        for k, v in meta.items():
-            fh.write(f"# {k} = {v}\n")
-        fh.write(body)
-
-
-def _print(args, text: str) -> None:
-    print(text, file=sys.stdout)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -168,9 +159,8 @@ def cmd_simulate(args) -> int:
     )
     save_intervals_csv(series, args.out, meta=meta)
     if args.h_out:
-        lines = "".join(f"{d.isoformat()},{float(x)!r}\n" for d, x in zip(dates, h))
-        _write_table(args.h_out, meta, "date,h\n" + lines)
-    _print(args, f"wrote {len(series)} intervals to {args.out} (seed {seed})")
+        _write_csv(args.h_out, meta, "date,h", zip(dates, h))
+    print(f"wrote {len(series)} intervals to {args.out} (seed {seed})")
     return 0
 
 
@@ -206,7 +196,7 @@ def cmd_fit(args) -> int:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     summary = _fit_summary(fitted)
-    _print(args, summary)
+    print(summary)
     if args.summary_out:
         with open(args.summary_out, "w") as fh:
             fh.write(summary + "\n")
@@ -234,14 +224,11 @@ def cmd_forecast(args) -> int:
         origin_index=result.origin_index,
         origin_date=result.origin_date,
     )
-    rows = "".join(
-        f"{j + 1},{float(result.h_hat[j])!r},{float(result.sigma2[j])!r}\n"
-        for j in range(args.horizon)
-    )
-    body = "step,h_hat,sigma2\n" + rows
+    header = "step,h_hat,sigma2"
+    rows = [(j + 1, result.h_hat[j], result.sigma2[j]) for j in range(args.horizon)]
     if args.out:
-        _write_table(args.out, meta, body)
-    _print(args, body.rstrip("\n"))
+        _write_csv(args.out, meta, header, rows)
+    print("\n".join(_csv_lines(header, rows)))
     return 0
 
 
@@ -253,17 +240,14 @@ def cmd_acf(args) -> int:
         params, _ = _load_model_json(args.model)
         theo = theoretical_acf(params, args.max_lag)
     meta = _meta(args, ["data", "max_lag", "model"], n=len(series))
+    lags = range(args.max_lag + 1)
     if theo is None:
-        body = "lag,sample_acf\n" + "".join(
-            f"{s},{float(sample[s])!r}\n" for s in range(args.max_lag + 1)
-        )
+        header, rows = "lag,sample_acf", [(s, sample[s]) for s in lags]
     else:
-        body = "lag,sample_acf,theoretical_acf\n" + "".join(
-            f"{s},{float(sample[s])!r},{float(theo[s])!r}\n" for s in range(args.max_lag + 1)
-        )
+        header, rows = "lag,sample_acf,theoretical_acf", [(s, sample[s], theo[s]) for s in lags]
     if args.out:
-        _write_table(args.out, meta, body)
-    _print(args, body.rstrip("\n"))
+        _write_csv(args.out, meta, header, rows)
+    print("\n".join(_csv_lines(header, rows)))
     return 0
 
 
@@ -292,11 +276,10 @@ def cmd_prepare(args) -> int:
     save_intervals_csv(series, args.out_intervals, meta=meta)
     if args.out_bars:
         save_bars_csv(days, args.out_bars, meta=meta)
-    _print(
-        args,
+    print(
         f"ticks in {len(ticks)}, after cleaning {len(cleaned)}, "
         f"days {len(days)}, intervals {len(series)}, "
-        f"dropped by rules 1-4: {', '.join(str(n) for n in drops.values())}",
+        f"dropped by rules 1-4: {', '.join(str(n) for n in drops.values())}"
     )
     return 0
 
@@ -346,12 +329,11 @@ def cmd_backtest(args) -> int:
         baseline_returns=returns_kind,
         skipped_refits=len(info["skipped_refits"]),
     )
+    table = reports_to_csv(reports).rstrip("\n")
     if args.out:
-        _write_table(args.out, meta, reports_to_csv(reports))
-    if args.format == "csv":
-        _print(args, reports_to_csv(reports).rstrip("\n"))
-    else:
-        _print(args, render_reports(reports))
+        header, *lines = table.split("\n")
+        _write_csv(args.out, meta, header, (line.split(",") for line in lines))
+    print(table if args.format == "csv" else render_reports(reports))
     if info["skipped_refits"]:
         print(f"skipped refits: {len(info['skipped_refits'])}", file=sys.stderr)
     unconverged = sum(1 for _, ok in info["garch_converged"] if not ok)
@@ -377,12 +359,11 @@ def cmd_table1(args) -> int:
         jobs=args.jobs,
     )
     meta = _meta(args, ["designs", "reps", "T", "jobs"], seed=seed)
+    table = study_to_csv(cells).rstrip("\n")
     if args.out:
-        _write_table(args.out, meta, study_to_csv(cells))
-    if args.format == "csv":
-        _print(args, study_to_csv(cells).rstrip("\n"))
-    else:
-        _print(args, render_study(cells))
+        header, *lines = table.split("\n")
+        _write_csv(args.out, meta, header, (line.split(",") for line in lines))
+    print(table if args.format == "csv" else render_study(cells))
     return 0
 
 
@@ -491,7 +472,11 @@ def _load_config_file(path) -> dict:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise DataError(f"{path}: config must be a JSON object")
-        return {str(k): v for k, v in doc.items()}
+        for key, value in doc.items():
+            if value is None or isinstance(value, (list, dict)):
+                raise DataError(f"{path}: config key {key!r} must be a string, number or boolean")
+        # as strings, JSON values take the same conversion as key=value lines
+        return {str(k): str(v) for k, v in doc.items()}
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -505,31 +490,27 @@ def _load_config_file(path) -> dict:
 
 
 def _apply_config(parser, commands, argv, args):
-    """Merge --config values under the explicit flags and reparse."""
-    cfg = _load_config_file(args.config)
+    """Merge --config values under the explicit flags and reparse. Each
+    string value takes its flag's type, choices or true/false reading."""
     sp, _ = commands[args.command]
-    known = set(vars(args)) - {"func"}
+    actions = {action.dest: action for action in sp._actions if action.dest != "help"}
     defaults: dict = {}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+    for key, value in _load_config_file(args.config).items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise DataError(f"unknown config key {key!r} for command {args.command!r}")
-        defaults[dest] = value
+        if action.nargs == 0:  # an on/off flag
+            value = value.lower() in ("1", "true", "yes")
+        elif action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError as exc:
+                raise DataError(f"config key {key!r}: {exc}") from exc
+        if action.choices and value not in action.choices:
+            raise DataError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        defaults[action.dest] = value
     sp.set_defaults(**defaults)
-    reparsed = parser.parse_args(argv)
-    # argparse skips type conversion for defaults; normalize the typed ones
-    for action in sp._actions:
-        if action.dest in defaults and action.type is not None:
-            current = getattr(reparsed, action.dest)
-            if isinstance(current, str):
-                try:
-                    setattr(reparsed, action.dest, action.type(current))
-                except ValueError as exc:
-                    raise DataError(f"config key {action.dest!r}: {exc}") from exc
-    for dest in ("require_stationary", "insample", "hmse_squared"):
-        if dest in defaults and isinstance(getattr(reparsed, dest, None), str):
-            setattr(reparsed, dest, getattr(reparsed, dest).lower() in ("1", "true", "yes"))
-    return reparsed
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -25,6 +25,12 @@ grid log prices give its realized variance (sum of squared consecutive
 differences) and its min/max, from which the daily interval return is
 
     r_t = [min_log(t) - max_log(t-1), max_log(t) - min_log(t-1)].
+
+CSV input goes through one table mapping each accepted header to a parser
+of one row (_LAYOUTS). One loop checks each row's width, runs its parser
+and turns any bad cell, non-finite numbers included, into a DataError
+naming the line. One writer serves every table, the command-line ones
+too: `# key = value` run lines, the header, one line of cells per row.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import datetime as _dt
 import math
 import warnings
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -385,38 +391,50 @@ def interval_returns(days: Sequence[DayBars]) -> IntervalSeries:
 # ---------------------------------------------------------------------------
 # CSV input/output
 
-_SCHEMAS = ("ticks", "daily_bars", "intervals")
+
+def _finite(cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {cell!r}")
+    return x
 
 
-def _open_rows(path) -> tuple:
-    """All CSV rows with their 1-based line numbers, comment lines skipped."""
-    try:
-        with open(path, newline="") as fh:
-            raw = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = []
-    for lineno, row in enumerate(raw, start=1):
-        if not row or (row[0].startswith("#")):
-            continue
-        rows.append((lineno, [c.strip() for c in row]))
-    if not rows:
-        raise DataError("no data rows")
-    return rows[0], rows[1:]
+def _interval_row(date: str, low: str, high: str) -> tuple:
+    d, lo, hi = _dt.date.fromisoformat(date), _finite(low), _finite(high)
+    if hi < lo:
+        raise DataError("high < low")
+    return d, lo, hi
 
 
-def _parse_float(cell: str, lineno: int, col: str) -> float:
-    try:
-        return float(cell)
-    except ValueError as exc:
-        raise DataError(f"line {lineno}: unparsable {col} value {cell!r}") from exc
+def _tick_row(timestamp: str, bid: str, ask: str, price: str = "") -> QuoteTick:
+    ts = _dt.datetime.fromisoformat(timestamp)
+    if ts.tzinfo is not None:
+        # the session grid is naive local time; an offset cannot be placed on it
+        raise DataError(f"timestamp {timestamp!r} carries a UTC offset; give naive exchange-local times")
+    # QuoteTick itself rejects values that are not finite and positive
+    return QuoteTick(ts, float(bid) if bid else None, float(ask) if ask else None,
+                     float(price) if price else None)
 
 
-def _parse_date(cell: str, lineno: int) -> _dt.date:
-    try:
-        return _dt.date.fromisoformat(cell)
-    except ValueError as exc:
-        raise DataError(f"line {lineno}: unparsable date {cell!r}") from exc
+def _bar_row(date: str, min_log: str, max_log: str, rv: str) -> DayBars:
+    return DayBars(_dt.date.fromisoformat(date), None, _finite(min_log), _finite(max_log), _finite(rv))
+
+
+def _price_row(date: str, time: str, price: str) -> tuple:
+    d, tm, px = _dt.date.fromisoformat(date), _dt.time.fromisoformat(time), _finite(price)
+    if px <= 0:
+        raise DataError("price must be positive")
+    return d, tm, math.log(px)
+
+
+# accepted header -> (schema, parser of one row's cells)
+_LAYOUTS = {
+    ("date", "low", "high"): ("intervals", _interval_row),
+    ("timestamp", "bid", "ask"): ("ticks", _tick_row),
+    ("timestamp", "bid", "ask", "price"): ("ticks", _tick_row),
+    ("date", "min_log", "max_log", "rv"): ("daily_bars", _bar_row),
+    ("date", "time", "price"): ("daily_bars", _price_row),
+}
 
 
 def load_csv(path, schema: str):
@@ -425,158 +443,102 @@ def load_csv(path, schema: str):
     schema 'ticks' -> list of QuoteTick (auto-sorted with a warning if
     unsorted); 'daily_bars' -> list of DayBars (compact range rows or
     date,time,price long format); 'intervals' -> IntervalSeries.
-    Malformed rows raise DataError naming the line.
+    Malformed rows, non-finite numbers included, raise DataError naming
+    the line.
     """
-    if schema not in _SCHEMAS:
-        raise DataError(f"unknown schema {schema!r}; expected one of {_SCHEMAS}")
-    (header_line, header), body = _open_rows(path)
-    cols = [c.lower() for c in header]
-    if schema == "intervals":
-        if cols != ["date", "low", "high"]:
-            raise DataError(
-                f"line {header_line}: unknown columns {header!r}; expected date,low,high"
-            )
-        if not body:
-            raise DataError("no data rows")
-        dates, lows, highs = [], [], []
-        for lineno, row in body:
-            if len(row) != 3:
-                raise DataError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            d = _parse_date(row[0], lineno)
-            lo = _parse_float(row[1], lineno, "low")
-            hi = _parse_float(row[2], lineno, "high")
-            if hi < lo:
-                raise DataError(f"line {lineno}: high < low")
-            dates.append(d)
-            lows.append(lo)
-            highs.append(hi)
-        return IntervalSeries.from_bounds(lows, highs, dates=dates)
-
-    if schema == "ticks":
-        if cols not in (["timestamp", "bid", "ask"], ["timestamp", "bid", "ask", "price"]):
-            raise DataError(
-                f"line {header_line}: unknown columns {header!r}; "
-                "expected timestamp,bid,ask[,price]"
-            )
-        if not body:
-            raise DataError("no data rows")
-        ticks = []
-        for lineno, row in body:
+    headers = [cols for cols, (s, _) in _LAYOUTS.items() if s == schema]
+    if not headers:
+        schemas = ", ".join(dict.fromkeys(s for s, _ in _LAYOUTS.values()))
+        raise DataError(f"unknown schema {schema!r}; expected one of {schemas}")
+    try:
+        with open(path, newline="") as fh:
+            # (1-based line number, stripped cells), comment lines skipped
+            rows = [(lineno, [c.strip() for c in row]) for lineno, row in enumerate(csv.reader(fh), start=1)
+                    if row and not row[0].startswith("#")]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError("no data rows")
+    (header_line, header), *body = rows
+    cols = tuple(c.lower() for c in header)
+    if cols not in headers:
+        raise DataError(
+            f"line {header_line}: unknown columns {header!r}; expected "
+            + " or ".join(",".join(h) for h in headers)
+        )
+    if not body:
+        raise DataError("no data rows")
+    parse = _LAYOUTS[cols][1]
+    records = []
+    for lineno, row in body:
+        try:
             if len(row) != len(cols):
-                raise DataError(f"line {lineno}: expected {len(cols)} columns, got {len(row)}")
-            try:
-                ts = _dt.datetime.fromisoformat(row[0])
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: unparsable timestamp {row[0]!r}") from exc
-            if ts.tzinfo is not None:
-                # the session grid is naive local time; an offset cannot be placed on it
-                raise DataError(
-                    f"line {lineno}: timestamp {row[0]!r} carries a UTC offset; "
-                    "give naive exchange-local times"
-                )
-            bid = _parse_float(row[1], lineno, "bid") if row[1] else None
-            ask = _parse_float(row[2], lineno, "ask") if row[2] else None
-            price = None
-            if len(cols) == 4 and row[3]:
-                price = _parse_float(row[3], lineno, "price")
-            try:
-                ticks.append(QuoteTick(timestamp=ts, bid=bid, ask=ask, price=price))
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-        if any(b.timestamp < a.timestamp for a, b in zip(ticks, ticks[1:])):
+                raise DataError(f"expected {len(cols)} columns, got {len(row)}")
+            records.append(parse(*row))
+        except ValueError as exc:  # DataError included
+            raise DataError(f"line {lineno}: {exc}") from exc
+
+    if schema == "intervals":
+        dates, lows, highs = zip(*records)
+        return IntervalSeries.from_bounds(lows, highs, dates=dates)
+    if schema == "ticks":
+        if any(b.timestamp < a.timestamp for a, b in zip(records, records[1:])):
             warnings.warn("tick timestamps unsorted; sorting")
-            ticks.sort(key=lambda t: t.timestamp)
-        return ticks
-
-    # daily_bars
-    if cols == ["date", "min_log", "max_log", "rv"]:
-        if not body:
-            raise DataError("no data rows")
-        days = []
-        for lineno, row in body:
-            if len(row) != 4:
-                raise DataError(f"line {lineno}: expected 4 columns, got {len(row)}")
-            date = _parse_date(row[0], lineno)
-            min_log = _parse_float(row[1], lineno, "min_log")
-            max_log = _parse_float(row[2], lineno, "max_log")
-            rv = _parse_float(row[3], lineno, "rv")
-            try:
-                days.append(DayBars(date=date, log_prices=None, min_log=min_log, max_log=max_log, rv=rv))
-            except DataError as exc:
-                raise DataError(f"line {lineno}: {exc}") from exc
-        return days
-    if cols == ["date", "time", "price"]:
-        if not body:
-            raise DataError("no data rows")
-        by_day: dict = {}
-        order: list = []
-        for lineno, row in body:
-            if len(row) != 3:
-                raise DataError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            d = _parse_date(row[0], lineno)
-            try:
-                tm = _dt.time.fromisoformat(row[1])
-            except ValueError as exc:
-                raise DataError(f"line {lineno}: unparsable time {row[1]!r}") from exc
-            px = _parse_float(row[2], lineno, "price")
-            if px <= 0:
-                raise DataError(f"line {lineno}: price must be positive")
-            if d not in by_day:
-                by_day[d] = []
-                order.append(d)
-            by_day[d].append((tm, math.log(px)))
-        days = []
-        for d in sorted(order):
-            pts = sorted(by_day[d], key=lambda x: x[0])
-            if len(pts) < 2:
-                raise DataError(f"{d}: insufficient intraday observations")
-            days.append(make_day_bars(d, [p for _, p in pts]))
-        return days
-    raise DataError(
-        f"line {header_line}: unknown columns {header!r}; expected "
-        "date,min_log,max_log,rv or date,time,price"
-    )
+            records.sort(key=attrgetter("timestamp"))
+        return records
+    if parse is _bar_row:
+        return records
+    # date,time,price: each date's log prices in time order make one day
+    by_day: dict = {}
+    for date, time, log_price in records:
+        by_day.setdefault(date, []).append((time, log_price))
+    days = []
+    for date in sorted(by_day):
+        points = sorted(by_day[date], key=itemgetter(0))
+        if len(points) < 2:
+            raise DataError(f"{date}: insufficient intraday observations")
+        days.append(make_day_bars(date, [p for _, p in points]))
+    return days
 
 
-def _meta_lines(meta: dict | None) -> list:
-    if not meta:
-        return []
-    return [f"# {k} = {v}" for k, v in meta.items()]
+def _cell(value) -> str:
+    """One CSV cell: empty for None, the round-trippable repr of a float,
+    ISO 8601 for a date or datetime, str of anything else."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, _dt.date):
+        return value.isoformat()
+    return str(value)
+
+
+def _csv_lines(header: str, rows):
+    """The header, then one line of comma-joined cells per row."""
+    yield header
+    for row in rows:
+        yield ",".join(map(_cell, row))
+
+
+def _write_csv(path, meta: dict | None, header: str, rows) -> None:
+    """Write meta as `# key = value` comment lines, then the table."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {k} = {v}\n" for k, v in (meta or {}).items())
+        fh.writelines(line + "\n" for line in _csv_lines(header, rows))
 
 
 def save_intervals_csv(series: IntervalSeries, path, meta: dict | None = None) -> None:
     """Write date,low,high rows (full float precision, round-trippable)."""
     if series.dates is None:
         raise DataError("interval CSV requires a dated series")
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        fh.write("date,low,high\n")
-        for d, lo, hi in zip(series.dates, series.lowers, series.uppers):
-            fh.write(f"{d.isoformat()},{float(lo)!r},{float(hi)!r}\n")
+    _write_csv(path, meta, "date,low,high", zip(series.dates, series.lowers, series.uppers))
 
 
 def save_bars_csv(days: Sequence[DayBars], path, meta: dict | None = None) -> None:
     """Write compact date,min_log,max_log,rv rows."""
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        fh.write("date,min_log,max_log,rv\n")
-        for d in days:
-            fh.write(
-                f"{d.date.isoformat()},{float(d.min_log)!r},"
-                f"{float(d.max_log)!r},{float(d.rv)!r}\n"
-            )
+    _write_csv(path, meta, "date,min_log,max_log,rv", ((d.date, d.min_log, d.max_log, d.rv) for d in days))
 
 
 def save_ticks_csv(ticks: Sequence[QuoteTick], path, meta: dict | None = None) -> None:
     """Write timestamp,bid,ask,price rows (empty cells for missing)."""
-    with open(path, "w", newline="") as fh:
-        for line in _meta_lines(meta):
-            fh.write(line + "\n")
-        fh.write("timestamp,bid,ask,price\n")
-        for t in ticks:
-            bid = "" if t.bid is None else repr(float(t.bid))
-            ask = "" if t.ask is None else repr(float(t.ask))
-            px = "" if t.price is None else repr(float(t.price))
-            fh.write(f"{t.timestamp.isoformat()},{bid},{ask},{px}\n")
+    _write_csv(path, meta, "timestamp,bid,ask,price", ((t.timestamp, t.bid, t.ask, t.price) for t in ticks))

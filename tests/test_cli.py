@@ -9,7 +9,19 @@ import json
 import numpy as np
 import pytest
 
-from intgarch import FittedModel, InitMode, ModelOrders, ModelParams, forecast
+from intgarch import (
+    FittedModel,
+    InitMode,
+    ModelOrders,
+    ModelParams,
+    SimConfig,
+    __version__,
+    forecast,
+    mean_stationarity,
+    sample_acf,
+    simulate,
+    theoretical_acf,
+)
 from intgarch import cli
 from intgarch.marketdata import (
     QuoteTick,
@@ -33,6 +45,18 @@ def run(*argv):
 def data_rows(path):
     with open(path) as fh:
         return [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
+
+
+def meta_text(**meta):
+    return "".join(f"# {k} = {v}\n" for k, v in meta.items())
+
+
+def split_meta(text):
+    """(the leading `# key = value` lines, the rest) of a written table."""
+    lines = text.splitlines(keepends=True)
+    n = next(i for i, ln in enumerate(lines) if not ln.startswith("# "))
+    assert all(" = " in ln for ln in lines[:n])
+    return "".join(lines[:n]), "".join(lines[n:])
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +155,105 @@ class TestConfigFile:
         out = tmp_path / "c3.csv"
         assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
         assert len(data_rows(out)) == 55 + 1
+
+    def test_json_booleans_and_choices(self, workdir, tmp_path, capsys):
+        bad = ModelParams(ModelOrders(1, 1, 1), 1.8147, 0.0906, (0.5,), (0.6,), (0.4,))
+        (tmp_path / "bad.json").write_text(bad.to_json())
+        cfg = tmp_path / "cfg.json"
+        doc = {"T": 50, "seed": 4, "init": "mean", "require_stationary": True}
+        cfg.write_text(json.dumps({**doc, "model": str(workdir / "model.json")}))
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "ok.csv")) == 0
+        assert "# init = mean" in (tmp_path / "ok.csv").read_text()
+        cfg.write_text(json.dumps({**doc, "model": str(tmp_path / "bad.json")}))
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "no.csv")) == 2
+        assert "not mean stationary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("fit", {"orders": [1, 1, 1]}, "orders"),
+            ("fit", {"orders": {"p": 1}}, "orders"),
+            ("fit", {"init": None}, "init"),
+            ("simulate", {"T": 1.5}, "T"),
+            ("simulate", {"T": 50, "init": "bogus"}, "init"),
+            ("simulate", {"T": 50, "seed": True}, "seed"),
+        ],
+    )
+    def test_bad_json_values_exit_two_naming_the_key(self, workdir, tmp_path, capsys, command, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        flags = {
+            "fit": ["--data", str(workdir / "train.csv"), "--out", str(tmp_path / "f.json")],
+            "simulate": ["--model", str(workdir / "model.json"), "--out", str(tmp_path / "s.csv")],
+        }[command]
+        assert run(command, "--config", str(cfg), *flags) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}" in err and "Traceback" not in err
+
+    def test_bad_key_value_exits_two_naming_the_key(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.kv"
+        cfg.write_text(f"model = {workdir / 'model.json'}\nT = 12x\n")
+        assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 2
+        assert "config key 'T'" in capsys.readouterr().err
+
+
+class TestTableBytes:
+    """Every table the CLI writes is its `# key = value` run lines, then
+    the rows in the bytes the per-command formatting wrote before all
+    tables shared one writer."""
+
+    def test_simulate_h_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.json").write_text(MODEL_I.to_json())
+        assert run("simulate", "--model", "model.json", "--T", "30", "--seed", "9",
+                   "--out", "s.csv", "--h-out", "h.csv") == 0
+        _, h = simulate(SimConfig(params=MODEL_I, length=30, seed=9, burn_in=0, init_mode=InitMode("zero")))
+        dates = [row.split(",")[0] for row in data_rows("s.csv")[1:]]
+        meta = meta_text(
+            command="simulate", version=__version__, model="model.json", T=30, burn_in=0, init="zero",
+            start_date="2000-01-03", seed=9, weight_sum=f"{mean_stationarity(MODEL_I)[1]:.6g}",
+        )
+        body = "date,h\n" + "".join(f"{d},{float(x)!r}\n" for d, x in zip(dates, h))
+        assert (tmp_path / "h.csv").read_text() == meta + body
+        assert split_meta((tmp_path / "s.csv").read_text())[0] == meta
+
+    def test_forecast(self, fit_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(fit_dir)
+        out = tmp_path / "fc.csv"
+        assert run("forecast", "--model", "model.json", "--data", "train.csv",
+                   "--horizon", "4", "--origin", "550", "--out", str(out)) == 0
+        series = load_csv("train.csv", "intervals")
+        r = forecast(MODEL_I, series, 4, origin_index=550, init_mode=InitMode("mean"))
+        body = "step,h_hat,sigma2\n" + "".join(
+            f"{j + 1},{float(r.h_hat[j])!r},{float(r.sigma2[j])!r}\n" for j in range(4)
+        )
+        meta = meta_text(
+            command="forecast", version=__version__, model="model.json", data="train.csv",
+            horizon=4, init="mean", origin_index=550, origin_date=series.dates[550],
+        )
+        assert out.read_text() == meta + body
+        assert capsys.readouterr().out == body
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_acf(self, fit_dir, tmp_path, monkeypatch, capsys, with_model):
+        monkeypatch.chdir(fit_dir)
+        out = tmp_path / "acf.csv"
+        flags = ["--model", "model.json"] if with_model else []
+        assert run("acf", "--data", "train.csv", "--max-lag", "5", *flags, "--out", str(out)) == 0
+        sample = sample_acf(load_csv("train.csv", "intervals"), 5)
+        if with_model:
+            theo = theoretical_acf(MODEL_I, 5)
+            body = "lag,sample_acf,theoretical_acf\n" + "".join(
+                f"{s},{float(sample[s])!r},{float(theo[s])!r}\n" for s in range(6)
+            )
+        else:
+            body = "lag,sample_acf\n" + "".join(f"{s},{float(sample[s])!r}\n" for s in range(6))
+        meta = meta_text(
+            command="acf", version=__version__, data="train.csv", max_lag=5,
+            model="model.json" if with_model else None, n=600,
+        )
+        assert out.read_text() == meta + body
+        assert capsys.readouterr().out == body
 
 
 class TestFit:
@@ -325,10 +448,13 @@ class TestBacktest:
         # origins 99..138 refit at 99, 115 and 131
         assert "unconverged baseline refits: 3" in capsys.readouterr().err
 
-    def test_fractional_train_split(self, bars_csv, capsys):
-        assert run("backtest", "--bars", str(bars_csv), "--train", "0.8",
-                   "--horizons", "1", "--refit-every", "64", "--format", "csv") == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    def test_fractional_train_split(self, bars_csv, tmp_path, capsys):
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(bars_csv), "--train", "0.8", "--horizons", "1",
+                   "--refit-every", "64", "--format", "csv", "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert split_meta(out.read_text())[1] == printed  # the same table as printed
+        rows = list(csv.DictReader(io.StringIO(printed)))
         # train = round(0.8 * 139) = 111 -> 139 - 111 - 1 + 1 evaluable
         assert all(r["n"] == "28" for r in rows)
 
@@ -342,7 +468,9 @@ class TestTable1:
         out = tmp_path / "t1.csv"
         assert run("table1", "--designs", "III", "--reps", "2", "--T", "300",
                    "--seed", "11", "--format", "csv", "--out", str(out)) == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        printed = capsys.readouterr().out
+        assert split_meta(out.read_text())[1] == printed  # the same table as printed
+        rows = list(csv.DictReader(io.StringIO(printed)))
         assert [r["param"] for r in rows] == ["k", "mu", "alpha1", "beta1"]
         assert all(r["design"] == "III" for r in rows)
         assert "# seed = 11" in out.read_text()

@@ -1,7 +1,9 @@
 """Tick cleaning, grid resampling, realized variance, and CSV I/O."""
 
+import csv
 import datetime as dt
 import math
+import re
 import warnings
 
 import numpy as np
@@ -724,3 +726,292 @@ class TestCsvErrors:
         p.write_text("date,time,price\n2024-03-04,09:30:00,100.0\n")
         with pytest.raises(DataError, match="insufficient intraday"):
             load_csv(p, "daily_bars")
+
+    @pytest.mark.parametrize(
+        "schema, header, first, bad",
+        [
+            ("intervals", "date,low,high", "2024-03-04,0.1,0.5", "2024-03-05,nan,0.5"),
+            ("daily_bars", "date,min_log,max_log,rv", "2024-03-04,4.5,4.6,0.001", "2024-03-05,4.5,4.6,inf"),
+            ("daily_bars", "date,time,price", "2024-03-04,09:30:00,100.0", "2024-03-04,09:35:00,inf"),
+        ],
+        ids=["intervals", "bars", "long-format"],
+    )
+    def test_non_finite_number_names_line(self, tmp_path, schema, header, first, bad):
+        # ticks: test_bad_tick_value_names_line
+        p = tmp_path / "bad.csv"
+        p.write_text(f"{header}\n{first}\n{bad}\n")
+        with pytest.raises(DataError, match="line 3: "):
+            load_csv(p, schema)
+
+
+# ---------------------------------------------------------------------------
+# The four-branch loader and the per-layout writers as they were before the
+# layouts shared one row loop and one writer; kept to check that the shared
+# code reads and writes every file exactly as they did.
+
+
+def reference_load_csv(path, schema):
+    def parse_float(cell, lineno, col):
+        try:
+            return float(cell)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: unparsable {col} value {cell!r}") from exc
+
+    def parse_date(cell, lineno):
+        try:
+            return dt.date.fromisoformat(cell)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: unparsable date {cell!r}") from exc
+
+    try:
+        with open(path, newline="") as fh:
+            raw = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows = [(n, [c.strip() for c in r]) for n, r in enumerate(raw, start=1) if r and not r[0].startswith("#")]
+    if not rows:
+        raise DataError("no data rows")
+    (header_line, header), body = rows[0], rows[1:]
+    cols = [c.lower() for c in header]
+    if schema == "intervals":
+        if cols != ["date", "low", "high"]:
+            raise DataError(f"line {header_line}: unknown columns {header!r}")
+        if not body:
+            raise DataError("no data rows")
+        dates, lows, highs = [], [], []
+        for lineno, row in body:
+            if len(row) != 3:
+                raise DataError(f"line {lineno}: expected 3 columns, got {len(row)}")
+            d = parse_date(row[0], lineno)
+            lo = parse_float(row[1], lineno, "low")
+            hi = parse_float(row[2], lineno, "high")
+            if hi < lo:
+                raise DataError(f"line {lineno}: high < low")
+            dates.append(d)
+            lows.append(lo)
+            highs.append(hi)
+        return IntervalSeries.from_bounds(lows, highs, dates=dates)
+    if schema == "ticks":
+        if cols not in (["timestamp", "bid", "ask"], ["timestamp", "bid", "ask", "price"]):
+            raise DataError(f"line {header_line}: unknown columns {header!r}")
+        if not body:
+            raise DataError("no data rows")
+        ticks = []
+        for lineno, row in body:
+            if len(row) != len(cols):
+                raise DataError(f"line {lineno}: expected {len(cols)} columns, got {len(row)}")
+            try:
+                ts = dt.datetime.fromisoformat(row[0])
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: unparsable timestamp {row[0]!r}") from exc
+            if ts.tzinfo is not None:
+                raise DataError(f"line {lineno}: timestamp {row[0]!r} carries a UTC offset")
+            bid = parse_float(row[1], lineno, "bid") if row[1] else None
+            ask = parse_float(row[2], lineno, "ask") if row[2] else None
+            price = None
+            if len(cols) == 4 and row[3]:
+                price = parse_float(row[3], lineno, "price")
+            try:
+                ticks.append(QuoteTick(timestamp=ts, bid=bid, ask=ask, price=price))
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+        if any(b.timestamp < a.timestamp for a, b in zip(ticks, ticks[1:])):
+            warnings.warn("tick timestamps unsorted; sorting")
+            ticks.sort(key=lambda t: t.timestamp)
+        return ticks
+    if cols == ["date", "min_log", "max_log", "rv"]:
+        if not body:
+            raise DataError("no data rows")
+        days = []
+        for lineno, row in body:
+            if len(row) != 4:
+                raise DataError(f"line {lineno}: expected 4 columns, got {len(row)}")
+            date = parse_date(row[0], lineno)
+            min_log = parse_float(row[1], lineno, "min_log")
+            max_log = parse_float(row[2], lineno, "max_log")
+            rv = parse_float(row[3], lineno, "rv")
+            try:
+                days.append(DayBars(date=date, log_prices=None, min_log=min_log, max_log=max_log, rv=rv))
+            except DataError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+        return days
+    if cols == ["date", "time", "price"]:
+        if not body:
+            raise DataError("no data rows")
+        by_day, order = {}, []
+        for lineno, row in body:
+            if len(row) != 3:
+                raise DataError(f"line {lineno}: expected 3 columns, got {len(row)}")
+            d = parse_date(row[0], lineno)
+            try:
+                tm = dt.time.fromisoformat(row[1])
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: unparsable time {row[1]!r}") from exc
+            px = parse_float(row[2], lineno, "price")
+            if px <= 0:
+                raise DataError(f"line {lineno}: price must be positive")
+            if d not in by_day:
+                by_day[d] = []
+                order.append(d)
+            by_day[d].append((tm, math.log(px)))
+        days = []
+        for d in sorted(order):
+            pts = sorted(by_day[d], key=lambda x: x[0])
+            if len(pts) < 2:
+                raise DataError(f"{d}: insufficient intraday observations")
+            days.append(make_day_bars(d, [p for _, p in pts]))
+        return days
+    raise DataError(f"line {header_line}: unknown columns {header!r}")
+
+
+def reference_meta_lines(meta):
+    return "".join(f"# {k} = {v}\n" for k, v in (meta or {}).items())
+
+
+def reference_intervals_text(series, meta=None):
+    return reference_meta_lines(meta) + "date,low,high\n" + "".join(
+        f"{d.isoformat()},{float(lo)!r},{float(hi)!r}\n"
+        for d, lo, hi in zip(series.dates, series.lowers, series.uppers)
+    )
+
+
+def reference_bars_text(days, meta=None):
+    return reference_meta_lines(meta) + "date,min_log,max_log,rv\n" + "".join(
+        f"{d.date.isoformat()},{float(d.min_log)!r},{float(d.max_log)!r},{float(d.rv)!r}\n" for d in days
+    )
+
+
+def reference_ticks_text(ticks, meta=None):
+    def cell(x):
+        return "" if x is None else repr(float(x))
+
+    return reference_meta_lines(meta) + "timestamp,bid,ask,price\n" + "".join(
+        f"{t.timestamp.isoformat()},{cell(t.bid)},{cell(t.ask)},{cell(t.price)}\n" for t in ticks
+    )
+
+
+HEADERS = {
+    "date,low,high": "intervals",
+    "timestamp,bid,ask": "ticks",
+    "timestamp,bid,ask,price": "ticks",
+    "date,min_log,max_log,rv": "daily_bars",
+    "date,time,price": "daily_bars",
+}
+
+
+def random_rows(header, rng):
+    """Seeded valid data rows for one header: mixed float spellings,
+    padded cells, empty quote or price cells, unsorted ticks and
+    long-format rows in shuffled order."""
+    n = int(rng.integers(2, 40))
+    day0 = dt.date(2024, 3, 4)
+    x = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 3, size=(n, 3))
+
+    def num(v):
+        return str(rng.choice([repr(float(v)), f"{v:.6g}", f" {v:.3e} "]))
+
+    def ordered(a, b):
+        return ",".join(sorted([num(a), num(b)], key=float))
+
+    if header == "date,low,high":
+        return [f"{day0 + dt.timedelta(days=2 * i)},{ordered(a - abs(b), a + abs(b))}"
+                for i, (a, b, _) in enumerate(x)]
+    if header == "date,min_log,max_log,rv":
+        return [f"{day0 + dt.timedelta(days=i)},{ordered(4.6 + a, 4.6 + a + abs(b))},{num(abs(c))}"
+                for i, (a, b, c) in enumerate(x)]
+    if header == "date,time,price":
+        rows = [f"{day0 + dt.timedelta(days=d)},{h:02d}:{m:02d}:{s:02d},{num(100 * math.exp(v))}"
+                for d in range(4) for (h, m, s), v in zip(
+                    rng.integers((9, 0, 0), (17, 60, 60), size=(n, 3)).tolist(), x[:, 0] / 100)]
+        rng.shuffle(rows)
+        return rows
+    rows = []
+    for i, (a, b, _) in enumerate(x):
+        ts = dt.datetime(2024, 3, 4, 9, 30) + dt.timedelta(seconds=float(rng.integers(0, 900)), microseconds=i)
+        mid, half = 100 + a / 100, abs(b) / 1000 + 0.005
+        bid, ask = num(mid - half), num(mid + half)
+        if header == "timestamp,bid,ask":
+            rows.append(f"{ts.isoformat()},{bid},{ask}")
+        elif rng.random() < 0.5:
+            rows.append(f"{ts.isoformat()},,,{num(mid)}")
+        else:
+            rows.append(f"{ts.isoformat()},{bid},{ask},{num(mid) if rng.random() < 0.5 else ''}")
+    return rows
+
+
+def load_both(path, schema):
+    """(result, line named by the DataError) of the shared loader and
+    of the reference loader."""
+    out = []
+    for loader in (load_csv, reference_load_csv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                out.append((loader(path, schema), None))
+            except DataError as exc:
+                out.append((None, re.search(r"line (\d+)", str(exc))))
+    return out
+
+
+class TestLoaderEquivalence:
+    @pytest.mark.parametrize("header", HEADERS)
+    def test_valid_files_load_equal(self, tmp_path, header):
+        p = tmp_path / "data.csv"
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 11])
+            head = header.upper() if seed % 3 == 0 else header
+            p.write_text(f"# seed = {seed}\n{head}\n" + "\n".join(random_rows(header, rng)) + "\n")
+            (new, new_err), (ref, ref_err) = load_both(p, HEADERS[header])
+            assert new_err is None and ref_err is None, (seed, new_err, ref_err)
+            assert new == ref, seed
+
+    FAULTS = {
+        "bad number": lambda cells: [cells[0], "1.2.3", *cells[2:]],
+        "column count": lambda cells: [*cells, "1"],
+        "utc offset": lambda cells: [cells[0] + "+01:00", *cells[1:]],
+        "high below low": lambda cells: [cells[0], cells[2], cells[1], *cells[3:]],
+        "price not positive": lambda cells: [*cells[:-1], "-1.5"],
+    }
+    CASES = [(h, f) for h in HEADERS for f in ("bad number", "column count")] + [
+        ("timestamp,bid,ask", "utc offset"),
+        ("timestamp,bid,ask,price", "utc offset"),
+        ("date,low,high", "high below low"),
+        ("date,min_log,max_log,rv", "high below low"),
+        ("timestamp,bid,ask,price", "price not positive"),
+        ("date,time,price", "price not positive"),
+    ]
+
+    @pytest.mark.parametrize("header, fault", CASES)
+    def test_faults_name_the_same_line(self, tmp_path, header, fault):
+        p = tmp_path / "bad.csv"
+        for seed in range(10):
+            rng = np.random.default_rng([seed, 12])
+            rows = random_rows(header, rng)
+            at = int(rng.integers(0, len(rows)))
+            cells = rows[at].split(",")
+            if fault == "high below low" and float(cells[1]) == float(cells[2]):
+                continue
+            rows[at] = ",".join(self.FAULTS[fault](cells))
+            p.write_text(f"{header}\n# a comment\n" + "\n".join(rows) + "\n")
+            (_, new_err), (_, ref_err) = load_both(p, HEADERS[header])
+            line = at + 3 if at else 3
+            assert new_err is not None and ref_err is not None, seed
+            assert new_err.group(1) == ref_err.group(1) == str(line), seed
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("meta", [None, {}, {"command": "prepare", "seed": 7, "note": "a = b"}])
+    def test_save_functions_write_the_reference_bytes(self, tmp_path, meta):
+        rng = np.random.default_rng(13)
+        p = tmp_path / "out.csv"
+        dates = [T0.date() + dt.timedelta(days=i) for i in range(30)]
+        series = IntervalSeries(rng.normal(size=30), rng.gamma(2.0, 1.0, size=30), dates=dates)
+        save_intervals_csv(series, p, meta=meta)
+        assert p.read_text() == reference_intervals_text(series, meta)
+        days = [make_day_bars(d, 4.6 + rng.normal(size=5).cumsum() / 100) for d in dates]
+        days.append(day_bars_from_range(dates[-1] + dt.timedelta(days=1), 4.5, 4.7))
+        save_bars_csv(days, p, meta=meta)
+        assert p.read_text() == reference_bars_text(days, meta)
+        ticks = random_ticks(5) + [tick(1.5, price=100.25), tick(2, bid=99.5, ask=np.float64(100.5))]
+        save_ticks_csv(ticks, p, meta=meta)
+        assert p.read_text() == reference_ticks_text(ticks, meta)
