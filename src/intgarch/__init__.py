@@ -46,7 +46,6 @@ from .process import (
 )
 from .simulate import SimConfig, simulate, simulate_paths
 from .estimate import (
-    FitOptions,
     FittedModel,
     asymptotic_covariance,
     estimate_k,
@@ -134,7 +133,6 @@ __all__ = [
     "simulate",
     "simulate_paths",
     # estimate
-    "FitOptions",
     "FittedModel",
     "estimate_k",
     "init_theta",

@@ -19,15 +19,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .estimate import FitOptions, FittedModel, fit_mle
+from .estimate import FittedModel, fit_mle
 from .evaluate import (
     BENCHMARK_DESIGNS,
+    _report_rows,
+    _study_rows,
     render_reports,
     render_study,
-    reports_to_csv,
     run_backtest,
     simulation_study,
-    study_to_csv,
 )
 from .exceptions import ConvergenceError, DataError, IntGarchError, NumericalError
 from .forecast import forecast
@@ -188,8 +188,7 @@ def _fit_summary(fitted: FittedModel) -> str:
 def cmd_fit(args) -> int:
     series = load_csv(args.data, "intervals")
     orders = _parse_orders(args.orders)
-    options = FitOptions(init_mode=InitMode(args.init))
-    fitted = fit_mle(series, orders, options)
+    fitted = fit_mle(series, orders, InitMode(args.init))
     doc = fitted.to_dict()
     doc["run_config"] = _meta(args, ["data", "orders", "init"])
     with open(args.out, "w") as fh:
@@ -315,7 +314,7 @@ def cmd_backtest(args) -> int:
         train_size=train_size,
         horizons=horizons,
         refit_every=args.refit_every,
-        options=FitOptions(init_mode=InitMode(args.init)),
+        init_mode=InitMode(args.init),
         scalar_returns=returns,
         include_insample=args.insample,
         hmse_squared=args.hmse_squared,
@@ -329,11 +328,14 @@ def cmd_backtest(args) -> int:
         baseline_returns=returns_kind,
         skipped_refits=len(info["skipped_refits"]),
     )
-    table = reports_to_csv(reports).rstrip("\n")
+    header, rows = _report_rows(reports)
     if args.out:
-        header, *lines = table.split("\n")
-        _write_csv(args.out, meta, header, (line.split(",") for line in lines))
-    print(table if args.format == "csv" else render_reports(reports))
+        _write_csv(args.out, meta, header, rows)
+    print("\n".join(_csv_lines(header, rows)) if args.format == "csv" else render_reports(reports))
+    for r in reports:
+        if np.isnan(r.r2):
+            print(f"R² undefined for {r.model} at horizon {r.horizon}: "
+                  "constant forecasts or realized values", file=sys.stderr)
     if info["skipped_refits"]:
         print(f"skipped refits: {len(info['skipped_refits'])}", file=sys.stderr)
     unconverged = sum(1 for _, ok in info["garch_converged"] if not ok)
@@ -359,11 +361,10 @@ def cmd_table1(args) -> int:
         jobs=args.jobs,
     )
     meta = _meta(args, ["designs", "reps", "T", "jobs"], seed=seed)
-    table = study_to_csv(cells).rstrip("\n")
+    header, rows = _study_rows(cells)
     if args.out:
-        header, *lines = table.split("\n")
-        _write_csv(args.out, meta, header, (line.split(",") for line in lines))
-    print(table if args.format == "csv" else render_study(cells))
+        _write_csv(args.out, meta, header, rows)
+    print("\n".join(_csv_lines(header, rows)) if args.format == "csv" else render_study(cells))
     return 0
 
 

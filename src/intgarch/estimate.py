@@ -10,13 +10,15 @@ Stage two maximizes the conditional log-likelihood
 
 by projected Newton (Bertsekas 1982) with analytic score and Hessian:
 the coefficients are bounded below by 0, and one held at 0 is released
-as soon as its score points back into the interior. The same optimizer
-fits the GARCH(1,1) baseline in evaluate. Pre-sample lags are set to
-their stationary expectations (centers 0, radii k*E(h;theta), h either
-E(h;theta) or 0), and because E(h;theta) moves with theta, its first and
-second derivatives are carried through the recursions; the resulting score
-and Hessian match finite differences of the likelihood to near machine
-precision.
+as soon as its score points back into the interior. Its settings are
+fixed (at most 200 steps of at most 30 halvings, gradient tolerance 1e-6),
+and it starts with mu at 0.4 of the implied mean scale and a weight of 0.2
+in each coefficient group. The same optimizer fits the GARCH(1,1) baseline
+in evaluate. Pre-sample lags are set to their stationary expectations
+(centers 0, radii k*E(h;theta), h either E(h;theta) or 0), and because
+E(h;theta) moves with theta, its first and second derivatives are carried
+through the recursions; the resulting score and Hessian match finite
+differences of the likelihood to near machine precision.
 
 The recursion h_t = base_t + sum_j gamma_j h_{t-j} and the identical
 recursion for the d columns of dh/dtheta are solved by process.recurse,
@@ -43,7 +45,6 @@ from .intervals import IntervalSeries
 from .process import ABS_NORMAL_MEAN, InitMode, ModelOrders, ModelParams, recurse
 
 __all__ = [
-    "FitOptions",
     "FittedModel",
     "estimate_k",
     "init_theta",
@@ -59,31 +60,9 @@ _BOUNDARY_EPS = 1e-8
 _STATIONARITY_MARGIN = 1e-10
 
 MIN_OBS_PER_PARAM = 10
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer settings.
-
-    init_fraction and coef_budget control the starting point: mu starts at
-    init_fraction times the implied mean scale, and each coefficient group
-    starts with its stationarity-weight budget equal to coef_budget.
-    """
-
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-6
-    step_halving_limit: int = 30
-    init_fraction: float = 0.4
-    coef_budget: float = 0.2
-    init_mode: InitMode = InitMode.MEAN_H
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ModelError("max_iterations must be >= 1")
-        if not 0 < self.init_fraction < 1:
-            raise ModelError("init_fraction must be in (0, 1)")
-        if not 0 < self.coef_budget < 1:
-            raise ModelError("coef_budget must be in (0, 1)")
+# init_theta's start point: mu as a fraction of h-bar, each group's weight
+_START_MU_FRACTION = 0.4
+_START_COEF_BUDGET = 0.2
 
 
 @dataclass(frozen=True)
@@ -181,22 +160,15 @@ def estimate_k(series: IntervalSeries) -> float:
     return ABS_NORMAL_MEAN * mean_radius / mean_abs_center
 
 
-def init_theta(
-    series: IntervalSeries,
-    k: float,
-    orders: ModelOrders,
-    options: FitOptions | None = None,
-) -> ModelParams:
+def init_theta(series: IntervalSeries, k: float, orders: ModelOrders) -> ModelParams:
     """Starting parameters for the likelihood maximization.
 
-    The implied mean scale h-bar is mean(radii)/k. mu starts at
-    init_fraction * h-bar; each coefficient group gets an equal split of
-    its budget: sqrt(pi/2)*sum(alpha0) = coef_budget, k*sum(beta0) =
-    coef_budget, sum(gamma0) = coef_budget. At the defaults the lag
-    weights sum to (2/pi)*0.2 + 0.4 < 1, so the start point is always
+    The implied mean scale h-bar is mean(radii)/k. mu starts at 0.4 * h-bar;
+    each coefficient group gets an equal split of its budget b = 0.2:
+    sqrt(pi/2)*sum(alpha0) = b, k*sum(beta0) = b, sum(gamma0) = b. The lag
+    weights then sum to (2/pi)*b + 2b < 1, so the start point is always
     mean-stationary.
     """
-    options = options or FitOptions()
     if len(series) == 0:
         raise DataError("empty input")
     if not k > 0:
@@ -204,11 +176,11 @@ def init_theta(
     hbar = float(series.radii.mean()) / k
     if hbar <= 0:
         raise DataError("degenerate radii: cannot scale starting point")
-    b = options.coef_budget
+    b = _START_COEF_BUDGET
     alpha0 = (b * ABS_NORMAL_MEAN / orders.p,) * orders.p
     beta0 = (b / k / orders.q,) * orders.q
     gamma0 = (b / orders.w,) * orders.w if orders.w else ()
-    return ModelParams(orders, k, options.init_fraction * hbar, alpha0, beta0, gamma0)
+    return ModelParams(orders, k, _START_MU_FRACTION * hbar, alpha0, beta0, gamma0)
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +466,20 @@ def _projected_newton(
 def fit_mle(
     series: IntervalSeries,
     orders: ModelOrders,
-    options: FitOptions | None = None,
+    init_mode: InitMode = InitMode.MEAN_H,
 ) -> FittedModel:
     """Two-stage fit: moment k, then projected-Newton MLE for the scale
     parameters.
 
-    A coefficient that reaches 0 is held there only while its score
-    points outward, so a converged fit meets the bound-constrained
-    optimality (KKT) conditions in every coefficient. Coefficients that
-    end at exactly 0 are listed in `boundary`. Standard errors come from
-    the inverse negative Hessian over the other parameters; boundary
-    parameters carry none.
+    Newton starts at init_theta, takes at most 200 steps of at most 30
+    halvings, and converges once every projected score is below 1e-6;
+    init_mode sets the pre-sample h. A coefficient that reaches 0 is held
+    there only while its score points outward, so a converged fit meets the
+    bound-constrained optimality (KKT) conditions in every coefficient.
+    Coefficients that end at exactly 0 are listed in `boundary`. Standard
+    errors come from the inverse negative Hessian over the other
+    parameters; boundary parameters carry none.
     """
-    options = options or FitOptions()
     min_len = MIN_OBS_PER_PARAM * orders.n_params
     if len(series) < min_len:
         raise DataError(
@@ -514,27 +487,26 @@ def fit_mle(
             f"for orders ({orders.p},{orders.q},{orders.w}), got {len(series)}"
         )
     k = estimate_k(series)
-    start = init_theta(series, k, orders, options)
+    start = init_theta(series, k, orders)
     lam = series.centers
     dlt = series.radii
-    mode = options.init_mode
     lower = np.zeros(orders.n_params)
     lower[0] = -np.inf  # mu > 0 is part of the feasibility check
 
     theta, ll, kkt, hess, stop_reason, iterations, trace = _projected_newton(
-        lambda th: _loglik_raw(k, th, lam, dlt, orders, mode)[0],
-        lambda th: _score_hessian_raw(k, th, lam, dlt, orders, mode),
+        lambda th: _loglik_raw(k, th, lam, dlt, orders, init_mode)[0],
+        lambda th: _score_hessian_raw(k, th, lam, dlt, orders, init_mode),
         start.theta,
         lower,
         lambda th: _feasible(k, th, orders),
-        options.max_iterations,
-        options.gradient_tolerance,
-        options.step_halving_limit,
+        max_iterations=200,
+        gradient_tolerance=1e-6,
+        step_halving_limit=30,
     )
     params = start.with_theta(theta)
     names = np.array(params.param_names())
     free = theta > lower
-    _, h_path = _loglik_raw(k, theta, lam, dlt, orders, mode)
+    _, h_path = _loglik_raw(k, theta, lam, dlt, orders, init_mode)
 
     hess_free = hess[np.ix_(free, free)]
     covariance = None
@@ -565,7 +537,7 @@ def fit_mle(
         free_names=tuple(str(n) for n in names[free]),
         std_errors=std_errors,
         n_obs=len(series),
-        init_mode=mode,
+        init_mode=init_mode,
         h_path=h_path,
         covariance=covariance,
         hessian=hess_free,
@@ -576,15 +548,13 @@ def fit_mle(
 def asymptotic_covariance(fitted: FittedModel) -> np.ndarray:
     """Asymptotic covariance -[Hessian]^{-1} over the free parameters.
 
-    Requires a converged fit whose Hessian is negative definite at the
-    optimum; raises otherwise.
+    Returns a copy of the one fit_mle computed, which requires a converged
+    fit whose Hessian is negative definite at the optimum; raises otherwise.
     """
     if not fitted.converged:
         raise ConvergenceError("fit did not converge; covariance unavailable")
     if fitted.hessian is None:
         raise DataError("fit document carries no Hessian; refit on data first")
-    neg = -fitted.hessian
-    eigvals = np.linalg.eigvalsh(neg)
-    if eigvals.min() <= 0:
+    if fitted.covariance is None:
         raise NumericalError("not at an interior maximum")
-    return np.linalg.inv(neg)
+    return fitted.covariance.copy()

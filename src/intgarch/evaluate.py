@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimate import FitOptions, _projected_newton, fit_mle
+from .estimate import _projected_newton, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
 from .forecast import rolling_forecast
 from .intervals import IntervalSeries
-from .process import ModelOrders, ModelParams, recurse, volatility
+from .marketdata import _csv_lines
+from .process import InitMode, ModelOrders, ModelParams, recurse, volatility
 from .simulate import SimConfig, simulate
 
 __all__ = [
@@ -64,8 +65,9 @@ METRICS = ("r2", "qlike", "hmse")
 class EvalReport:
     """Metrics for one model at one horizon (0 = in-sample).
 
-    wins lists the metrics on which this model beat every other model in
-    its comparison group; ties win nothing.
+    r2 is NaN when the forecasts or realized values are constant. wins
+    lists the metrics on which this model beat every other model in its
+    comparison group; ties and NaN win nothing.
     """
 
     asset: str
@@ -346,7 +348,8 @@ def compare(forecasts: Mapping, rv, asset: str = "", *, hmse_squared: bool = Fal
 
     Returns one EvalReport per model x horizon, winners marked per metric
     (higher R2 wins; lower QLIKE wins; HMSE closest to zero wins); ties
-    win nothing.
+    win nothing. A model whose forecasts or realized values are constant
+    at a horizon gets R2 = NaN there, and no model wins R2 at that horizon.
     """
     rv_dates, rv_values = rv
     rv_values = np.asarray(rv_values, dtype=float)
@@ -384,11 +387,12 @@ def compare(forecasts: Mapping, rv, asset: str = "", *, hmse_squared: bool = Fal
             if missing:
                 raise DataError(f"no realized variance for {missing[0]}")
             v = np.array([rv_map[d_key] for d_key in dates])
-            s2 = np.asarray(s2, dtype=float)
+            v, s2 = _check_pair(v, s2)
+            constant = np.ptp(s2) == 0 or np.ptp(v) == 0
             row = {
                 "model": name,
                 "n": int(v.size),
-                "r2": mz_r2(v, s2),
+                "r2": math.nan if constant else mz_r2(v, s2),
                 "qlike": qlike(v, s2),
                 "hmse": hmse(v, s2, squared=hmse_squared),
             }
@@ -399,7 +403,7 @@ def compare(forecasts: Mapping, rv, asset: str = "", *, hmse_squared: bool = Fal
         winners: dict = {}
         for metric, scores in per_metric.items():
             order = np.argsort(scores)
-            if len(scores) > 1 and scores[order[0]] < scores[order[1]]:
+            if len(scores) > 1 and not np.isnan(scores).any() and scores[order[0]] < scores[order[1]]:
                 winners[metric] = rows[order[0]]["model"]
         for row in rows:
             wins = tuple(m for m in METRICS if winners.get(m) == row["model"])
@@ -443,7 +447,7 @@ def run_backtest(
     train_size: int | None = None,
     horizons: Sequence[int] = (1, 2, 5),
     refit_every: int = 1,
-    options: FitOptions | None = None,
+    init_mode: InitMode = InitMode.MEAN_H,
     scalar_returns=None,
     include_insample: bool = False,
     hmse_squared: bool = False,
@@ -485,7 +489,7 @@ def run_backtest(
     labels = list(series.dates) if series.dates is not None else list(range(n))
 
     results, skipped = rolling_forecast(
-        series, orders, horizons, train_size, refit_every=refit_every, options=options
+        series, orders, horizons, train_size, refit_every=refit_every, init_mode=init_mode
     )
     if not results:
         raise DataError("all refits failed; nothing to evaluate")
@@ -527,7 +531,7 @@ def run_backtest(
         "garch_converged": garch_converged,
     }
     if include_insample:
-        full = fit_mle(series, orders, options)
+        full = fit_mle(series, orders, init_mode)
         g_full = fit_garch11(returns)
         forecasts["intgarch"][0] = (labels, volatility(full.params, full.h_path))
         forecasts["garch11"][0] = (labels, g_full.sigma2_path)
@@ -565,8 +569,7 @@ class StudyCell:
 
 def _study_rep(args) -> tuple:
     """One replication: simulate, fit, return estimates and model SEs."""
-    name, params_dict, length, seq = args
-    params = ModelParams.from_dict(params_dict)
+    name, params, length, seq = args
     series, _ = simulate(SimConfig(params=params, length=length, seed=seq))
     fitted = fit_mle(series, params.orders)
     est = np.concatenate(([fitted.params.k], fitted.params.theta))
@@ -603,7 +606,7 @@ def simulation_study(
         if not isinstance(params, ModelParams):
             raise DataError(f"design {name!r} is not a ModelParams")
         for child in dseq.spawn(replications):
-            tasks.append((name, params.to_dict(), length, child))
+            tasks.append((name, params, length, child))
 
     if jobs > 1:
         chunk = max(1, len(tasks) // (4 * jobs))
@@ -662,15 +665,20 @@ def render_reports(reports: Sequence[EvalReport]) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
 
 
+def _report_rows(reports: Sequence[EvalReport]) -> tuple:
+    """(header, rows) of the long-format report table: one row per
+    asset x model x horizon x metric."""
+    rows = [
+        (r.asset, r.model, r.horizon, metric, getattr(r, metric), r.n, int(metric in r.wins))
+        for r in sorted(reports, key=lambda r: (r.asset, r.horizon, r.model))
+        for metric in METRICS
+    ]
+    return "asset,model,horizon,metric,value,n,winner", rows
+
+
 def reports_to_csv(reports: Sequence[EvalReport]) -> str:
     """Long-format CSV: one row per asset x model x horizon x metric."""
-    lines = ["asset,model,horizon,metric,value,n,winner"]
-    for r in sorted(reports, key=lambda r: (r.asset, r.horizon, r.model)):
-        for metric in METRICS:
-            value = getattr(r, metric)
-            win = 1 if metric in r.wins else 0
-            lines.append(f"{r.asset},{r.model},{r.horizon},{metric},{value!r},{r.n},{win}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in _csv_lines(*_report_rows(reports)))
 
 
 def render_study(cells: Sequence[StudyCell]) -> str:
@@ -694,12 +702,10 @@ def render_study(cells: Sequence[StudyCell]) -> str:
     return "\n".join("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip() for row in rows)
 
 
+def _study_rows(cells: Sequence[StudyCell]) -> tuple:
+    """(header, rows) of the study table: one row of StudyCell fields per cell."""
+    return ",".join(f.name for f in fields(StudyCell)), [astuple(c) for c in cells]
+
+
 def study_to_csv(cells: Sequence[StudyCell]) -> str:
-    lines = ["design,param,true,mean_est,mae,empirical_se,mean_model_se,n_fits,n_converged"]
-    for c in cells:
-        se = "" if c.mean_model_se is None else repr(c.mean_model_se)
-        lines.append(
-            f"{c.design},{c.param},{c.true!r},{c.mean_est!r},{c.mae!r},"
-            f"{c.empirical_se!r},{se},{c.n_fits},{c.n_converged}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in _csv_lines(*_study_rows(cells)))

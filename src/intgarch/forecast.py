@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimate import MIN_OBS_PER_PARAM, FitOptions, FittedModel, fit_mle, loglik_eval
+from .estimate import MIN_OBS_PER_PARAM, FittedModel, fit_mle, loglik_eval
 from .exceptions import DataError, IntGarchError
 from .intervals import IntervalSeries
 from .process import InitMode, ModelOrders, ModelParams, mu_weights, recurse, volatility
@@ -125,15 +125,16 @@ def rolling_forecast(
     horizons,
     train_size: int,
     refit_every: int = 1,
-    options: FitOptions | None = None,
+    init_mode: InitMode = InitMode.MEAN_H,
 ) -> tuple:
     """Walk-forward forecasts with periodic refitting.
 
     The model is fit on the first train_size observations and refit on the
     growing sample at every refit_every-th origin thereafter. Each origin
     t in train_size-1 .. len(series)-1 yields forecasts for 1..max(horizons)
-    steps ahead. A failed refit skips that origin (recorded in the second
-    return value) and keeps the previous parameters for later origins.
+    steps ahead, with init_mode as the pre-sample mode. A failed refit
+    skips that origin (recorded in the second return value) and keeps the
+    previous parameters for later origins.
 
     Returns
     -------
@@ -153,7 +154,6 @@ def rolling_forecast(
         raise DataError(f"train_size {train_size} exceeds series length {n}")
     if refit_every < 1:
         raise DataError("refit_every must be >= 1")
-    options = options or FitOptions()
 
     results: list = []
     skipped: list = []
@@ -162,21 +162,12 @@ def rolling_forecast(
         scheduled = (t - (train_size - 1)) % refit_every == 0
         if scheduled or fitted is None:
             try:
-                fitted = fit_mle(series[: t + 1], orders, options)
+                fitted = fit_mle(series[: t + 1], orders, init_mode)
             except IntGarchError as exc:
                 skipped.append((t, str(exc)))
                 continue
             h_path = fitted.h_path
         else:
-            _, h_path = loglik_eval(fitted.params, series[: t + 1], options.init_mode)
-        results.append(
-            forecast(
-                fitted.params,
-                series,
-                max_h,
-                h_path=h_path,
-                origin_index=t,
-                init_mode=options.init_mode,
-            )
-        )
+            _, h_path = loglik_eval(fitted.params, series[: t + 1], init_mode)
+        results.append(forecast(fitted.params, series, max_h, h_path=h_path, origin_index=t))
     return results, skipped

@@ -5,11 +5,13 @@ import dataclasses
 import datetime as dt
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
 from intgarch import (
+    BENCHMARK_DESIGNS,
     FittedModel,
     InitMode,
     ModelOrders,
@@ -17,9 +19,12 @@ from intgarch import (
     SimConfig,
     __version__,
     forecast,
+    interval_returns,
     mean_stationarity,
+    run_backtest,
     sample_acf,
     simulate,
+    simulation_study,
     theoretical_acf,
 )
 from intgarch import cli
@@ -255,6 +260,42 @@ class TestTableBytes:
         assert out.read_text() == meta + body
         assert capsys.readouterr().out == body
 
+    def test_backtest(self, bars_csv, tmp_path, capsys):
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(bars_csv), "--train", "100", "--horizons", "1,2",
+                   "--refit-every", "64", "--format", "csv", "--out", str(out)) == 0
+        days = load_csv(bars_csv, "daily_bars")
+        reports, _ = run_backtest(interval_returns(days), [d.rv for d in days[1:]],
+                                  train_size=100, horizons=[1, 2], refit_every=64, asset="data")
+        body = "asset,model,horizon,metric,value,n,winner\n" + "".join(
+            f"{r.asset},{r.model},{r.horizon},{m},{float(getattr(r, m))!r},{r.n},{int(m in r.wins)}\n"
+            for r in sorted(reports, key=lambda r: (r.asset, r.horizon, r.model))
+            for m in ("r2", "qlike", "hmse")
+        )
+        meta = meta_text(
+            command="backtest", version=__version__, bars=str(bars_csv), orders="1,1,1",
+            horizons="1,2", refit_every=64, insample=False, hmse_squared=False, asset="data",
+            train_size=100, n=139, baseline_returns="interval centers (no intraday closes in input)",
+            skipped_refits=0,
+        )
+        assert out.read_text() == meta + body
+        assert capsys.readouterr().out == body
+
+    def test_table1(self, tmp_path, capsys):
+        out = tmp_path / "t1.csv"
+        assert run("table1", "--designs", "III", "--reps", "2", "--T", "300", "--seed", "11",
+                   "--format", "csv", "--out", str(out)) == 0
+        cells = simulation_study({"III": BENCHMARK_DESIGNS["III"]}, replications=2, length=300, seed=11)
+        body = "design,param,true,mean_est,mae,empirical_se,mean_model_se,n_fits,n_converged\n" + "".join(
+            f"{c.design},{c.param},{c.true!r},{c.mean_est!r},{c.mae!r},{c.empirical_se!r},"
+            f"{'' if c.mean_model_se is None else repr(c.mean_model_se)},{c.n_fits},{c.n_converged}\n"
+            for c in cells
+        )
+        meta = meta_text(command="table1", version=__version__, designs="III", reps=2, T=300,
+                         jobs=1, seed=11)
+        assert out.read_text() == meta + body
+        assert capsys.readouterr().out == body
+
 
 class TestFit:
     def test_fit_outputs(self, fit_dir, capsys):
@@ -419,7 +460,38 @@ def bars_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def prices_csv(tmp_path_factory):
+    """140 weekdays of 12 half-hourly prices: a random walk with 0.3% per
+    step, on which the baseline fit ends at a = 0."""
+    rng = np.random.default_rng(3)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(scale=0.003, size=140 * 12)))
+    times = [f"{9 + (30 + 30 * j) // 60:02d}:{(30 + 30 * j) % 60:02d}" for j in range(12)]
+    weekdays = (dt.date(2023, 1, 2) + dt.timedelta(days=i) for i in range(200))
+    dates = [d for d in weekdays if d.weekday() < 5][:140]
+    lines = [f"{d},{t},{float(p)!r}" for (d, t), p in zip(((d, t) for d in dates for t in times), prices)]
+    path = tmp_path_factory.mktemp("prices") / "prices.csv"
+    path.write_text("date,time,price\n" + "\n".join(lines) + "\n")
+    return path
+
+
 class TestBacktest:
+    def test_constant_baseline_forecasts_keep_the_report(self, prices_csv, tmp_path, capsys):
+        # the baseline's flat variance path makes every forecast equal, so
+        # its R² is undefined; the rest of the report is still written
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(prices_csv), "--train", "100", "--horizons", "1,2",
+                   "--refit-every", "64", "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert "R² undefined for garch11 at horizon 1" in err
+        assert "R² undefined for garch11 at horizon 2" in err
+        rows = list(csv.DictReader(io.StringIO("\n".join(data_rows(out)))))
+        assert len(rows) == 2 * 2 * 3
+        r2 = {(r["model"], r["horizon"]): float(r["value"]) for r in rows if r["metric"] == "r2"}
+        assert math.isnan(r2["garch11", "1"]) and math.isnan(r2["garch11", "2"])
+        assert not math.isnan(r2["intgarch", "1"]) and not math.isnan(r2["intgarch", "2"])
+        assert all(r["winner"] == "0" for r in rows if r["metric"] == "r2")
+
     def test_text_report_and_csv_out(self, bars_csv, tmp_path, capsys):
         out = tmp_path / "bt.csv"
         assert run("backtest", "--bars", str(bars_csv), "--train", "100",

@@ -9,13 +9,13 @@ import pytest
 from intgarch import (
     ConvergenceError,
     DataError,
-    FitOptions,
     FittedModel,
     InitMode,
     IntervalSeries,
     ModelError,
     ModelOrders,
     ModelParams,
+    NumericalError,
     SimConfig,
     asymptotic_covariance,
     estimate_k,
@@ -25,6 +25,7 @@ from intgarch import (
     score_and_hessian,
     simulate,
 )
+from intgarch import estimate
 from intgarch.estimate import _feasible, _projected_newton
 
 MODEL_I = ModelParams.first_order(k=1.8147, mu=0.0906, alpha1=0.0318, beta1=0.374, gamma1=0.1265)
@@ -92,11 +93,14 @@ class TestInitTheta:
             assert ok and ws == pytest.approx(0.2 * (2 / math.pi) + 0.4, rel=1e-12)
 
     def test_custom_budget_and_fraction(self):
+        # the documented start point: mu at 0.4 of the implied mean scale
+        # mean(radii)/k = 0.5, each coefficient group with weight 0.2
         s = IntervalSeries([1.0, -1.0], [1.0, 3.0])
-        opts = FitOptions(init_fraction=0.25, coef_budget=0.1)
-        m = init_theta(s, 4.0, ORDERS_111, opts)
-        assert m.gamma[0] == pytest.approx(0.1)
-        assert m.mu == pytest.approx(0.25 * 2.0 / 4.0)
+        m = init_theta(s, 4.0, ORDERS_111)
+        assert m.mu == pytest.approx(0.4 * 2.0 / 4.0)
+        assert m.alpha[0] == pytest.approx(0.2 * math.sqrt(2 / math.pi))
+        assert m.beta[0] == pytest.approx(0.2 / 4.0)
+        assert m.gamma[0] == pytest.approx(0.2)
 
     def test_degenerate_radii(self):
         s = IntervalSeries([1.0, -1.0], [0.0, 0.0])
@@ -343,8 +347,6 @@ class TestFitMle:
     def test_exactly_constant_data_is_overparameterized(self):
         # literal constant intervals put the optimum on a flat ridge; the
         # information matrix is singular and the fit refuses to pick a point
-        from intgarch import NumericalError
-
         n = 120
         s = IntervalSeries(np.full(n, 0.4), np.full(n, 0.9))
         with pytest.raises(NumericalError, match="over-parameterized"):
@@ -356,15 +358,21 @@ class TestFitMle:
             fit_mle(s, ORDERS_111)
 
     def test_zero_h_init_mode_respected(self, sample):
-        f = fit_mle(sample, ORDERS_111, FitOptions(init_mode=InitMode.ZERO_H))
+        f = fit_mle(sample, ORDERS_111, InitMode.ZERO_H)
         assert f.init_mode is InitMode.ZERO_H
         assert f.converged
 
     def test_converged_fit_reports_its_stop_reason(self, fitted):
         assert fitted.stop_reason == "gradient tolerance"
 
-    def test_iteration_cap_is_reported(self, sample):
-        f = fit_mle(sample, ORDERS_111, FitOptions(max_iterations=1))
+    def test_iteration_cap_is_reported(self, sample, monkeypatch):
+        newton = estimate._projected_newton
+
+        def one_step(*args, **kwargs):
+            return newton(*args, **{**kwargs, "max_iterations": 1})
+
+        monkeypatch.setattr(estimate, "_projected_newton", one_step)
+        f = fit_mle(sample, ORDERS_111)
         assert not f.converged
         assert f.stop_reason == "iteration cap"
         assert f.iterations == 1
@@ -485,6 +493,16 @@ class TestAsymptoticCovariance:
         bad = dataclasses.replace(fitted, hessian=None)
         with pytest.raises(DataError, match="Hessian"):
             asymptotic_covariance(bad)
+
+    def test_no_covariance_raises(self, fitted):
+        import dataclasses
+
+        bad = dataclasses.replace(fitted, covariance=None)
+        with pytest.raises(NumericalError, match="interior maximum"):
+            asymptotic_covariance(bad)
+
+    def test_returns_the_fit_covariance(self, fitted):
+        assert np.array_equal(asymptotic_covariance(fitted), fitted.covariance)
 
     def test_positive_definite(self, fitted):
         cov = asymptotic_covariance(fitted)

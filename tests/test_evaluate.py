@@ -375,6 +375,27 @@ class TestCompare:
         assert reports["good"].r2 == pytest.approx(1.0)
         assert reports["good"].n == 4
 
+    def test_constant_forecasts_leave_r2_undefined(self):
+        good = {1: (self.DATES, list(self.RV))}
+        off = {1: (self.DATES, [1.2, 1.0, 1.3, 0.9])}
+        flat = {1: (self.DATES, [1.1] * 4)}
+        reports = {
+            r.model: r
+            for r in compare({"good": good, "off": off, "flat": flat}, (self.DATES, self.RV))
+        }
+        assert math.isnan(reports["flat"].r2)
+        assert reports["flat"].qlike == pytest.approx(qlike(self.RV, [1.1] * 4), rel=1e-15)
+        assert reports["good"].r2 == pytest.approx(1.0)
+        # an undefined R² leaves that metric without a winner; the others keep theirs
+        assert reports["good"].wins == ("qlike", "hmse")
+        assert all("r2" not in r.wins for r in reports.values())
+
+    def test_constant_realized_values_leave_r2_undefined(self):
+        fc = {1: (self.DATES, [1.0, 1.2, 0.8, 1.4])}
+        reports = compare({"m": fc}, (self.DATES, [1.0] * 4))
+        assert math.isnan(reports[0].r2)
+        assert reports[0].qlike == pytest.approx(qlike([1.0] * 4, [1.0, 1.2, 0.8, 1.4]), rel=1e-15)
+
     def test_hmse_by_hand_and_squared_flag(self):
         fc = {"m": {1: ([0, 1, 2], [1.0, 1.1, 0.9])}}
         rv = (self.DATES, self.RV)

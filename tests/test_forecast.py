@@ -9,7 +9,6 @@ import pytest
 from intgarch import (
     ABS_NORMAL_MEAN,
     DataError,
-    FitOptions,
     FittedModel,
     InitMode,
     IntervalSeries,
@@ -230,7 +229,7 @@ class TestOriginHandling:
         # a fit's own pre-sample mode rebuilds the path, also when the fit
         # was read from JSON without its path, and whatever init_mode says
         series, _ = series_h
-        f = fit_mle(series[:250], ORDERS_111, FitOptions(init_mode=mode))
+        f = fit_mle(series[:250], ORDERS_111, mode)
         loaded = FittedModel.from_json(f.to_json())
         assert loaded.h_path is None
         other = next(x for x in InitMode if x is not mode)
@@ -346,8 +345,8 @@ class TestRollingForecast:
             horizons=[1],
             train_size=200,
             refit_every=10**6,
-            options=FitOptions(init_mode=InitMode.ZERO_H),
+            init_mode=InitMode.ZERO_H,
         )
-        f = fit_mle(series[:200], ORDERS_111, FitOptions(init_mode=InitMode.ZERO_H))
+        f = fit_mle(series[:200], ORDERS_111, InitMode.ZERO_H)
         manual = forecast(f, series[:200], 1)
         assert results[0].h_hat[0] == pytest.approx(manual.h_hat[0], rel=1e-12)
