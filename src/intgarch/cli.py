@@ -75,11 +75,20 @@ def _parse_horizons(text: str) -> list:
         raise DataError(f"horizons must be integers, got {text!r}") from exc
 
 
-def _parse_time(text: str) -> _dt.time:
+def _parse_iso(kind, text: str):
+    """A datetime.date or datetime.time (kind) from ISO 8601 text."""
     try:
-        return _dt.time.fromisoformat(text)
+        return kind.fromisoformat(text)
     except ValueError as exc:
-        raise DataError(f"unparsable time {text!r}") from exc
+        raise DataError(f"unparsable {kind.__name__} {text!r}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_model_json(path) -> tuple:
@@ -134,6 +143,7 @@ def _synth_dates(n: int, start: _dt.date) -> list:
 
 def cmd_simulate(args) -> int:
     params, _ = _load_model_json(args.model)
+    start = _parse_iso(_dt.date, args.start_date)
     seed = _resolve_seed(args.seed)
     stationary, weight_sum = mean_stationarity(params)
     if args.require_stationary and not stationary:
@@ -148,7 +158,6 @@ def cmd_simulate(args) -> int:
         init_mode=InitMode(args.init),
     )
     series, h = simulate(cfg)
-    start = _dt.date.fromisoformat(args.start_date)
     dates = _synth_dates(len(series), start)
     series = IntervalSeries(series.centers, series.radii, dates=tuple(dates))
     meta = _meta(
@@ -191,14 +200,11 @@ def cmd_fit(args) -> int:
     fitted = fit_mle(series, orders, InitMode(args.init))
     doc = fitted.to_dict()
     doc["run_config"] = _meta(args, ["data", "orders", "init"])
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     summary = _fit_summary(fitted)
     print(summary)
     if args.summary_out:
-        with open(args.summary_out, "w") as fh:
-            fh.write(summary + "\n")
+        _write_text(args.summary_out, summary + "\n")
     if not fitted.converged:
         print(f"fit did not converge: {fitted.stop_reason}", file=sys.stderr)
         return 4
@@ -255,8 +261,8 @@ def cmd_prepare(args) -> int:
     drops: dict = {}
     cleaned = clean_quotes(ticks, drops)
     session = SessionSpec(
-        start=_parse_time(args.session_start),
-        end=_parse_time(args.session_end),
+        start=_parse_iso(_dt.time, args.session_start),
+        end=_parse_iso(_dt.time, args.session_end),
         grid_minutes=args.grid_minutes,
     )
     days = resample_to_grid(cleaned, session)
@@ -302,10 +308,7 @@ def cmd_backtest(args) -> int:
             file=sys.stderr,
         )
     n = len(series)
-    if args.train < 1:
-        train_size = int(round(args.train * n))
-    else:
-        train_size = int(args.train)
+    train_size = int(round(args.train * n)) if args.train < 1 else int(args.train)
     horizons = _parse_horizons(args.horizons)
     reports, info = run_backtest(
         series,
@@ -317,12 +320,11 @@ def cmd_backtest(args) -> int:
         init_mode=InitMode(args.init),
         scalar_returns=returns,
         include_insample=args.insample,
-        hmse_squared=args.hmse_squared,
         asset=args.asset,
     )
     meta = _meta(
         args,
-        ["bars", "orders", "horizons", "refit_every", "insample", "hmse_squared", "asset"],
+        ["bars", "orders", "horizons", "refit_every", "insample", "asset"],
         train_size=train_size,
         n=n,
         baseline_returns=returns_kind,
@@ -442,7 +444,6 @@ def build_parser() -> tuple:
     sp.add_argument("--orders", default="1,1,1", help="lag orders p,q[,w]")
     sp.add_argument("--init", choices=["zero", "mean"], default="mean", help="pre-sample h")
     sp.add_argument("--insample", action="store_true", help="also report horizon 0")
-    sp.add_argument("--hmse-squared", action="store_true", help="conventional squared HMSE")
     sp.add_argument("--asset", default="data", help="label for the reports")
     sp.add_argument("--format", choices=["text", "csv"], default="text", help="stdout format")
     sp.add_argument("--out", default=None, help="optional report CSV path")

@@ -1,13 +1,16 @@
 """Forecast evaluation, a scalar GARCH(1,1) baseline, and study harnesses.
 
-Loss functions take the realized proxy v_t and forecast sigma2_t and are
-computed with v squared in the numerators,
+The realized proxy rv_t is a variance, on the scale of the forecast
+sigma2_t (the bars' rv, rv_proxy), and the losses are
 
-    QLIKE = mean(log sigma2 + v^2 / sigma2)
-    HMSE  = mean(v^2 / sigma2 - 1)        (no outer square),
+    QLIKE = mean(log sigma2 + rv / sigma2)
+    HMSE  = mean(rv / sigma2 - 1)        (signed, no outer square).
 
-with keyword flags for the conventional variants. mz_r2 is the R^2 of the
-regression of v on an intercept and sigma2.
+The expected QLIKE is lowest, and the expected HMSE is 0, when sigma2 is
+the proxy's conditional mean, so a noisy but unbiased proxy ranks
+forecasts as the true variance would (Patton 2011). A negative proxy is
+rejected. mz_r2 is the R^2 of the regression of rv on an intercept and
+sigma2, and takes any finite values.
 
 compare() aligns per-model forecast series on dates, computes the three
 metrics, and marks the winner per metric. run_backtest() is the
@@ -155,29 +158,24 @@ def mz_r2(rv, sigma2) -> float:
     return float(min(1.0, max(0.0, r2)))  # guard rounding at the edges
 
 
-def qlike(rv, sigma2, *, squared_proxy: bool = True) -> float:
-    """mean(log sigma2 + v^2/sigma2); lower is better.
-
-    squared_proxy=False uses v itself in the numerator (the conventional
-    form when v is already a variance proxy).
-    """
+def _ratio(rv, sigma2) -> tuple:
+    """(sigma2, rv / sigma2) of a checked pair whose proxy is a variance."""
     v, s2 = _check_pair(rv, sigma2)
-    num = v * v if squared_proxy else v
-    return float(np.mean(np.log(s2) + num / s2))
+    if np.any(v < 0):
+        raise DataError("rv is a variance and must be nonnegative")
+    return s2, v / s2
 
 
-def hmse(rv, sigma2, *, squared_proxy: bool = True, squared: bool = False) -> float:
-    """mean(v^2/sigma2 - 1), a signed relative-bias measure; 0 is ideal.
+def qlike(rv, sigma2) -> float:
+    """mean(log sigma2 + rv/sigma2); lower is better."""
+    s2, ratio = _ratio(rv, sigma2)
+    return float(np.mean(np.log(s2) + ratio))
 
-    squared=True applies the conventional outer square; squared_proxy as
-    in qlike.
-    """
-    v, s2 = _check_pair(rv, sigma2)
-    num = v * v if squared_proxy else v
-    base = num / s2 - 1.0
-    if squared:
-        base = base * base
-    return float(np.mean(base))
+
+def hmse(rv, sigma2) -> float:
+    """mean(rv/sigma2 - 1), a signed relative-bias measure; 0 is ideal."""
+    _, ratio = _ratio(rv, sigma2)
+    return float(np.mean(ratio - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +329,7 @@ def fit_garch11(returns) -> Garch11Fit:
 # Comparison harness
 
 
-def compare(forecasts: Mapping, rv, asset: str = "", *, hmse_squared: bool = False) -> list:
+def compare(forecasts: Mapping, rv, asset: str = "") -> list:
     """Score per-model forecast series against a realized proxy.
 
     Parameters
@@ -342,7 +340,7 @@ def compare(forecasts: Mapping, rv, asset: str = "", *, hmse_squared: bool = Fal
         labels (calendar dates, integer indexes) but must agree across
         models at each horizon.
     rv : (dates, values) pair
-        Master realized series the forecast dates are looked up in.
+        Master realized-variance series the forecast dates are looked up in.
     asset : str
         Label copied into the reports.
 
@@ -394,7 +392,7 @@ def compare(forecasts: Mapping, rv, asset: str = "", *, hmse_squared: bool = Fal
                 "n": int(v.size),
                 "r2": math.nan if constant else mz_r2(v, s2),
                 "qlike": qlike(v, s2),
-                "hmse": hmse(v, s2, squared=hmse_squared),
+                "hmse": hmse(v, s2),
             }
             rows.append(row)
             per_metric["r2"].append(-row["r2"])  # negate: min wins below
@@ -425,7 +423,7 @@ def compare(forecasts: Mapping, rv, asset: str = "", *, hmse_squared: bool = Fal
 def rv_proxy(h, k: float, noise_sd: float = 0.2, seed=None) -> np.ndarray:
     """Noisy realized-variance proxy for simulated worlds.
 
-    True volatility (1 + k/3) h^2 times mean-one lognormal noise with the
+    True variance (1 + k/3) h^2 times mean-one lognormal noise with the
     given relative standard deviation. noise_sd=0 returns the truth.
     """
     h = np.asarray(h, dtype=float)
@@ -450,12 +448,11 @@ def run_backtest(
     init_mode: InitMode = InitMode.MEAN_H,
     scalar_returns=None,
     include_insample: bool = False,
-    hmse_squared: bool = False,
     asset: str = "",
 ) -> tuple:
     """Walk-forward comparison of the interval model against GARCH(1,1).
 
-    rv must align 1:1 with series (entry t is the realized proxy for
+    rv must align 1:1 with series (entry t is the realized variance for
     period t). scalar_returns feeds the baseline; interval centers are the
     fallback when no closing returns exist. Both models forecast from the
     same origins: the interval model refits on the schedule, and the
@@ -537,7 +534,7 @@ def run_backtest(
         forecasts["garch11"][0] = (labels, g_full.sigma2_path)
         info["insample_converged"] = (full.converged, g_full.converged)
 
-    reports = compare(forecasts, (labels, rv_arr), asset=asset, hmse_squared=hmse_squared)
+    reports = compare(forecasts, (labels, rv_arr), asset=asset)
     return reports, info
 
 
@@ -645,24 +642,23 @@ def simulation_study(
 # Rendering
 
 
-def render_reports(reports: Sequence[EvalReport]) -> str:
-    """Aligned text table, winning metrics starred."""
-    header = ("asset", "model", "horizon", "n", "r2", "qlike", "hmse")
-    rows = [header]
-    for r in sorted(reports, key=lambda r: (r.asset, r.horizon, r.model)):
-        rows.append(
-            (
-                r.asset or "-",
-                r.model,
-                str(r.horizon),
-                str(r.n),
-                f"{r.r2:.4f}" + ("*" if "r2" in r.wins else ""),
-                f"{r.qlike:.4f}" + ("*" if "qlike" in r.wins else ""),
-                f"{r.hmse:.4f}" + ("*" if "hmse" in r.wins else ""),
-            )
-        )
+def _text_table(header: tuple, rows) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    rows = [header, *rows]
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
+
+
+def render_reports(reports: Sequence[EvalReport]) -> str:
+    """Aligned text table, winning metrics starred."""
+    return _text_table(
+        ("asset", "model", "horizon", "n", *METRICS),
+        (
+            (r.asset or "-", r.model, str(r.horizon), str(r.n),
+             *(f"{getattr(r, m):.4f}" + ("*" if m in r.wins else "") for m in METRICS))
+            for r in sorted(reports, key=lambda r: (r.asset, r.horizon, r.model))
+        ),
+    )
 
 
 def _report_rows(reports: Sequence[EvalReport]) -> tuple:
@@ -683,23 +679,14 @@ def reports_to_csv(reports: Sequence[EvalReport]) -> str:
 
 def render_study(cells: Sequence[StudyCell]) -> str:
     """Aligned text table of the simulation study."""
-    header = ("design", "param", "true", "mean_est", "mae", "emp_se", "model_se", "conv")
-    rows = [header]
-    for c in cells:
-        rows.append(
-            (
-                c.design,
-                c.param,
-                f"{c.true:.4f}",
-                f"{c.mean_est:.4f}",
-                f"{c.mae:.4f}",
-                f"{c.empirical_se:.4f}",
-                "-" if c.mean_model_se is None else f"{c.mean_model_se:.4f}",
-                f"{c.n_converged}/{c.n_fits}",
-            )
-        )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    return "\n".join("  ".join(x.ljust(w) for x, w in zip(row, widths)).rstrip() for row in rows)
+    return _text_table(
+        ("design", "param", "true", "mean_est", "mae", "emp_se", "model_se", "conv"),
+        (
+            (c.design, c.param, *(f"{x:.4f}" for x in (c.true, c.mean_est, c.mae, c.empirical_se)),
+             "-" if c.mean_model_se is None else f"{c.mean_model_se:.4f}", f"{c.n_converged}/{c.n_fits}")
+            for c in cells
+        ),
+    )
 
 
 def _study_rows(cells: Sequence[StudyCell]) -> tuple:

@@ -503,14 +503,18 @@ def load_csv(path, schema: str):
 
 def _cell(value) -> str:
     """One CSV cell: empty for None, the round-trippable repr of a float,
-    ISO 8601 for a date or datetime, str of anything else."""
+    ISO 8601 for a date or datetime, str of anything else, quoted (inner
+    quotes doubled) when it holds a comma, a quote or a line break."""
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, _dt.date):
         return value.isoformat()
-    return str(value)
+    text = str(value)
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_lines(header: str, rows):
@@ -522,9 +526,12 @@ def _csv_lines(header: str, rows):
 
 def _write_csv(path, meta: dict | None, header: str, rows) -> None:
     """Write meta as `# key = value` comment lines, then the table."""
-    with open(path, "w", newline="") as fh:
-        fh.writelines(f"# {k} = {v}\n" for k, v in (meta or {}).items())
-        fh.writelines(line + "\n" for line in _csv_lines(header, rows))
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.writelines(f"# {k} = {v}\n" for k, v in (meta or {}).items())
+            fh.writelines(line + "\n" for line in _csv_lines(header, rows))
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def save_intervals_csv(series: IntervalSeries, path, meta: dict | None = None) -> None:

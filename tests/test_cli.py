@@ -274,7 +274,7 @@ class TestTableBytes:
         )
         meta = meta_text(
             command="backtest", version=__version__, bars=str(bars_csv), orders="1,1,1",
-            horizons="1,2", refit_every=64, insample=False, hmse_squared=False, asset="data",
+            horizons="1,2", refit_every=64, insample=False, asset="data",
             train_size=100, n=139, baseline_returns="interval centers (no intraday closes in input)",
             skipped_refits=0,
         )
@@ -445,6 +445,42 @@ class TestPrepare:
         assert "Traceback" not in err
 
 
+class TestOutputErrors:
+    """An unwritable output path exits 2 naming it, for every command."""
+
+    @pytest.fixture
+    def argv(self, fit_dir, bars_csv, tmp_path):
+        data, model = str(fit_dir / "train.csv"), str(fit_dir / "model.json")
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("timestamp,bid,ask\n" + "".join(
+            f"2024-03-0{d}T{9 + m // 60:02d}:{m % 60:02d}:00,99.99,100.01\n"
+            for d in (4, 5) for m in range(30, 400, 30)
+        ))
+        return {
+            "simulate": ["--model", model, "--T", "50", "--seed", "1", "--out"],
+            "fit": ["--data", data, "--out"],
+            "forecast": ["--model", model, "--data", data, "--horizon", "2", "--out"],
+            "acf": ["--data", data, "--out"],
+            "prepare": ["--ticks", str(ticks), "--grid-minutes", "30", "--out-intervals"],
+            "backtest": ["--bars", str(bars_csv), "--train", "130", "--horizons", "1",
+                         "--refit-every", "64", "--out"],
+            "table1": ["--designs", "III", "--reps", "2", "--T", "100", "--seed", "1", "--out"],
+        }
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "forecast", "acf", "prepare", "backtest", "table1"])
+    def test_unwritable_output_exits_two(self, argv, command, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "out"
+        assert run(command, *argv[command], str(target)) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {target}" in err and "Traceback" not in err
+
+    def test_bad_start_date_exits_two(self, workdir, tmp_path, capsys):
+        assert run("simulate", "--model", str(workdir / "model.json"), "--T", "50",
+                   "--start-date", "2020-13-01", "--out", str(tmp_path / "s.csv")) == 2
+        assert "unparsable date '2020-13-01'" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def bars_csv(tmp_path_factory):
     d = tmp_path_factory.mktemp("bars")
@@ -533,6 +569,26 @@ class TestBacktest:
     def test_train_must_split(self, bars_csv, capsys):
         assert run("backtest", "--bars", str(bars_csv), "--train", "200") == 2
         assert "train_size must split" in capsys.readouterr().err
+
+    def test_hmse_separates_from_minus_one(self, prices_csv, tmp_path, capsys):
+        # rv is a variance of about 1e-4 here; squared, rv²/σ² was about
+        # 1e-4 and every HMSE read -0.9999
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(prices_csv), "--train", "100", "--horizons", "1,2",
+                   "--refit-every", "64", "--out", str(out)) == 0
+        rows = list(csv.DictReader(io.StringIO("\n".join(data_rows(out)))))
+        hmse = {(r["model"], r["horizon"]): float(r["value"]) for r in rows if r["metric"] == "hmse"}
+        assert len(hmse) == 4
+        assert all(abs(v + 1.0) > 0.5 for v in hmse.values()), hmse
+
+    def test_asset_with_a_comma_is_quoted(self, bars_csv, tmp_path, capsys):
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(bars_csv), "--train", "100", "--horizons", "1",
+                   "--refit-every", "64", "--asset", "a,b", "--format", "csv", "--out", str(out)) == 0
+        for text in (capsys.readouterr().out, split_meta(out.read_text())[1]):
+            header, *rows = list(csv.reader(io.StringIO(text)))
+            assert len(header) == 7 and len(rows) == 2 * 3
+            assert all(len(row) == 7 and row[0] == "a,b" for row in rows)
 
 
 class TestTable1:

@@ -49,18 +49,19 @@ class TestQlike:
         # zero proxy leaves just log(sigma2)
         assert qlike([0.0], [math.e]) == pytest.approx(1.0)
 
-    def test_proxy_enters_squared_by_default(self):
-        # mean(log 1 + 1, log 1 + 4) = 2.5
-        assert qlike([1.0, 2.0], [1.0, 1.0]) == pytest.approx(2.5)
+    def test_proxy_enters_as_a_variance(self):
+        # mean(log 1 + 1, log 1 + 2) = 1.5
+        assert qlike([1.0, 2.0], [1.0, 1.0]) == pytest.approx(1.5)
 
     def test_conventional_variance_proxy(self):
-        # squared_proxy=False uses the proxy as a variance directly
-        assert qlike([1.0, 2.0], [1.0, 1.0], squared_proxy=False) == pytest.approx(1.5)
+        # mean(log 4 + 2/4, log 2 + 3/2)
+        expected = 0.5 * (math.log(4.0) + 0.5 + math.log(2.0) + 1.5)
+        assert qlike([2.0, 3.0], [4.0, 2.0]) == pytest.approx(expected, rel=1e-15)
 
-    def test_minimised_at_proxy_second_moment(self):
+    def test_minimised_at_proxy_mean(self):
         rng = np.random.default_rng(8)
         v = np.abs(rng.normal(size=400)) + 0.1
-        target = float(np.mean(v**2))
+        target = float(np.mean(v))
         grid = np.linspace(0.25 * target, 4.0 * target, 301)
         losses = [qlike(v, np.full(v.shape, g)) for g in grid]
         best = grid[int(np.argmin(losses))]
@@ -82,23 +83,41 @@ class TestQlike:
 class TestHmse:
     def test_zero_at_perfect_forecast(self):
         v = np.array([0.7, 1.3, 2.0])
-        assert hmse(v, v**2) == pytest.approx(0.0, abs=1e-15)
+        assert hmse(v, v) == pytest.approx(0.0, abs=1e-15)
 
     def test_double_variance(self):
-        assert hmse([math.sqrt(2.0)], [1.0]) == pytest.approx(1.0)
+        assert hmse([2.0], [1.0]) == pytest.approx(1.0)
 
     def test_signed_errors_cancel(self):
         # ratios 0.5 and 1.5 average out without the outer square
-        v = np.sqrt([0.5, 1.5])
-        assert hmse(v, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-
-    def test_squared_flag(self):
-        v = np.sqrt([0.5, 1.5])
-        assert hmse(v, [1.0, 1.0], squared=True) == pytest.approx(0.25)
+        assert hmse([0.5, 1.5], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_conventional_variance_proxy(self):
-        assert hmse([0.5, 1.5], [1.0, 1.0], squared_proxy=False) == pytest.approx(0.0, abs=1e-15)
-        assert hmse([2.0], [1.0], squared_proxy=False) == pytest.approx(1.0)
+        # ratios 0.5 and 1.5 again, on unequal forecasts; then 1/4 - 1
+        assert hmse([0.5, 3.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-15)
+        assert hmse([1.0], [4.0]) == pytest.approx(-0.75)
+
+
+@pytest.mark.parametrize("loss", [qlike, hmse])
+def test_negative_proxy_is_rejected(loss):
+    with pytest.raises(DataError, match="nonnegative"):
+        loss([1.0, -0.1], [1.0, 1.0])
+    assert loss([0.0, 1.0], [1.0, 1.0]) == pytest.approx(loss([1.0, 0.0], [1.0, 1.0]))
+
+
+def test_losses_consistent_for_a_noisy_variance_proxy():
+    """Scale sweep (Patton 2011): with rv_proxy's mean-one noise on the true
+    variance of a design-I path, QLIKE over c * sigma2 is lowest at c = 1
+    (measured argmin 1.00 on this grid) and the signed HMSE changes sign
+    there. A proxy that entered squared would move both far from 1."""
+    series, h = simulate(SimConfig(MODEL_I, length=200_000, seed=2011, burn_in=100))
+    sigma2 = (1.0 + MODEL_I.k / 3.0) * h * h
+    rv = rv_proxy(h, MODEL_I.k, noise_sd=0.2, seed=2012)
+    scales = np.round(np.arange(0.80, 1.2001, 0.01), 2)
+    losses = [qlike(rv, c * sigma2) for c in scales]
+    best = scales[int(np.argmin(losses))]
+    assert abs(best - 1.0) <= 0.02, f"QLIKE argmin at c = {best}"
+    assert hmse(rv, 0.98 * sigma2) > 0 > hmse(rv, 1.02 * sigma2)
 
 
 class TestMzR2:
@@ -396,14 +415,12 @@ class TestCompare:
         assert math.isnan(reports[0].r2)
         assert reports[0].qlike == pytest.approx(qlike([1.0] * 4, [1.0, 1.2, 0.8, 1.4]), rel=1e-15)
 
-    def test_hmse_by_hand_and_squared_flag(self):
-        fc = {"m": {1: ([0, 1, 2], [1.0, 1.1, 0.9])}}
-        rv = (self.DATES, self.RV)
-        plain = compare(fc, rv)[0].hmse
-        squared = compare(fc, rv, hmse_squared=True)[0].hmse
-        r_dev = np.array([0.0, 1.21**2 / 1.1 - 1.0, 0.81**2 / 0.9 - 1.0])
-        assert plain == pytest.approx(r_dev.mean(), rel=1e-12)
-        assert squared == pytest.approx((r_dev**2).mean(), rel=1e-12)
+    def test_hmse_by_hand(self):
+        fc = {"m": {1: ([0, 1, 2], [1.25, 1.1, 0.9])}}
+        # ratios 0.8, 1.1 and 0.9 of the realized variances 1.0, 1.21, 0.81
+        r_dev = np.array([1.0 / 1.25 - 1.0, 1.21 / 1.1 - 1.0, 0.81 / 0.9 - 1.0])
+        assert compare(fc, (self.DATES, self.RV))[0].hmse == pytest.approx(r_dev.mean(), rel=1e-12)
+        assert r_dev.mean() == pytest.approx(-0.2 / 3.0)
 
     def test_date_mismatch_names_first_difference(self):
         a = {1: ([0, 1, 2], [1.0, 1.1, 0.9])}
