@@ -59,6 +59,7 @@ from .marketdata import (
     DayBars,
     QuoteTick,
     SessionSpec,
+    TickColumns,
     clean_quotes,
     day_bars_from_range,
     interval_returns,
@@ -146,6 +147,7 @@ __all__ = [
     "rolling_forecast",
     # marketdata
     "QuoteTick",
+    "TickColumns",
     "DayBars",
     "SessionSpec",
     "clean_quotes",

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -89,6 +91,28 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+# the flags that name a file a command writes
+_OUTPUTS = ("out", "out_intervals", "out_bars", "h_out", "summary_out")
+
+
+def _check_outputs(args) -> None:
+    """Refuse an output path whose directory is missing or not writable
+    before any work, with the message a failed write gives; creates
+    nothing. The writers still report whatever fails later."""
+    for dest in _OUTPUTS:
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            code = errno.ENOENT
+        elif not os.access(directory, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise DataError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _load_model_json(path) -> tuple:
@@ -527,6 +551,7 @@ def main(argv=None) -> int:
         if missing:
             flags = ", ".join("--" + d.replace("_", "-") for d in missing)
             raise DataError(f"missing required flags: {flags}")
+        _check_outputs(args)
         return args.func(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

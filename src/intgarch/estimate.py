@@ -76,7 +76,9 @@ class FittedModel:
     likelihood-based standard error. stop_reason is why the optimizer
     stopped: "gradient tolerance" (converged), "no uphill step" or
     "iteration cap"; it is None for documents written without it.
-    iterations counts Newton steps.
+    iterations counts Newton steps. loglik_trace holds the log-likelihood
+    at the start point and after each accepted step; it is () for
+    documents written without it.
     """
 
     params: ModelParams
@@ -107,6 +109,7 @@ class FittedModel:
             "std_errors": dict(self.std_errors),
             "n_obs": self.n_obs,
             "init_mode": self.init_mode.value,
+            "loglik_trace": list(self.loglik_trace),
         }
 
     @classmethod
@@ -127,6 +130,7 @@ class FittedModel:
                 std_errors={k: float(v) for k, v in d["std_errors"].items()},
                 n_obs=int(d["n_obs"]),
                 init_mode=InitMode(d["init_mode"]),
+                loglik_trace=tuple(float(v) for v in d.get("loglik_trace", ())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed fit document: {exc}") from exc

@@ -8,19 +8,26 @@ from a centered rolling median (window 25 back / 25 forward, self excluded;
 at the edges all available neighbors are used, and ticks with fewer than 10
 neighbors are not tested). Price-only data skip the two spread rules.
 
-Cleaning runs as array passes over the sorted ticks, which are converted
-once to an int64 microsecond key. Rule 1 takes the median of each run of
-equal keys in one pass; a run of one keeps its original QuoteTick. The bid,
-ask and mid (or price) columns of the collapsed ticks then go through rules
-2-4 one day at a time: rules 2 and 3 as boolean masks, rule 4 as a sort of
-the rows of one 51-wide sliding window over the day, in blocks of bounded
-size. The day is padded with +inf on both sides and each window's centre
-set to +inf, so every row holds its tick's real neighbors first and +inf
-after them: edge ticks, short days and interior ticks share one pass and
-one median formula. Every median equals np.median's, bit for bit.
+Ticks travel through loading, cleaning and gridding as columns
+(TickColumns): an int64 key, the microseconds since 1970-01-01 of the
+naive exchange-local timestamp, and float bid, ask and price arrays with
+NaN for a missing value. QuoteTick is the element view: indexing or
+iterating the columns builds QuoteTicks on demand, and a sequence of
+QuoteTick given to clean_quotes or resample_to_grid is converted once.
+
+Cleaning runs as array passes over the time-sorted columns. Rule 1 takes
+the median of each run of equal keys in one pass; a run of one keeps its
+tick as it is. The bid, ask and mid (or price) columns of the collapsed
+ticks then go through rules 2-4 one day at a time: rules 2 and 3 as
+boolean masks, rule 4 as a sort of the rows of one 51-wide sliding window
+over the day, in blocks of bounded size. The day is padded with +inf on
+both sides and each window's centre set to +inf, so every row holds its
+tick's real neighbors first and +inf after them: edge ticks, short days
+and interior ticks share one pass and one median formula. Every median
+equals np.median's, bit for bit.
 
 Cleaned ticks are sampled onto an intra-session grid by carrying the last
-observation forward, found by bisection on the sorted timestamps. A day's
+observation forward, found by np.searchsorted on the sorted keys. A day's
 grid log prices give its realized variance (sum of squared consecutive
 differences) and its min/max, from which the daily interval return is
 
@@ -29,20 +36,23 @@ differences) and its min/max, from which the daily interval return is
 CSV input goes through one table mapping each accepted header to a parser
 of one row (_LAYOUTS). One loop checks each row's width, runs its parser
 and turns any bad cell, non-finite numbers included, into a DataError
-naming the line. One writer serves every table, the command-line ones
-too: `# key = value` run lines, the header, one line of cells per row.
+naming the line. A tick file's body is read as whole columns instead
+when every row is proven to give what the row parser gives (_tick_columns);
+any other tick file goes through the row loop, which loads its rows or
+names the first bad line. One writer serves every table, the command-line
+ones too: `# key = value` run lines, the header, one line of cells per row.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import datetime as _dt
+import io
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
-from typing import Sequence
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,6 +62,7 @@ from .intervals import IntervalSeries
 
 __all__ = [
     "QuoteTick",
+    "TickColumns",
     "DayBars",
     "SessionSpec",
     "clean_quotes",
@@ -116,6 +127,77 @@ class QuoteTick:
         return float(self.price)
 
 
+def _quote_tick(key: int, bid: float, ask: float, price: float) -> QuoteTick:
+    """The QuoteTick of one row of TickColumns."""
+    return QuoteTick(_EPOCH + _dt.timedelta(microseconds=key),
+                     *(None if math.isnan(v) else v for v in (bid, ask, price)))
+
+
+class TickColumns(Sequence):
+    """Ticks as columns: key, the int64 microseconds since 1970-01-01 of
+    each naive exchange-local timestamp, and float bid, ask and price
+    arrays with NaN for a missing value.
+
+    At the public edge it reads as a list of QuoteTick: len(), indexing
+    and iteration build QuoteTicks on demand, and == with a sequence of
+    QuoteTick compares element by element. Whoever builds one vouches
+    that each row is a valid QuoteTick.
+    """
+
+    __slots__ = ("key", "bid", "ask", "price")
+
+    def __init__(self, key: np.ndarray, bid: np.ndarray, ask: np.ndarray, price: np.ndarray) -> None:
+        self.key, self.bid, self.ask, self.price = key, bid, ask, price
+
+    @classmethod
+    def of(cls, ticks: Sequence) -> "TickColumns":
+        """ticks itself if it is TickColumns, else its QuoteTicks as columns."""
+        if isinstance(ticks, cls):
+            return ticks
+        try:
+            key = np.fromiter(((t.timestamp - _EPOCH) // _MICROSECOND for t in ticks), np.int64, len(ticks))
+        except TypeError as exc:
+            raise DataError("tick timestamps must be naive exchange-local times") from exc
+        # None becomes NaN
+        values = np.array([(t.bid, t.ask, t.price) for t in ticks], dtype=float).reshape(-1, 3)
+        return cls(key, *values.T.copy())
+
+    def _columns(self) -> tuple:
+        return self.key, self.bid, self.ask, self.price
+
+    def _take(self, index) -> "TickColumns":
+        return TickColumns(*(c[index] for c in self._columns()))
+
+    def __len__(self) -> int:
+        return len(self.key)
+
+    def __getitem__(self, i: int) -> QuoteTick:
+        return _quote_tick(*(c[i].item() for c in self._columns()))
+
+    def __iter__(self):
+        return map(_quote_tick, *(c.tolist() for c in self._columns()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    @property
+    def mid(self) -> np.ndarray:
+        """Each tick's QuoteTick.mid: the mid-quote where both quotes are
+        given, else the price."""
+        return np.where(np.isnan(self.bid) | np.isnan(self.ask), self.price, 0.5 * (self.bid + self.ask))
+
+    def sorted(self) -> "TickColumns":
+        """The ticks in time order: itself when already sorted, else a
+        stable sort, so ticks of one time keep their order."""
+        k = self.key
+        return self if np.all(k[:-1] <= k[1:]) else self._take(np.argsort(k, kind="stable"))
+
+
 @dataclass(frozen=True)
 class DayBars:
     """One day's grid log prices with their range and realized variance.
@@ -158,16 +240,10 @@ class SessionSpec:
     def __post_init__(self) -> None:
         if self.grid_minutes < 1:
             raise DataError("grid_minutes must be >= 1")
+        if self.start.tzinfo is not None or self.end.tzinfo is not None:
+            raise DataError("session times must be naive exchange-local times")
         if self.start >= self.end:
             raise DataError("session start must precede end")
-
-
-def _time_keys(ticks: Sequence[QuoteTick]) -> np.ndarray:
-    """Integer microseconds since 1970-01-01 of each tick's timestamp."""
-    try:
-        return np.fromiter(((t.timestamp - _EPOCH) // _MICROSECOND for t in ticks), np.int64, len(ticks))
-    except TypeError as exc:
-        raise DataError("tick timestamps must be naive exchange-local times") from exc
 
 
 def _runs(ids: np.ndarray) -> tuple:
@@ -219,57 +295,47 @@ def _rule4_deviations(mid: np.ndarray) -> np.ndarray:
     return dev
 
 
-def clean_quotes(ticks: Sequence[QuoteTick], drops: dict | None = None) -> list:
-    """Apply the four cleaning rules in order; returns sorted ticks with
-    strictly increasing timestamps.
+def clean_quotes(ticks: Sequence, drops: dict | None = None) -> TickColumns:
+    """Apply the four cleaning rules in order; returns ticks sorted by
+    time with strictly increasing timestamps.
 
-    For price-only data the quote rules (2-3) do not apply, rule 1 takes
-    median prices and the rolling-median rule runs on prices. Empty input
-    gives empty output. When drops is given, it receives the number of
-    ticks each rule removed under the keys "rule1" (duplicates merged) to
-    "rule4".
+    ticks is TickColumns or a sequence of QuoteTick. For price-only data
+    the quote rules (2-3) do not apply, rule 1 takes median prices and the
+    rolling-median rule runs on prices. Empty input gives empty output.
+    When drops is given, it receives the number of ticks each rule removed
+    under the keys "rule1" (duplicates merged) to "rule4".
     """
     if drops is None:
         drops = {}
     drops.update(rule1=0, rule2=0, rule3=0, rule4=0)
-    if not ticks:
-        return []
-    ticks = sorted(ticks, key=attrgetter("timestamp"))
-    quoted = sum(t.bid is not None and t.ask is not None for t in ticks)
+    ticks = TickColumns.of(ticks).sorted()
+    quoted = int(np.count_nonzero(~np.isnan(ticks.bid) & ~np.isnan(ticks.ask)))
     if 0 < quoted < len(ticks):
         raise DataError("mixed quote and price-only ticks; split the inputs")
     price_only = quoted == 0
-    key = _time_keys(ticks)
 
     # rule 1: one tick per timestamp; a run of several takes the median
     # of each field over the run's ticks that have it
-    starts, counts = _runs(key)
-    reps = [ticks[i] for i in starts.tolist()]
+    starts, counts = _runs(ticks.key)
+    reps = ticks._take(starts)
     merged = np.flatnonzero(counts > 1)
     rows = np.flatnonzero(np.repeat(counts > 1, counts))
     run = np.repeat(np.arange(len(merged)), counts[merged])
-    medians = {}
-    for f in ("price",) if price_only else ("bid", "ask", "price"):
-        # missing values become NaN; QuoteTick admits no other NaN
-        col = np.array([getattr(ticks[i], f) for i in rows.tolist()], dtype=float)
-        present = ~np.isnan(col)
-        medians[f] = np.full(len(merged), np.nan)
+    for col, rep in zip(ticks._columns()[1:], reps._columns()[1:]):
+        values = col[rows]
+        present = ~np.isnan(values)
+        medians = np.full(len(merged), np.nan)
         if present.any():
             ids = run[present]
-            medians[f][ids[_runs(ids)[0]]] = _run_medians(col[present], ids)
-    for j, r in enumerate(merged.tolist()):
-        fields = {f: None if math.isnan(m[j]) else float(m[j]) for f, m in medians.items()}
-        reps[r] = QuoteTick(timestamp=reps[r].timestamp, **fields)
+            medians[ids[_runs(ids)[0]]] = _run_medians(values[present], ids)
+        rep[merged] = medians
+    if price_only:  # a merged price-only tick keeps only its price
+        reps.bid[merged] = reps.ask[merged] = np.nan
     drops["rule1"] = len(ticks) - len(reps)
 
-    if price_only:
-        mid = np.array([t.price for t in reps])
-    else:
-        bid = np.array([t.bid for t in reps])
-        ask = np.array([t.ask for t in reps])
-        mid = 0.5 * (bid + ask)
+    bid, ask, mid = reps.bid, reps.ask, reps.mid
     keep = np.ones(len(reps), bool)
-    for s, c in zip(*(a.tolist() for a in _runs(key[starts] // _DAY_US))):
+    for s, c in zip(*(a.tolist() for a in _runs(reps.key // _DAY_US))):
         day = slice(s, s + c)
         kept = keep[day]  # a view: writes land in keep
         if not price_only:
@@ -296,37 +362,34 @@ def clean_quotes(ticks: Sequence[QuoteTick], drops: dict | None = None) -> list:
                 kept[outliers] = False
                 drops["rule4"] += len(outliers)
 
-    return [t for t, k in zip(reps, keep.tolist()) if k]
+    return reps._take(keep)
 
 
-def resample_to_grid(
-    ticks: Sequence[QuoteTick], session: SessionSpec | None = None
-) -> list:
+def _day_us(t: _dt.time) -> int:
+    """Microseconds from midnight to the time of day t."""
+    return ((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond
+
+
+def resample_to_grid(ticks: Sequence, session: SessionSpec | None = None) -> list:
     """Sample cleaned ticks onto the session grid, last observation
     carried forward, one DayBars per day.
 
-    Grid points before the day's first tick are dropped; days ending up
-    with fewer than 2 grid prices are skipped with a warning.
+    ticks is TickColumns or a sequence of QuoteTick. Grid points before
+    the day's first tick are dropped; days ending up with fewer than 2
+    grid prices are skipped with a warning.
     """
     session = session or SessionSpec()
-    ticks = sorted(ticks, key=attrgetter("timestamp"))
-    times = [t.timestamp for t in ticks]
-    step = _dt.timedelta(minutes=session.grid_minutes)
+    ticks = TickColumns.of(ticks).sorted()
+    mid = ticks.mid
+    grid = np.arange(_day_us(session.start), _day_us(session.end) + 1, session.grid_minutes * 60_000_000)
+    day_no = ticks.key // _DAY_US
     days: list = []
-    first = 0
-    while first < len(ticks):
-        date = times[first].date()
-        end = bisect.bisect_left(times, _dt.datetime.combine(date + _dt.timedelta(days=1), _dt.time()), first)
-        grid_time = _dt.datetime.combine(date, session.start)
-        end_time = _dt.datetime.combine(date, session.end)
-        prices: list = []
-        while grid_time <= end_time:
-            # the last tick at or before the grid time
-            idx = bisect.bisect_right(times, grid_time, first, end) - 1
-            if idx >= first:
-                prices.append(math.log(ticks[idx].mid))
-            grid_time = grid_time + step
-        first = end
+    for s, c in zip(*(a.tolist() for a in _runs(day_no))):
+        day = int(day_no[s])
+        # the last tick at or before each grid time
+        last = s - 1 + np.searchsorted(ticks.key[s:s + c], day * _DAY_US + grid, side="right")
+        prices = [math.log(m) for m in mid[last[last >= s]].tolist()]
+        date = _EPOCH.date() + _dt.timedelta(days=day)
         if len(prices) < 2:
             warnings.warn(f"{date}: fewer than 2 grid observations, day skipped")
             continue
@@ -416,6 +479,67 @@ def _tick_row(timestamp: str, bid: str, ask: str, price: str = "") -> QuoteTick:
                      float(price) if price else None)
 
 
+# The timestamp forms the column step reads, each digit written as d: the
+# forms isoformat() writes, which datetime.fromisoformat reads the same way
+# on every supported Python. numpy rejects out-of-range fields but reads
+# year 0, which datetime does not.
+_DIGITS = str.maketrans("0123456789", "d" * 10)
+_NOT_SEPARATORS = dict.fromkeys(c for c in range(128) if chr(c) not in ",\n")  # str.translate deletes these
+_STAMP_FORMS = {"dddd-dd-ddTdd:dd:dd", "dddd-dd-ddTdd:dd:dd.ddd", "dddd-dd-ddTdd:dd:dd.dddddd"}
+_YEAR_ONE = (_dt.datetime.min - _EPOCH) // _MICROSECOND
+
+
+def _tick_columns(body: str, width: int) -> TickColumns | None:
+    """The rows of a tick file's body (the text after its header) as
+    columns, or None unless every row is proven to give what _tick_row
+    gives.
+
+    Splitting on line breaks and commas is what csv.reader does when the
+    body holds no carriage return and each line holds width cells; a
+    quote, a comment or a blank line leaves a cell that fails a later
+    check. Each timestamp must take one of _STAMP_FORMS. Each number cell
+    is read by float() itself, which ignores the whitespace the row loop
+    strips, and must give a finite positive value (an empty cell is a
+    missing value). Each row needs both quotes or a price.
+    """
+    if "\r" in body:
+        return None
+    if body.endswith("\n"):
+        body = body[:-1]
+    # each line holds width cells: deleting all but commas and line breaks
+    # leaves width - 1 commas on every line
+    separators = body.translate(_NOT_SEPARATORS)
+    commas = "," * (width - 1)
+    if separators != (commas + "\n") * separators.count("\n") + commas:
+        return None
+    cells = body.replace("\n", ",").split(",")
+    stamps = cells[::width]
+    if not set("\n".join(stamps).translate(_DIGITS).split("\n")) <= _STAMP_FORMS:
+        return None
+    try:
+        columns = [np.array(stamps, dtype="datetime64[us]").view(np.int64)]
+        for j in range(1, width):
+            col = cells[j::width]
+            if "" in col:  # missing values
+                values = np.array([float(c) if c else math.nan for c in col])
+                given = np.fromiter(map(bool, col), bool, len(col))
+            else:
+                values, given = np.fromiter(map(float, col), float, len(col)), True
+            if np.any(given & ~((values > 0) & (values < math.inf))):
+                return None  # a given value that is not finite and positive
+            columns.append(values)
+    except ValueError:
+        return None
+    if width == 3:
+        columns.append(np.full(len(stamps), np.nan))
+    ticks = TickColumns(*columns)
+    if ticks.key.min() < _YEAR_ONE:
+        return None
+    if np.any((np.isnan(ticks.bid) | np.isnan(ticks.ask)) & np.isnan(ticks.price)):
+        return None  # a row with neither quotes nor a price
+    return ticks
+
+
 def _bar_row(date: str, min_log: str, max_log: str, rv: str) -> DayBars:
     return DayBars(_dt.date.fromisoformat(date), None, _finite(min_log), _finite(max_log), _finite(rv))
 
@@ -437,10 +561,33 @@ _LAYOUTS = {
 }
 
 
+def _csv_rows(lines, first: int = 1):
+    """(line number, stripped cells) of each csv row read from lines, the
+    first numbered first; comment and blank lines are skipped."""
+    return ((lineno, [c.strip() for c in row]) for lineno, row in enumerate(csv.reader(lines), start=first)
+            if row and not row[0].startswith("#"))
+
+
+def _parse_rows(body: str, first: int, parse, width: int) -> list:
+    """parse(*cells) of each csv row of body, whose first line is line
+    first; a bad row raises a DataError naming its line."""
+    records = []
+    for lineno, row in _csv_rows(io.StringIO(body, newline=""), first):
+        try:
+            if len(row) != width:
+                raise DataError(f"expected {width} columns, got {len(row)}")
+            records.append(parse(*row))
+        except ValueError as exc:  # DataError included
+            raise DataError(f"line {lineno}: {exc}") from exc
+    if not records:
+        raise DataError("no data rows")
+    return records
+
+
 def load_csv(path, schema: str):
     """Load a typed table.
 
-    schema 'ticks' -> list of QuoteTick (auto-sorted with a warning if
+    schema 'ticks' -> TickColumns (auto-sorted with a warning if
     unsorted); 'daily_bars' -> list of DayBars (compact range rows or
     date,time,price long format); 'intervals' -> IntervalSeries.
     Malformed rows, non-finite numbers included, raise DataError naming
@@ -452,40 +599,32 @@ def load_csv(path, schema: str):
         raise DataError(f"unknown schema {schema!r}; expected one of {schemas}")
     try:
         with open(path, newline="") as fh:
-            # (1-based line number, stripped cells), comment lines skipped
-            rows = [(lineno, [c.strip() for c in row]) for lineno, row in enumerate(csv.reader(fh), start=1)
-                    if row and not row[0].startswith("#")]
+            header_line, header = next(_csv_rows(fh), (0, None))
+            body = fh.read()  # the text after the header row
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if header is None:
         raise DataError("no data rows")
-    (header_line, header), *body = rows
     cols = tuple(c.lower() for c in header)
     if cols not in headers:
         raise DataError(
             f"line {header_line}: unknown columns {header!r}; expected "
             + " or ".join(",".join(h) for h in headers)
         )
-    if not body:
-        raise DataError("no data rows")
     parse = _LAYOUTS[cols][1]
-    records = []
-    for lineno, row in body:
-        try:
-            if len(row) != len(cols):
-                raise DataError(f"expected {len(cols)} columns, got {len(row)}")
-            records.append(parse(*row))
-        except ValueError as exc:  # DataError included
-            raise DataError(f"line {lineno}: {exc}") from exc
 
+    if schema == "ticks":
+        ticks = _tick_columns(body, len(cols))
+        if ticks is None:
+            ticks = TickColumns.of(_parse_rows(body, header_line + 1, parse, len(cols)))
+        in_order = ticks.sorted()
+        if in_order is not ticks:
+            warnings.warn("tick timestamps unsorted; sorting")
+        return in_order
+    records = _parse_rows(body, header_line + 1, parse, len(cols))
     if schema == "intervals":
         dates, lows, highs = zip(*records)
         return IntervalSeries.from_bounds(lows, highs, dates=dates)
-    if schema == "ticks":
-        if any(b.timestamp < a.timestamp for a, b in zip(records, records[1:])):
-            warnings.warn("tick timestamps unsorted; sorting")
-            records.sort(key=attrgetter("timestamp"))
-        return records
     if parse is _bar_row:
         return records
     # date,time,price: each date's log prices in time order make one day

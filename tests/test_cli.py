@@ -474,6 +474,27 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert f"cannot write {target}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, work", [
+        ("fit", "fit_mle"), ("backtest", "run_backtest"), ("table1", "simulation_study"), ("prepare", "load_csv"),
+    ])
+    def test_unwritable_output_is_refused_before_the_work(self, argv, command, work, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output path was checked")
+
+        monkeypatch.setattr(cli, work, refuse)
+        target = tmp_path / "no_such_dir" / "out"
+        assert run(command, *argv[command], str(target)) == 2
+        assert f"cannot write {target}: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--h-out"), ("fit", "--summary-out"), ("prepare", "--out-bars"),
+    ])
+    def test_unwritable_second_output_exits_two_and_writes_nothing(self, argv, command, flag, tmp_path, capsys):
+        first, target = tmp_path / "first.out", tmp_path / "no_such_dir" / "second.out"
+        assert run(command, *argv[command], str(first), flag, str(target)) == 2
+        assert f"cannot write {target}" in capsys.readouterr().err
+        assert not first.exists()
+
     def test_bad_start_date_exits_two(self, workdir, tmp_path, capsys):
         assert run("simulate", "--model", str(workdir / "model.json"), "--T", "50",
                    "--start-date", "2020-13-01", "--out", str(tmp_path / "s.csv")) == 2

@@ -463,6 +463,16 @@ class TestFittedModelSerialization:
         del doc["stop_reason"]
         assert FittedModel.from_dict(doc).stop_reason is None
 
+    def test_loglik_trace_round_trips(self, fitted):
+        doc = json.loads(fitted.to_json())
+        assert len(fitted.loglik_trace) > 1 and doc["loglik_trace"] == list(fitted.loglik_trace)
+        assert FittedModel.from_dict(doc).loglik_trace == fitted.loglik_trace
+
+    def test_document_without_loglik_trace_loads(self, fitted):
+        doc = json.loads(fitted.to_json())
+        del doc["loglik_trace"]
+        assert FittedModel.from_dict(doc).loglik_trace == ()
+
     def test_extra_keys_ignored(self, fitted):
         doc = json.loads(fitted.to_json())
         doc["run_config"] = {"note": "anything"}

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -26,12 +27,14 @@ from intgarch import (
     save_intervals_csv,
     save_ticks_csv,
 )
+from intgarch import cli
 from intgarch.marketdata import (
     RULE3_SPREAD_MULTIPLE,
     RULE4_HALF_WINDOW,
     RULE4_MAD_MULTIPLE,
     RULE4_MIN_NEIGHBORS,
     _rule4_deviations,
+    _tick_columns,
 )
 
 T0 = dt.datetime(2024, 3, 4, 9, 30)
@@ -997,6 +1000,106 @@ class TestLoaderEquivalence:
             line = at + 3 if at else 3
             assert new_err is not None and ref_err is not None, seed
             assert new_err.group(1) == ref_err.group(1) == str(line), seed
+
+
+class TestTickParserEdges:
+    """The column step reads only what it has proven the row parser reads
+    the same way; every other row goes to the row parser."""
+
+    ROWS = ["2024-03-04T10:00:00,99.99,100.01", "2024-03-04T10:05:00.250,99.98,100.02",
+            "2024-03-04T10:10:00.000001,99.97,100.03"]
+
+    @pytest.mark.parametrize("stamp", ["NaT", "today", "2024-03-04T10:05:00Z", "2024-03-04T10:05:00+00:00",
+                                       "0000-03-04T10:05:00"])
+    def test_numpy_only_timestamps_name_their_line(self, tmp_path, capsys, stamp):
+        # numpy reads each of these (the offsets as UTC); the loader must not
+        p = tmp_path / "ticks.csv"
+        p.write_text(f"timestamp,bid,ask\n{self.ROWS[0]}\n{stamp},99.98,100.02\n{self.ROWS[2]}\n")
+        with pytest.raises(DataError, match="line 3: "):
+            load_csv(p, "ticks")
+        assert cli.main(["prepare", "--ticks", str(p), "--out-intervals", str(tmp_path / "iv.csv")]) == 2
+        assert "error: line 3: " in capsys.readouterr().err
+        assert not (tmp_path / "iv.csv").exists()
+
+    # (name, file text) of valid files in forms other than the one isoformat() writes
+    ODD_FILES = {
+        "space separator": "timestamp,bid,ask\n2024-03-04 10:00:00,99.99,100.01\n2024-03-04 10:05:00,99.98,100.02\n",
+        "date-only stamp": "timestamp,bid,ask\n2024-03-04,99.99,100.01\n2024-03-04T10:05:00,99.98,100.02\n",
+        "comma fraction": 'timestamp,bid,ask\n"2024-03-04T10:00:00,5",99.99,100.01\n2024-03-04T10:05:00,99.98,100.02\n',
+        "basic format": "timestamp,bid,ask\n20240304T100000,99.99,100.01\n2024-03-04T10:05:00,99.98,100.02\n",
+        "7 fraction digits": "timestamp,bid,ask\n2024-03-04T10:00:00.1234567,99.99,100.01\n"
+                             "2024-03-04T10:05:00,99.98,100.02\n",
+        "padded cells": "timestamp,bid,ask,price\n 2024-03-04T10:00:00 , 99.99 ,100.01,  \n"
+                        "2024-03-04T10:05:00,99.98,100.02, 100.0\n",
+        "quoted cells": 'timestamp,bid,ask\n"2024-03-04T10:00:00","99.99",100.01\n2024-03-04T10:05:00,99.98,100.02\n',
+        "crlf line endings": "timestamp,bid,ask\r\n2024-03-04T10:00:00,99.99,100.01\r\n"
+                             "2024-03-04T10:05:00,99.98,100.02\r\n",
+        "comment mid-file": "timestamp,bid,ask\n2024-03-04T10:00:00,99.99,100.01\n# a note, with commas\n"
+                            "2024-03-04T10:05:00,99.98,100.02\n",
+    }
+    # forms datetime.fromisoformat reads only from Python 3.11 on
+    NEWER = {"comma fraction", "basic format", "7 fraction digits"}
+
+    @pytest.mark.parametrize("name", ODD_FILES)
+    def test_odd_forms_load_as_the_reference_loads_them(self, tmp_path, name):
+        p = tmp_path / "ticks.csv"
+        p.write_bytes(self.ODD_FILES[name].encode())
+        (new, new_err), (ref, ref_err) = load_both(p, "ticks")
+        assert (ref_err is None) == (name not in self.NEWER or sys.version_info >= (3, 11))
+        assert new == ref
+        assert (new_err and new_err.group(1)) == (ref_err and ref_err.group(1))
+
+    def test_unsorted_rows_warn_and_sort_stably(self, tmp_path):
+        p = tmp_path / "ticks.csv"
+        rows = ["2024-03-04T10:05:00,99.1,100.1", "2024-03-04T10:00:00,99.2,100.2",
+                "2024-03-04T10:05:00,99.3,100.3", "2024-03-04T10:00:00,99.4,100.4"]
+        p.write_text("timestamp,bid,ask\n" + "\n".join(rows) + "\n")
+        with pytest.warns(UserWarning, match="unsorted; sorting"):
+            ticks = load_csv(p, "ticks")
+        assert [t.bid for t in ticks] == [99.2, 99.4, 99.1, 99.3]
+        with pytest.warns(UserWarning, match="unsorted; sorting"):
+            assert ticks == reference_load_csv(p, "ticks")
+
+    @pytest.mark.parametrize("column", ["bid", "ask", "price"])
+    @pytest.mark.parametrize("value", ["1e400", "nan", "0", "-1"])
+    def test_bad_value_names_its_line(self, tmp_path, column, value):
+        cells = {"bid": "99.99", "ask": "100.01", "price": "100.0", column: value}
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,bid,ask,price\n2024-03-04T10:00:00,99.99,100.01,100.0\n"
+                     f"2024-03-04T10:05:00,{cells['bid']},{cells['ask']},{cells['price']}\n")
+        with pytest.raises(DataError, match="line 3: .*finite and positive"):
+            load_csv(p, "ticks")
+
+    @pytest.mark.parametrize("cells", ["99.98,,", ",100.02,", ",,"])
+    def test_row_without_quotes_or_price_names_its_line(self, tmp_path, cells):
+        p = tmp_path / "ticks.csv"
+        p.write_text(f"timestamp,bid,ask,price\n2024-03-04T10:00:00,99.99,100.01,\n2024-03-04T10:05:00,{cells}\n")
+        with pytest.raises(DataError, match="line 3: .*neither quotes nor a price"):
+            load_csv(p, "ticks")
+
+    @pytest.mark.parametrize("body, line, cells", [
+        # a carriage return also ends a csv line
+        ("2024-03-04T10:00:00,99.98\r,100.02\n", 2, 2),
+        # the cells of each row, but the lines split elsewhere
+        ("2024-03-04T10:00:00,99.98,100.02,2024-03-04T10:05:00,99.97,100.03\n2024-03-04T10:10:00\n99.96,100.04\n",
+         2, 6),
+    ])
+    def test_rows_split_across_lines_name_their_line(self, tmp_path, body, line, cells):
+        p = tmp_path / "ticks.csv"
+        p.write_bytes(f"timestamp,bid,ask\n{body}".encode())
+        with pytest.raises(DataError, match=f"line {line}: expected 3 columns, got {cells}"):
+            load_csv(p, "ticks")
+
+    def test_files_the_program_writes_are_read_as_columns(self, tmp_path):
+        # the fast path must serve the files save_ticks_csv writes (seconds
+        # and microseconds mixed) and millisecond files
+        p = tmp_path / "ticks.csv"
+        for seed in (3, 4):
+            save_ticks_csv(sorted(random_ticks(seed), key=lambda t: t.timestamp), p)
+            body = p.read_text().split("\n", 1)[1]
+            assert _tick_columns(body, 4) == reference_load_csv(p, "ticks")
+        p.write_text("timestamp,bid,ask\n" + "\n".join(self.ROWS) + "\n")
+        assert _tick_columns(p.read_text().split("\n", 1)[1], 3) == reference_load_csv(p, "ticks")
 
 
 class TestWriterBytes:
