@@ -37,6 +37,7 @@ from .intervals import IntervalSeries, sample_acf
 from .marketdata import (
     SessionSpec,
     _csv_lines,
+    _not_utf8,
     _write_csv,
     clean_quotes,
     interval_returns,
@@ -118,10 +119,12 @@ def _check_outputs(args) -> None:
 def _load_model_json(path) -> tuple:
     """(ModelParams, FittedModel or None) from a model document."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -364,9 +367,10 @@ def cmd_backtest(args) -> int:
                   "constant forecasts or realized values", file=sys.stderr)
     if info["skipped_refits"]:
         print(f"skipped refits: {len(info['skipped_refits'])}", file=sys.stderr)
-    unconverged = sum(1 for _, ok in info["garch_converged"] if not ok)
-    if unconverged:
-        print(f"unconverged baseline refits: {unconverged}", file=sys.stderr)
+    for key, label in (("intgarch_converged", "interval-model"), ("garch_converged", "baseline")):
+        unconverged = sum(1 for _, ok in info[key] if not ok)
+        if unconverged:
+            print(f"unconverged {label} refits: {unconverged}", file=sys.stderr)
     return 0
 
 
@@ -486,10 +490,12 @@ def build_parser() -> tuple:
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
     text_stripped = text.lstrip()
     if text_stripped.startswith("{"):
         try:

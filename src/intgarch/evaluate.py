@@ -23,6 +23,7 @@ tabulates recovery statistics.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 from typing import Mapping, Sequence
@@ -31,7 +32,7 @@ import numpy as np
 
 from .estimate import _projected_newton, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
-from .forecast import rolling_forecast
+from .forecast import _horizons, rolling_forecast
 from .intervals import IntervalSeries
 from .marketdata import _csv_lines
 from .process import InitMode, ModelOrders, ModelParams, recurse, volatility
@@ -456,11 +457,11 @@ def run_backtest(
     period t). scalar_returns feeds the baseline; interval centers are the
     fallback when no closing returns exist. Both models forecast from the
     same origins: the interval model refits on the schedule, and the
-    baseline refits at the same origins on the same growing sample.
+    baseline refits on the same growing sample exactly where it did.
 
     Returns (reports, info) where info records skipped refits, failed
     baseline refits as (origin, message) pairs, and one (origin,
-    converged) pair per completed baseline refit.
+    converged) pair per completed refit of each model.
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)
@@ -469,9 +470,7 @@ def run_backtest(
         raise DataError(f"rv must have one entry per observation ({n}), got {rv_arr.shape}")
     if train_size is None or not 0 < train_size < n:
         raise DataError("train_size must split the series: 0 < train_size < length")
-    horizons = sorted(set(int(h) for h in horizons))
-    if not horizons or horizons[0] < 1:
-        raise DataError("horizons must be integers >= 1")
+    horizons = _horizons(horizons)
     for h in horizons:
         if n - train_size - h + 1 < 3:
             raise DataError(
@@ -493,12 +492,13 @@ def run_backtest(
 
     garch_failures: list = []
     garch_converged: list = []
+    intgarch_converged: list = []
     garch_fit: Garch11Fit | None = None
-    garch_fc: dict = {}
+    forecasts: dict = {name: {h: ([], []) for h in horizons} for name in ("intgarch", "garch11")}
     for res in results:
         t = res.origin_index
-        scheduled = (t - (train_size - 1)) % refit_every == 0
-        if scheduled or garch_fit is None:
+        if res.refit_converged is not None:
+            intgarch_converged.append((t, res.refit_converged))
             try:
                 garch_fit = fit_garch11(returns[: t + 1])
                 garch_converged.append((t, garch_fit.converged))
@@ -507,25 +507,18 @@ def run_backtest(
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
                 garch_failures.append((t, str(exc)))
         path = garch11_path(garch_fit.params, returns[: t + 1])
-        garch_fc[t] = garch11_forecast(garch_fit.params, returns[: t + 1], horizons[-1], path)
-
-    forecasts: dict = {"intgarch": {}, "garch11": {}}
-    for h in horizons:
-        dates_h, int_s2, g_s2 = [], [], []
-        for res in results:
-            t = res.origin_index
-            if t + h >= n:
-                continue
-            dates_h.append(labels[t + h])
-            int_s2.append(res.sigma2[h - 1])
-            g_s2.append(garch_fc[t][h - 1])
-        forecasts["intgarch"][h] = (dates_h, int_s2)
-        forecasts["garch11"][h] = (dates_h, g_s2)
+        g_fc = garch11_forecast(garch_fit.params, returns[: t + 1], horizons[-1], path)
+        for h in horizons:
+            if t + h < n:
+                for name, fc in (("intgarch", res.sigma2), ("garch11", g_fc)):
+                    forecasts[name][h][0].append(labels[t + h])
+                    forecasts[name][h][1].append(fc[h - 1])
 
     info: dict = {
         "skipped_refits": skipped,
         "garch_failed_refits": garch_failures,
         "garch_converged": garch_converged,
+        "intgarch_converged": intgarch_converged,
     }
     if include_insample:
         full = fit_mle(series, orders, init_mode)
@@ -590,13 +583,16 @@ def simulation_study(
     Each replication simulates a fresh path (its own spawned substream)
     and refits the generating orders. Cells aggregate every replication
     whose fit completed, converged or not; the moment estimator of k has
-    no model-based SE, so its mean_model_se is None.
+    no model-based SE, so its mean_model_se is None. jobs > 1 runs the
+    replications in worker processes, at most one per task and per core.
     """
     designs = dict(designs) if designs is not None else dict(BENCHMARK_DESIGNS)
     if replications < 2:
         raise DataError("replications must be >= 2")
     if length < 100:
         raise DataError("length must be >= 100")
+    if jobs < 1:
+        raise DataError("jobs must be >= 1")
     root = np.random.SeedSequence(seed)
     tasks: list = []
     for dseq, (name, params) in zip(root.spawn(len(designs)), designs.items()):
@@ -605,9 +601,11 @@ def simulation_study(
         for child in dseq.spawn(replications):
             tasks.append((name, params, length, child))
 
-    if jobs > 1:
-        chunk = max(1, len(tasks) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers at its first task
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_study_rep, tasks, chunksize=chunk))
     else:
         outcomes = [_study_rep(t) for t in tasks]

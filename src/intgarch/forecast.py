@@ -18,7 +18,7 @@ Reported volatility forecasts are sigma2 = (1 + k/3) h-hat^2.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,13 +33,24 @@ __all__ = ["ForecastResult", "forecast", "rolling_forecast"]
 @dataclass(frozen=True)
 class ForecastResult:
     """Forecasts from one origin: h_hat[j-1] and sigma2[j-1] are the
-    j-step-ahead scale and volatility."""
+    j-step-ahead scale and volatility. refit_converged is the converged
+    flag of the fit rolling_forecast made at this origin, None where it
+    reused earlier parameters and in every result of forecast()."""
 
     origin_index: int
     horizon: int
     h_hat: np.ndarray = field(repr=False)
     sigma2: np.ndarray = field(repr=False)
     origin_date: _dt.date | None = None
+    refit_converged: bool | None = None
+
+
+def _horizons(horizons) -> list:
+    """The distinct horizons in increasing order, each an int >= 1."""
+    horizons = sorted(set(int(h) for h in horizons))
+    if not horizons or horizons[0] < 1:
+        raise DataError("horizons must be integers >= 1")
+    return horizons
 
 
 def _resolve_params(model) -> ModelParams:
@@ -134,16 +145,14 @@ def rolling_forecast(
     t in train_size-1 .. len(series)-1 yields forecasts for 1..max(horizons)
     steps ahead, with init_mode as the pre-sample mode. A failed refit
     skips that origin (recorded in the second return value) and keeps the
-    previous parameters for later origins.
+    previous parameters for later origins. Each result's refit_converged
+    is the converged flag of the refit at its origin, None where none was.
 
     Returns
     -------
     (list of ForecastResult, list of (origin_index, reason))
     """
-    horizons = sorted(set(int(h) for h in horizons))
-    if not horizons or horizons[0] < 1:
-        raise DataError("horizons must be a nonempty set of integers >= 1")
-    max_h = horizons[-1]
+    max_h = _horizons(horizons)[-1]
     n = len(series)
     if train_size < MIN_OBS_PER_PARAM * orders.n_params:
         raise DataError(
@@ -159,8 +168,8 @@ def rolling_forecast(
     skipped: list = []
     fitted: FittedModel | None = None
     for t in range(train_size - 1, n):
-        scheduled = (t - (train_size - 1)) % refit_every == 0
-        if scheduled or fitted is None:
+        refit = fitted is None or (t - (train_size - 1)) % refit_every == 0
+        if refit:
             try:
                 fitted = fit_mle(series[: t + 1], orders, init_mode)
             except IntGarchError as exc:
@@ -169,5 +178,6 @@ def rolling_forecast(
             h_path = fitted.h_path
         else:
             _, h_path = loglik_eval(fitted.params, series[: t + 1], init_mode)
-        results.append(forecast(fitted.params, series, max_h, h_path=h_path, origin_index=t))
+        res = forecast(fitted.params, series, max_h, h_path=h_path, origin_index=t)
+        results.append(replace(res, refit_converged=fitted.converged) if refit else res)
     return results, skipped

@@ -568,6 +568,22 @@ def _csv_rows(lines, first: int = 1):
             if row and not row[0].startswith("#"))
 
 
+def _not_utf8(path) -> DataError:
+    """The error for a file that does not decode as UTF-8, naming the line
+    of its first bad byte. A text file decodes in chunks, so the decoder's
+    offset is not a file offset: the file is read again, as bytes."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data.decode("utf-8")
+    except OSError as exc:
+        return DataError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path} line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})")
+    return DataError(f"{path}: not UTF-8 text")
+
+
 def _parse_rows(body: str, first: int, parse, width: int) -> list:
     """parse(*cells) of each csv row of body, whose first line is line
     first; a bad row raises a DataError naming its line."""
@@ -598,11 +614,13 @@ def load_csv(path, schema: str):
         schemas = ", ".join(dict.fromkeys(s for s, _ in _LAYOUTS.values()))
         raise DataError(f"unknown schema {schema!r}; expected one of {schemas}")
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             header_line, header = next(_csv_rows(fh), (0, None))
             body = fh.read()  # the text after the header row
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
     if header is None:
         raise DataError("no data rows")
     cols = tuple(c.lower() for c in header)

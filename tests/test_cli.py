@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import datetime as dt
+import importlib
 import io
 import json
 import math
@@ -200,6 +201,33 @@ class TestConfigFile:
         cfg.write_text(f"model = {workdir / 'model.json'}\nT = 12x\n")
         assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "s.csv")) == 2
         assert "config key 'T'" in capsys.readouterr().err
+
+
+class TestNotUtf8:
+    """An input that does not decode as UTF-8 exits 2 naming the file and
+    the line of its first bad byte, for each reader of the CLI."""
+
+    TICKS = b"timestamp,bid,ask\n" + b"2024-03-04T10:00:00,99.99,100.01\n" * 400
+
+    @pytest.mark.parametrize("reader, content, line", [
+        # the bad byte lies past the text reader's first 8 KiB chunk
+        ("ticks", TICKS + b"2024-03-04T10:05:00,99.98,100.0\xff\n", 402),
+        ("intervals", b"date,low,high\n2020-01-01,-1.0,1.0\n2020-01-02,\xff,1.0\n", 3),
+        ("model", b'{"orders": [1, 1, 1],\n "k": "\xff"}\n', 2),
+        ("config", b"T = 50\nseed = 4\xff\n", 2),
+    ], ids=["ticks", "intervals", "model", "config"])
+    def test_exits_two_naming_the_line(self, workdir, tmp_path, capsys, reader, content, line):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        argv = {
+            "ticks": ["prepare", "--ticks", str(bad), "--out-intervals"],
+            "intervals": ["fit", "--data", str(bad), "--out"],
+            "model": ["simulate", "--model", str(bad), "--T", "50", "--out"],
+            "config": ["simulate", "--config", str(bad), "--model", str(workdir / "model.json"), "--out"],
+        }[reader]
+        assert run(*argv, str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} line {line}: not UTF-8 text (byte 0xff)" in err and "Traceback" not in err
 
 
 class TestTableBytes:
@@ -577,6 +605,18 @@ class TestBacktest:
         # origins 99..138 refit at 99, 115 and 131
         assert "unconverged baseline refits: 3" in capsys.readouterr().err
 
+    def test_unconverged_interval_refits_counted(self, bars_csv, monkeypatch, capsys):
+        forecast_module = importlib.import_module("intgarch.forecast")
+        real = forecast_module.fit_mle
+        monkeypatch.setattr(
+            forecast_module, "fit_mle",
+            lambda *args: dataclasses.replace(real(*args), converged=False),
+        )
+        assert run("backtest", "--bars", str(bars_csv), "--train", "100",
+                   "--horizons", "1", "--refit-every", "16") == 0
+        # origins 99..138 refit at 99, 115 and 131
+        assert "unconverged interval-model refits: 3" in capsys.readouterr().err
+
     def test_fractional_train_split(self, bars_csv, tmp_path, capsys):
         out = tmp_path / "bt.csv"
         assert run("backtest", "--bars", str(bars_csv), "--train", "0.8", "--horizons", "1",
@@ -627,3 +667,8 @@ class TestTable1:
     def test_unknown_design(self, capsys):
         assert run("table1", "--designs", "V", "--reps", "2", "--T", "300") == 2
         assert "unknown designs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_two(self, jobs, capsys):
+        assert run("table1", "--designs", "III", "--reps", "2", "--T", "100", "--jobs", jobs) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err

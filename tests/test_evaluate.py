@@ -1,6 +1,7 @@
 """Tests for forecast evaluation: losses, the GARCH(1,1) baseline, backtests."""
 
 import csv
+import importlib
 import io
 import math
 
@@ -9,8 +10,10 @@ import pytest
 
 from intgarch import (
     BENCHMARK_DESIGNS,
+    ConvergenceError,
     DataError,
     Garch11Params,
+    IntGarchError,
     IntervalSeries,
     ModelError,
     ModelOrders,
@@ -26,6 +29,7 @@ from intgarch import (
     render_reports,
     render_study,
     reports_to_csv,
+    rolling_forecast,
     run_backtest,
     rv_proxy,
     simulate,
@@ -471,7 +475,7 @@ class TestRunBacktest:
         for r in reports:
             assert 0.0 <= r.r2 <= 1.0
             assert set(r.wins) <= {"r2", "qlike", "hmse"}
-        assert set(info) == {"skipped_refits", "garch_failed_refits", "garch_converged"}
+        assert set(info) == {"skipped_refits", "garch_failed_refits", "garch_converged", "intgarch_converged"}
         assert info["skipped_refits"] == []
         assert info["garch_failed_refits"] == []
         # one (origin, converged) pair per baseline refit: origins 119..159
@@ -543,6 +547,110 @@ class TestRunBacktest:
             run_backtest(series, rv, train_size=120, scalar_returns=flat)
 
 
+# the modules themselves: the package's own `forecast` is the function
+FORECAST_MODULE = importlib.import_module("intgarch.forecast")
+EVALUATE_MODULE = importlib.import_module("intgarch.evaluate")
+
+
+def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
+    """run_backtest's walk-forward as two loops: the baseline works out
+    the refit schedule itself, and a second loop collects each horizon.
+    The baseline is fit through EVALUATE_MODULE, where tests patch it."""
+    n = len(series)
+    labels = list(range(n))
+    results, skipped = rolling_forecast(
+        series, ModelOrders(1, 1, 1), horizons, train_size, refit_every=refit_every
+    )
+    horizons = sorted(set(int(h) for h in horizons))
+    garch_failures: list = []
+    garch_converged: list = []
+    garch_fit = None
+    garch_fc: dict = {}
+    for res in results:
+        t = res.origin_index
+        scheduled = (t - (train_size - 1)) % refit_every == 0
+        if scheduled or garch_fit is None:
+            try:
+                garch_fit = EVALUATE_MODULE.fit_garch11(returns[: t + 1])
+                garch_converged.append((t, garch_fit.converged))
+            except IntGarchError as exc:
+                if garch_fit is None:
+                    raise DataError(f"baseline fit failed on the training window: {exc}") from exc
+                garch_failures.append((t, str(exc)))
+        path = garch11_path(garch_fit.params, returns[: t + 1])
+        garch_fc[t] = garch11_forecast(garch_fit.params, returns[: t + 1], horizons[-1], path)
+
+    forecasts: dict = {"intgarch": {}, "garch11": {}}
+    for h in horizons:
+        dates_h, int_s2, g_s2 = [], [], []
+        for res in results:
+            t = res.origin_index
+            if t + h >= n:
+                continue
+            dates_h.append(labels[t + h])
+            int_s2.append(res.sigma2[h - 1])
+            g_s2.append(garch_fc[t][h - 1])
+        forecasts["intgarch"][h] = (dates_h, int_s2)
+        forecasts["garch11"][h] = (dates_h, g_s2)
+    info = {
+        "skipped_refits": skipped,
+        "garch_failed_refits": garch_failures,
+        "garch_converged": garch_converged,
+    }
+    return compare(forecasts, (labels, np.asarray(rv, dtype=float))), info
+
+
+@pytest.fixture(scope="module")
+def walk_forward_inputs():
+    series, h = simulate(SimConfig(MODEL_I, length=175, seed=1, burn_in=100))
+    rv = rv_proxy(h, MODEL_I.k, noise_sd=0.2, seed=1)
+    returns = series.centers + np.random.default_rng(1).normal(scale=0.01, size=175)
+    return series, rv, returns, {}  # the last maps (model, origin) to its fit, made once
+
+
+class TestWalkForwardReference:
+    """The baseline refits exactly where the interval model refit, also
+    when interval refits fail (149 is the first origin) or a baseline
+    refit fails."""
+
+    @pytest.mark.parametrize("refit_every", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "interval_fails, baseline_fails", [((), ()), ((149, 150), ()), ((152, 160), (153,))]
+    )
+    def test_matches_two_loop_reference(
+        self, walk_forward_inputs, monkeypatch, refit_every, interval_fails, baseline_fails
+    ):
+        series, rv, returns, fits = walk_forward_inputs
+        real_fit_mle, real_fit_garch11 = FORECAST_MODULE.fit_mle, EVALUATE_MODULE.fit_garch11
+        interval_refits: list = []
+
+        def fit_mle(sample, orders, init_mode):
+            t = len(sample) - 1
+            if t in interval_fails:
+                raise ConvergenceError(f"forced failure at {t}")
+            if ("intgarch", t) not in fits:
+                fits["intgarch", t] = real_fit_mle(sample, orders, init_mode)
+            interval_refits.append((t, fits["intgarch", t].converged))
+            return fits["intgarch", t]
+
+        def fit_garch11(sample):
+            t = len(sample) - 1
+            if t in baseline_fails:
+                raise ConvergenceError(f"forced failure at {t}")
+            if ("garch11", t) not in fits:
+                fits["garch11", t] = real_fit_garch11(sample)
+            return fits["garch11", t]
+
+        monkeypatch.setattr(FORECAST_MODULE, "fit_mle", fit_mle)
+        monkeypatch.setattr(EVALUATE_MODULE, "fit_garch11", fit_garch11)
+        reports, info = run_backtest(series, rv, train_size=150, horizons=(1, 2, 5),
+                                     refit_every=refit_every, scalar_returns=returns)
+        assert info.pop("intgarch_converged") == interval_refits
+        want_reports, want_info = reference_backtest(series, rv, 150, (1, 2, 5), refit_every, returns)
+        assert repr(reports) == repr(want_reports)
+        assert repr(info) == repr(want_info)
+
+
 # ---------------------------------------------------------------------------
 # simulation study
 
@@ -610,6 +718,32 @@ class TestSimulationStudy:
             designs={"III": BENCHMARK_DESIGNS["III"]}, replications=2, length=300, seed=11
         )
         assert [c.param for c in cells] == ["k", "mu", "alpha1", "beta1"]
+
+    def test_pool_bounded_by_tasks_and_cores(self, monkeypatch):
+        # a stand-in pool that records its size and maps in this process
+        sizes: list = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(EVALUATE_MODULE, "ProcessPoolExecutor", SerialPool)
+        designs = {"III": BENCHMARK_DESIGNS["III"]}  # 3 replications: 3 tasks
+        serial = simulation_study(designs, replications=3, length=300, seed=11)
+        for cores, want in ((2, [2]), (16, [3]), (None, [])):
+            sizes.clear()
+            monkeypatch.setattr(EVALUATE_MODULE.os, "cpu_count", lambda: cores)
+            assert simulation_study(designs, replications=3, length=300, seed=11, jobs=5000) == serial
+            assert sizes == want
 
     def test_validation(self):
         with pytest.raises(DataError, match="replications"):
