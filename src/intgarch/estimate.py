@@ -402,24 +402,29 @@ def _projected_newton(
     max_iterations: int,
     gradient_tolerance: float,
     step_halving_limit: int,
+    face=None,
 ) -> tuple:
-    """Maximize objective(theta) subject to theta >= lower and feasible(theta).
+    """Maximize objective(theta) subject to theta >= lower, feasible(theta)
+    and, given face = (c, b) with c >= 0 and c.lower < b, c.theta <= b.
 
     derivs(theta) returns the gradient and Hessian of the objective. Each
-    iteration holds a coordinate at its bound while it lies within
-    _BOUNDARY_EPS of it and its score points outward, and releases it as
-    soon as the score points back in (Bertsekas 1982). A held coordinate
-    steps onto its bound; the others take a Newton step, with a ridge on
-    their Hessian raised until the step points uphill. The step is
-    projected onto the bounds and halved until the point is feasible and
-    no worse.
+    iteration holds a bound, or the face, that theta is within
+    _BOUNDARY_EPS of while its multiplier is positive: minus the score
+    less the face's part, or the least-squares fit of the free score on c.
+    Held coordinates step onto their bounds and a held face is kept
+    (Bertsekas 1982; Nocedal & Wright 2006, ch. 16); the others take a
+    Newton step, with a ridge on their Hessian raised until the step
+    points uphill. The step is projected onto the face and the bounds and
+    halved until the point is feasible and no worse.
 
     Returns (theta, value, kkt, hess, stop_reason, iterations, trace):
-    kkt is the gradient at theta with the held coordinates zeroed, hess
-    the Hessian there, iterations the number of Newton steps, and
-    stop_reason "gradient tolerance", "no uphill step" or "iteration cap".
+    kkt is the gradient at theta less the face's multiplier times c, with
+    the held coordinates zeroed, hess the Hessian there, iterations the
+    number of Newton steps, and stop_reason "gradient tolerance", "no
+    uphill step" or "iteration cap".
     """
     theta = np.array(theta0, dtype=float)
+    normal, level = face or (np.zeros(theta.size), np.inf)
     value = objective(theta)
     trace = [value]
     iterations = 0
@@ -427,8 +432,14 @@ def _projected_newton(
         grad, hess = derivs(theta)
         if not np.all(np.isfinite(grad)) or not np.all(np.isfinite(hess)):
             raise NumericalError("numerical overflow in the score or Hessian")
-        held = (theta <= lower + _BOUNDARY_EPS) & (grad < 0)
-        kkt = np.where(held, 0.0, grad)
+        at_bound = theta <= lower + _BOUNDARY_EPS
+        held = at_bound & (grad < 0)
+        mult = 0.0
+        for _ in range(theta.size if normal @ theta >= level - _BOUNDARY_EPS else 0):
+            along = np.where(held, 0.0, normal)
+            mult = max(0.0, along @ grad / (along @ along)) if along.any() else 0.0
+            held = at_bound & (grad - mult * normal < 0)
+        kkt = np.where(held, 0.0, grad - mult * normal)
         if np.max(np.abs(kkt)) < gradient_tolerance:
             return theta, value, kkt, hess, "gradient tolerance", iterations, trace
         if iterations == max_iterations:
@@ -439,9 +450,14 @@ def _projected_newton(
         hf = hess[np.ix_(free, free)]
         ridge = 0.0
         scale = max(1.0, float(np.max(np.abs(np.diag(hf)))))
+        rhs = -gf
+        if mult > 0:  # border the system so that the step ends on the face
+            hf = np.block([[hf, normal[free, None]], [normal[free], 0.0]])
+            rhs = np.append(rhs, level - normal @ np.where(held, lower, theta))
         for _ in range(60):
-            try:
-                direction = np.linalg.solve(hf - ridge * np.eye(hf.shape[0]), -gf)
+            try:  # the ridge spares the border
+                ridged = hf - ridge * np.diag(np.arange(rhs.size) < gf.size)
+                direction = np.linalg.solve(ridged, rhs)[: gf.size]
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None and gf @ direction > 0:
@@ -454,6 +470,12 @@ def _projected_newton(
         improved = False
         for halving in range(step_halving_limit + 1):
             cand = np.maximum(theta + step / (2.0**halving), lower)
+            for _ in range(theta.size):  # onto the face along the coordinates off their bounds
+                excess = normal @ cand - level
+                if excess <= 0:
+                    break
+                along = np.where(cand > lower, normal, 0.0)
+                cand = np.maximum(cand - excess / (along @ along) * along, lower)
             if not feasible(cand):
                 continue
             value_cand = objective(cand)

@@ -13,9 +13,9 @@ rejected. mz_r2 is the R^2 of the regression of rv on an intercept and
 sigma2, and takes any finite values.
 
 compare() aligns per-model forecast series on dates, computes the three
-metrics, and marks the winner per metric. run_backtest() is the
-train/test orchestration used by the CLI: walk-forward interval-model
-forecasts against a GARCH(1,1) baseline fit on scalar returns.
+metrics, and marks the winner per metric. run_backtest() is the CLI's
+walk-forward of interval-model forecasts against a GARCH(1,1) baseline
+on scalar returns, fit with its persistence a + b <= 0.999 as a face.
 simulation_study() runs the estimator over the four benchmark designs and
 tabulates recovery statistics.
 """
@@ -60,8 +60,7 @@ __all__ = [
     "study_to_csv",
 ]
 
-_GARCH_CAP = 0.999  # persistence ceiling during optimization
-_GARCH_PENALTY = 1e8
+_GARCH_CAP = 0.999  # the fit's persistence ceiling, a + b <= _GARCH_CAP
 METRICS = ("r2", "qlike", "hmse")
 
 
@@ -95,7 +94,7 @@ class Garch11Params:
     def __post_init__(self) -> None:
         if not (self.omega > 0 and math.isfinite(self.omega)):
             raise ModelError("omega must be positive")
-        if self.a < 0 or self.b < 0:
+        if not (self.a >= 0 and self.b >= 0):
             raise ModelError("a and b must be nonnegative")
         if self.a + self.b >= 1:
             raise ModelError(f"a + b = {self.a + self.b:.6g} >= 1: baseline not stationary")
@@ -193,12 +192,10 @@ def _garch_variance(theta, r2: np.ndarray, s2_init: float) -> np.ndarray:
 
 
 def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> float:
-    """Gaussian log likelihood (up to the 2*pi constant) minus the
-    persistence penalty. omega > 0, a, b >= 0 and a + b < 1 keep the
-    variance path positive."""
+    """Gaussian log likelihood less its constant -n/2 log(2 pi). omega > 0
+    and a, b >= 0 keep the variance path positive."""
     s2 = _garch_variance(theta, r2, s2_init)
-    pen = max(0.0, theta[1] + theta[2] - _GARCH_CAP)
-    return -0.5 * float(np.sum(np.log(s2) + r2 / s2)) - _GARCH_PENALTY * pen * pen
+    return -0.5 * float(np.sum(np.log(s2) + r2 / s2))
 
 
 def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
@@ -222,11 +219,6 @@ def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
     z = recurse(g[::-1], [b])[::-1][1:] @ d[:-1]
     hess[2, :] += z
     hess[:, 2] += z
-    pen = theta[1] + theta[2] - _GARCH_CAP
-    if pen > 0:
-        u = np.array([0.0, 1.0, 1.0])
-        grad = grad - 2.0 * _GARCH_PENALTY * pen * u
-        hess = hess - 2.0 * _GARCH_PENALTY * np.outer(u, u)
     return grad, hess
 
 
@@ -265,12 +257,10 @@ def fit_garch11(returns) -> Garch11Fit:
     The variance path starts at the sample variance. Two starting points
     are tried (a GARCH-shaped one and a near-white-noise one, whose basin
     wins on serially independent data where the likelihood is flat along
-    the b ridge); each runs the projected Newton of the interval model
-    with the analytic gradient and Hessian, on the log-likelihood minus
-    1e8 (a + b - 0.999)^2 past the persistence cap. loglik and
-    sigma2_path are those of the returned parameters, without the
-    penalty. A fit that ends with a large projected gradient or at the
-    persistence cap is returned with converged=False rather than raised.
+    the b ridge); each runs the projected Newton of the interval model,
+    with the analytic gradient and Hessian and the face a + b <= 0.999. A
+    fit on that cap has persistence 0.999. converged means the KKT
+    conditions hold, cap included; an unconverged fit is not raised.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
@@ -294,10 +284,11 @@ def fit_garch11(returns) -> Garch11Fit:
             lambda th: _garch_derivs(th, r2, v),
             x0,
             lower,
-            lambda th: th[1] + th[2] < 1.0,
+            lambda th: True,
             max_iterations=200,
             gradient_tolerance=1e-8,
             step_halving_limit=40,
+            face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP),
         )
         iterations += sol[5]
         if best is None:
@@ -309,20 +300,17 @@ def fit_garch11(returns) -> Garch11Fit:
             best = sol
         elif sol[1] >= best[1] - tol and sol[0][1] + sol[0][2] < best[0][1] + best[0][2]:
             best = sol
-    theta, _, kkt, _, stop_reason, _, _ = best
+    theta, value, kkt, _, stop_reason, _, _ = best
 
-    # the bounds and a + b < 1 keep these parameters constructible
-    params = Garch11Params(*(float(x) for x in theta))
-    s2 = _garch_variance(theta, r2, v)
-    loglik = -0.5 * float(np.sum(np.log(s2) + r2 / s2)) - 0.5 * r.size * math.log(2.0 * math.pi)
+    # the bounds and the face keep these parameters constructible
     return Garch11Fit(
-        params=params,
-        loglik=loglik,
-        converged=bool(np.max(np.abs(kkt)) < 1e-6 and params.persistence < _GARCH_CAP),
+        params=Garch11Params(*(float(x) for x in theta)),
+        loglik=value - 0.5 * r.size * math.log(2.0 * math.pi),
+        converged=bool(np.max(np.abs(kkt)) < 1e-6),
         stop_reason=stop_reason,
         iterations=iterations,
         n_obs=int(r.size),
-        sigma2_path=s2,
+        sigma2_path=_garch_variance(theta, r2, v),
     )
 
 
@@ -428,8 +416,8 @@ def rv_proxy(h, k: float, noise_sd: float = 0.2, seed=None) -> np.ndarray:
     given relative standard deviation. noise_sd=0 returns the truth.
     """
     h = np.asarray(h, dtype=float)
-    if noise_sd < 0:
-        raise DataError("noise_sd must be >= 0")
+    if not 0 <= noise_sd < math.inf:
+        raise DataError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     sigma2 = (1.0 + k / 3.0) * h * h
     if noise_sd == 0:
         return sigma2

@@ -431,6 +431,46 @@ class TestProjectedNewton:
         assert np.max(np.abs(kkt)) < 1e-6
         assert value == pytest.approx(fit_mle(sample, ORDERS_111).loglik, rel=1e-10)
 
+    @staticmethod
+    def _on_face(target, start):
+        # maximize -|x - target|^2 over x >= 0 and the face x1 + x2 <= 1
+        target = np.array(target)
+
+        def grad(x):
+            return -2.0 * (x - target)
+
+        theta, _, kkt, _, stop, _, _ = _projected_newton(
+            lambda x: -float(np.sum((x - target) ** 2)),
+            lambda x: (grad(x), -2.0 * np.eye(2)),
+            np.array(start), np.zeros(2), lambda x: True, 50, 1e-10, 30,
+            face=(np.ones(2), 1.0),
+        )
+        return theta, grad(theta), kkt, stop
+
+    def test_ends_on_face_with_positive_multiplier(self):
+        theta, grad, kkt, stop = self._on_face((2.0, 2.0), (0.1, 0.2))
+        np.testing.assert_allclose(theta, [0.5, 0.5], atol=1e-12)
+        # the score less the KKT gradient is the multiplier times the normal
+        np.testing.assert_allclose(grad - kkt, [3.0, 3.0], atol=1e-10)
+        assert np.max(np.abs(kkt)) < 1e-10
+        assert stop == "gradient tolerance"
+
+    def test_leaves_face_when_score_points_inward(self):
+        theta, grad, kkt, stop = self._on_face((0.2, 0.3), (0.5, 0.5))
+        np.testing.assert_allclose(theta, [0.2, 0.3], atol=1e-12)
+        np.testing.assert_array_equal(kkt, grad)
+        assert stop == "gradient tolerance"
+
+    def test_ends_at_corner_of_bound_and_face(self):
+        # at (0, 1) the score (1, 4) still points up in x1, but less than
+        # the face's multiplier 4, so the bound x1 >= 0 holds beside it
+        theta, grad, kkt, stop = self._on_face((0.5, 3.0), (0.2, 0.2))
+        np.testing.assert_allclose(theta, [0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(grad, [1.0, 4.0], atol=1e-10)
+        assert kkt[0] == 0.0
+        assert abs(kkt[1]) < 1e-10
+        assert stop == "gradient tolerance"
+
     def test_no_uphill_step(self):
         # a flat objective with a nonzero "score" offers no improvement
         theta0 = np.array([0.5])

@@ -180,6 +180,11 @@ class TestGarch11Params:
         with pytest.raises(ModelError, match="not stationary"):
             Garch11Params(0.1, 0.6, 0.5)
 
+    @pytest.mark.parametrize("a,b", [(0.1, math.nan), (math.nan, 0.5), (math.inf, 0.5)])
+    def test_nonfinite_coefficients(self, a, b):
+        with pytest.raises(ModelError):
+            Garch11Params(0.1, a, b)
+
 
 def reference_garch_path(omega, a, b, r, s2_init):
     """The baseline variance recursion as a plain loop."""
@@ -314,16 +319,30 @@ class TestFitGarch11:
         np.testing.assert_allclose(s2, garch11_path(fit.params, r), rtol=1e-12)
 
     def test_loglik_at_cap_has_no_penalty(self):
-        # this fit ends past the persistence cap, where the optimizer's
-        # objective carries the penalty; loglik must not
+        # this fit ends on the persistence cap a + b <= 0.999, where the
+        # likelihood still rises along a and b equally: a KKT point of the
+        # face with a positive multiplier, whose loglik is the plain one
         series, _ = simulate(SimConfig(MODEL_I, length=500, seed=3, burn_in=200))
         r = series.centers
         fit = fit_garch11(r)
-        assert fit.params.persistence > 0.999
-        assert not fit.converged
+        assert 0.999 - 1e-12 <= fit.params.persistence <= 0.999
+        assert fit.converged
+
+        def loglik(omega, a, b):
+            s2 = garch11_path(Garch11Params(omega, a, b), r)
+            return -0.5 * np.sum(np.log(2.0 * np.pi) + np.log(s2) + r**2 / s2)
+
+        theta = np.array([fit.params.omega, fit.params.a, fit.params.b])
+        step = 1e-6
+        diffs = [
+            (loglik(*(theta + step * e)) - loglik(*(theta - step * e))) / (2 * step)
+            for e in np.eye(3)
+        ]
+        assert abs(diffs[0]) < 1e-4
+        assert diffs[1] > 1.0
+        assert diffs[1] == pytest.approx(diffs[2], rel=1e-4)
         s2 = garch11_path(fit.params, r)
-        by_hand = -0.5 * np.sum(np.log(2.0 * np.pi) + np.log(s2) + r**2 / s2)
-        assert fit.loglik == pytest.approx(by_hand, rel=1e-12)
+        assert fit.loglik == pytest.approx(loglik(*theta), rel=1e-12)
         np.testing.assert_array_equal(fit.sigma2_path, s2)
 
     def test_too_short(self):
@@ -367,6 +386,11 @@ class TestRvProxy:
     def test_negative_noise(self):
         with pytest.raises(DataError, match="noise_sd"):
             rv_proxy([1.0], 1.8, noise_sd=-0.1)
+
+    @pytest.mark.parametrize("noise_sd", [math.nan, math.inf])
+    def test_nonfinite_noise(self, noise_sd):
+        with pytest.raises(DataError, match="noise_sd"):
+            rv_proxy([1.0], 1.8, noise_sd=noise_sd)
 
 
 # ---------------------------------------------------------------------------
