@@ -317,6 +317,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_backtest(args) -> int:
+    if not np.isfinite(args.train):
+        raise DataError(f"--train must be finite, got {args.train}")
     days = load_csv(args.bars, "daily_bars")
     if len(days) < 3:
         raise DataError("insufficient data: need at least 3 days")

@@ -11,14 +11,15 @@ Stage two maximizes the conditional log-likelihood
 by projected Newton (Bertsekas 1982) with analytic score and Hessian:
 the coefficients are bounded below by 0, and one held at 0 is released
 as soon as its score points back into the interior. Its settings are
-fixed (at most 200 steps of at most 30 halvings, gradient tolerance 1e-6),
-and it starts with mu at 0.4 of the implied mean scale and a weight of 0.2
-in each coefficient group. The same optimizer fits the GARCH(1,1) baseline
-in evaluate. Pre-sample lags are set to their stationary expectations
-(centers 0, radii k*E(h;theta), h either E(h;theta) or 0), and because
-E(h;theta) moves with theta, its first and second derivatives are carried
-through the recursions; the resulting score and Hessian match finite
-differences of the likelihood to near machine precision.
+fixed, and the same for the GARCH(1,1) baseline in evaluate: at most 200
+steps of at most 30 halvings, converged once every projected score is
+below 1e-6. It starts with mu at 0.4 of the implied mean scale and a
+weight of 0.2 in each coefficient group. Pre-sample lags are set to
+their stationary expectations (centers 0, radii k*E(h;theta), h either
+E(h;theta) or 0), and because E(h;theta) moves with theta, its first and
+second derivatives are carried through the recursions; the resulting
+score and Hessian match finite differences of the likelihood to near
+machine precision.
 
 The recursion h_t = base_t + sum_j gamma_j h_{t-j} and the identical
 recursion for the d columns of dh/dtheta are solved by process.recurse,
@@ -29,7 +30,8 @@ u~ is the reverse filter of the score weights u with the same gamma, and
 the second-derivative source Q_t is nonzero only in the gamma rows and
 columns, in the rows t < i of the pre-sample radius terms of beta_i, and
 in the folded pre-sample rows t < w. So the term costs a few d-wide
-contractions and needs no (T, d, d) array.
+contractions and needs no (T, d, d) array. _recursion_derivs, shared
+with the baseline, takes the gamma rows and columns.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ __all__ = [
 _BOUNDARY_EPS = 1e-8
 # keep the weight sum strictly inside the mean-stationary region during fitting
 _STATIONARITY_MARGIN = 1e-10
+# the projected Newton's settings, the same for every model it fits
+_MAX_STEPS = 200
+_GRADIENT_TOL = 1e-6
+_MAX_HALVINGS = 30
 
 MIN_OBS_PER_PARAM = 10
 # init_theta's start point: mu as a fraction of h-bar, each group's weight
@@ -241,6 +247,29 @@ def _fold(source: np.ndarray, gamma: np.ndarray, init) -> np.ndarray:
     return src
 
 
+def _recursion_derivs(src, gamma, d0, u, v, ar) -> tuple:
+    """Gradient and Hessian of sum_t f_t(y_t), y_t = base_t + sum_j
+    gamma_j y_{t-j}: src is the direct derivative of base_t and y_{t-j}
+    in theta, d0 that of the pre-sample y, u and v are f_t' and f_t'', and
+    columns `ar` hold gamma_1, gamma_2, ... Returns (grad, hess, ur): D'u
+    and (D v)'D, D the derivative columns, plus the second-order term of
+    the `ar` rows and columns; ur, the reverse filter of u, weighs the
+    caller's other second-order sources.
+    """
+    D = recurse(_fold(src, gamma, d0), gamma)
+    grad = D.T @ u
+    hess = (D * v[:, None]).T @ D
+    ur = recurse(u[::-1], gamma)[::-1]
+    w = len(gamma)
+    D_ext = np.empty((w + len(u), D.shape[1]))
+    D_ext[:w], D_ext[w:] = d0, D
+    for i, col in enumerate(ar, 1):
+        z = ur @ D_ext[w - i : w - i + len(u)]
+        hess[col, :] += z
+        hess[:, col] += z
+    return grad, hess, ur
+
+
 def _h_recursion(
     k: float,
     theta: np.ndarray,
@@ -249,7 +278,7 @@ def _h_recursion(
     o: ModelOrders,
     init_mode: InitMode,
 ) -> tuple:
-    """h path plus the extended lag arrays and the pre-sample h."""
+    """h path (finite and positive), the extended lag arrays, pre-sample h."""
     T = lam.shape[0]
     m = o.max_lag
     mu, alpha, beta, gamma = _split_theta(theta, o)
@@ -264,6 +293,8 @@ def _h_recursion(
     for i in range(1, o.q + 1):
         base += beta[i - 1] * dlt_ext[m - i : m - i + T]
     h = recurse(_fold(base, gamma, h0), gamma)
+    if not np.all(np.isfinite(h)) or np.any(h <= 0):
+        raise NumericalError("numerical overflow in h recursion")
     return h, abs_lam_ext, dlt_ext, h0
 
 
@@ -276,8 +307,6 @@ def _loglik_raw(
     init_mode: InitMode,
 ) -> tuple:
     h, *_ = _h_recursion(k, theta, lam, dlt, o, init_mode)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0):
-        raise NumericalError("numerical overflow in h recursion")
     ll = float(np.sum(-(k + 1.0) * np.log(h) - lam**2 / (2.0 * h * h) - dlt / h))
     return ll, h
 
@@ -296,8 +325,6 @@ def _score_hessian_raw(
     m = o.max_lag
     _, _, beta, gamma = _split_theta(theta, o)
     h, abs_lam_ext, dlt_ext, h0 = _h_recursion(k, theta, lam, dlt, o, init_mode)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0):
-        raise NumericalError("numerical overflow in h recursion")
     _, level_grad, level_hess = _level_grad_hess(k, theta, o)
     k_level_grad = k * level_grad
     mean_init = init_mode is InitMode.MEAN_H
@@ -306,32 +333,16 @@ def _score_hessian_raw(
     # first-derivative source: the direct derivative of h_t in theta
     # [1, |lam| lags, del lags, h lags] plus the pre-sample radius terms
     h_ext = np.concatenate((np.full(m, h0), h))
-    src = np.empty((T, d))
-    src[:, 0] = 1.0
-    for i in range(1, o.p + 1):
-        src[:, i] = abs_lam_ext[m - i : m - i + T]
-    for i in range(1, o.q + 1):
-        src[:, o.p + i] = dlt_ext[m - i : m - i + T]
-    for i in range(1, o.w + 1):
-        src[:, o.p + o.q + i] = h_ext[m - i : m - i + T]
+    groups = ((abs_lam_ext, o.p), (dlt_ext, o.q), (h_ext, o.w))
+    lagged = [x[m - i : m - i + T] for x, n in groups for i in range(1, n + 1)]
+    src = np.column_stack([np.ones(T)] + lagged)
     for i in range(1, o.q + 1):
         src[:i] += beta[i - 1] * k_level_grad  # rows whose del_{t-i} is pre-sample
-    D = recurse(_fold(src, gamma, dh0), gamma)
-
     u = -(k + 1.0) / h + lam**2 / h**3 + dlt / h**2
     v = (k + 1.0) / h**2 - 3.0 * lam**2 / h**4 - 2.0 * dlt / h**3
-    grad = D.T @ u
-    hess = (D * v[:, None]).T @ D
+    grad, hess, ur = _recursion_derivs(src, gamma, dh0, u, v, range(o.p + o.q + 1, d))
 
-    # second-order term sum_t u_t d2h_t/dtheta2 in adjoint form: sum_t ur_t Q_t,
-    # with ur the reverse filter of u and Q_t the second-derivative source
-    ur = recurse(u[::-1], gamma)[::-1]
-    D_ext = np.concatenate((np.tile(dh0, (m, 1)), D), axis=0)
-    for i in range(1, o.w + 1):
-        z = ur @ D_ext[m - i : m - i + T]
-        gi = o.p + o.q + i
-        hess[gi, :] += z
-        hess[:, gi] += z
+    # the second-order terms of the pre-sample levels, weighted by ur
     for i in range(1, o.q + 1):
         weight = ur[:i].sum()  # rows whose del_{t-i} is pre-sample
         bi = o.p + i
@@ -399,9 +410,6 @@ def _projected_newton(
     theta0: np.ndarray,
     lower: np.ndarray,
     feasible,
-    max_iterations: int,
-    gradient_tolerance: float,
-    step_halving_limit: int,
     face=None,
 ) -> tuple:
     """Maximize objective(theta) subject to theta >= lower, feasible(theta)
@@ -415,13 +423,15 @@ def _projected_newton(
     (Bertsekas 1982; Nocedal & Wright 2006, ch. 16); the others take a
     Newton step, with a ridge on their Hessian raised until the step
     points uphill. The step is projected onto the face and the bounds and
-    halved until the point is feasible and no worse.
+    halved until the point is feasible and no worse. The settings are the
+    module's, the same for every model: at most _MAX_STEPS steps of at most
+    _MAX_HALVINGS halvings, stopping once |kkt| < _GRADIENT_TOL.
 
     Returns (theta, value, kkt, hess, stop_reason, iterations, trace):
     kkt is the gradient at theta less the face's multiplier times c, with
     the held coordinates zeroed, hess the Hessian there, iterations the
-    number of Newton steps, and stop_reason "gradient tolerance", "no
-    uphill step" or "iteration cap".
+    number of Newton steps, and stop_reason "gradient tolerance" (the
+    only converged one), "no uphill step" or "iteration cap".
     """
     theta = np.array(theta0, dtype=float)
     normal, level = face or (np.zeros(theta.size), np.inf)
@@ -440,9 +450,9 @@ def _projected_newton(
             mult = max(0.0, along @ grad / (along @ along)) if along.any() else 0.0
             held = at_bound & (grad - mult * normal < 0)
         kkt = np.where(held, 0.0, grad - mult * normal)
-        if np.max(np.abs(kkt)) < gradient_tolerance:
+        if np.max(np.abs(kkt)) < _GRADIENT_TOL:
             return theta, value, kkt, hess, "gradient tolerance", iterations, trace
-        if iterations == max_iterations:
+        if iterations == _MAX_STEPS:
             return theta, value, kkt, hess, "iteration cap", iterations, trace
         iterations += 1
         free = ~held
@@ -468,7 +478,7 @@ def _projected_newton(
         step = lower - theta
         step[free] = direction
         improved = False
-        for halving in range(step_halving_limit + 1):
+        for halving in range(_MAX_HALVINGS + 1):
             cand = np.maximum(theta + step / (2.0**halving), lower)
             for _ in range(theta.size):  # onto the face along the coordinates off their bounds
                 excess = normal @ cand - level
@@ -525,9 +535,6 @@ def fit_mle(
         start.theta,
         lower,
         lambda th: _feasible(k, th, orders),
-        max_iterations=200,
-        gradient_tolerance=1e-6,
-        step_halving_limit=30,
     )
     params = start.with_theta(theta)
     names = np.array(params.param_names())

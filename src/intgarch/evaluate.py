@@ -15,7 +15,9 @@ sigma2, and takes any finite values.
 compare() aligns per-model forecast series on dates, computes the three
 metrics, and marks the winner per metric. run_backtest() is the CLI's
 walk-forward of interval-model forecasts against a GARCH(1,1) baseline
-on scalar returns, fit with its persistence a + b <= 0.999 as a face.
+on scalar returns, fit with its persistence a + b <= 0.999 as a face by
+the interval model's projected Newton, under the same settings and the
+same rule for converged.
 simulation_study() runs the estimator over the four benchmark designs and
 tabulates recovery statistics.
 """
@@ -30,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimate import _projected_newton, fit_mle
+from .estimate import _projected_newton, _recursion_derivs, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
 from .forecast import _horizons, rolling_forecast
 from .intervals import IntervalSeries
@@ -110,7 +112,8 @@ class Garch11Params:
 
 @dataclass(frozen=True)
 class Garch11Fit:
-    """Quasi-MLE result for the baseline; stop_reason as in FittedModel."""
+    """Quasi-MLE result for the baseline; stop_reason and converged as in
+    FittedModel: converged means stop_reason is "gradient tolerance"."""
 
     params: Garch11Params
     loglik: float
@@ -199,26 +202,17 @@ def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> float
 
 
 def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
-    """Gradient and Hessian of _garch_objective."""
-    b = theta[2]
+    """Gradient and Hessian of _garch_objective: the variance path is an
+    AR(1) in b fixed at t=0, so its derivative source is [1, r2, sigma2]
+    lagged once, with no pre-sample term."""
     s2 = _garch_variance(theta, r2, s2_init)
-    # dsigma2/dtheta via the same AR(1) recurrence; the path is fixed at t=0
-    src_d = np.zeros((r2.size, 3))
-    src_d[1:, 0] = 1.0
-    src_d[1:, 1] = r2[:-1]
-    src_d[1:, 2] = s2[:-1]
-    d = recurse(src_d, [b])
-
-    g = 0.5 * (r2 / s2**2 - 1.0 / s2)
-    q = 0.5 * (1.0 / s2**2 - 2.0 * r2 / s2**3)
-    grad = d.T @ g
-    hess = (d * q[:, None]).T @ d
-    # second-order term sum_t g_t d2sigma2_t/dtheta2 in adjoint form: its
-    # source at t is D_{t-1} e_b^T + e_b D_{t-1}^T, weighted by the reverse
-    # filter of g
-    z = recurse(g[::-1], [b])[::-1][1:] @ d[:-1]
-    hess[2, :] += z
-    hess[:, 2] += z
+    src = np.zeros((r2.size, 3))
+    src[1:, 0] = 1.0
+    src[1:, 1] = r2[:-1]
+    src[1:, 2] = s2[:-1]
+    u = 0.5 * (r2 / s2**2 - 1.0 / s2)
+    v = 0.5 * (1.0 / s2**2 - 2.0 * r2 / s2**3)
+    grad, hess, _ = _recursion_derivs(src, theta[2:], 0.0, u, v, [2])
     return grad, hess
 
 
@@ -258,9 +252,12 @@ def fit_garch11(returns) -> Garch11Fit:
     are tried (a GARCH-shaped one and a near-white-noise one, whose basin
     wins on serially independent data where the likelihood is flat along
     the b ridge); each runs the projected Newton of the interval model,
-    with the analytic gradient and Hessian and the face a + b <= 0.999. A
-    fit on that cap has persistence 0.999. converged means the KKT
-    conditions hold, cap included; an unconverged fit is not raised.
+    under its fixed settings, with the analytic gradient and Hessian and
+    the face a + b <= 0.999. A fit on that cap has persistence 0.999. The
+    higher loglik wins; within 1e-9 * (1 + |loglik|) the converged start
+    wins, then the lower persistence. converged means the stop reason is
+    "gradient tolerance", so the KKT conditions hold, cap included; an
+    unconverged fit is not raised.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
@@ -275,40 +272,31 @@ def fit_garch11(returns) -> Garch11Fit:
     r2 = r * r
     lower = np.array([1e-12 * max(v, 1e-12), 0.0, 0.0])
 
-    starts = (np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0]))
-    best = None
-    iterations = 0
-    for x0 in starts:
-        sol = _projected_newton(
+    sols = [
+        _projected_newton(
             lambda th: _garch_objective(th, r2, v),
             lambda th: _garch_derivs(th, r2, v),
             x0,
             lower,
             lambda th: True,
-            max_iterations=200,
-            gradient_tolerance=1e-8,
-            step_halving_limit=40,
             face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP),
         )
-        iterations += sol[5]
-        if best is None:
-            best = sol
-            continue
-        # keep the clearly better optimum; on a tie prefer low persistence
-        tol = 1e-9 * (1.0 + abs(best[1]))
-        if sol[1] > best[1] + tol:
-            best = sol
-        elif sol[1] >= best[1] - tol and sol[0][1] + sol[0][2] < best[0][1] + best[0][2]:
-            best = sol
-    theta, value, kkt, _, stop_reason, _, _ = best
+        for x0 in (np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0]))
+    ]
+    # drop a clearly worse optimum; on a tie prefer the converged start,
+    # then low persistence, then the first
+    floor = max(s[1] for s in sols) - 1e-9 * (1.0 + abs(sols[0][1]))
+    theta, value, _, _, stop_reason, _, _ = min(
+        sols, key=lambda s: (s[1] < floor, s[4] != "gradient tolerance", s[0][1] + s[0][2])
+    )
 
     # the bounds and the face keep these parameters constructible
     return Garch11Fit(
         params=Garch11Params(*(float(x) for x in theta)),
         loglik=value - 0.5 * r.size * math.log(2.0 * math.pi),
-        converged=bool(np.max(np.abs(kkt)) < 1e-6),
+        converged=stop_reason == "gradient tolerance",
         stop_reason=stop_reason,
-        iterations=iterations,
+        iterations=sum(s[5] for s in sols),
         n_obs=int(r.size),
         sigma2_path=_garch_variance(theta, r2, v),
     )

@@ -631,6 +631,18 @@ class TestBacktest:
         assert run("backtest", "--bars", str(bars_csv), "--train", "200") == 2
         assert "train_size must split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train", ["nan", "inf"])
+    def test_non_finite_train_exits_two(self, bars_csv, capsys, train):
+        assert run("backtest", "--bars", str(bars_csv), "--train", train) == 2
+        err = capsys.readouterr().err
+        assert "--train must be finite" in err and "Traceback" not in err
+
+    def test_non_finite_train_from_config_exits_two(self, bars_csv, tmp_path, capsys):
+        cfg = tmp_path / "bt.cfg"
+        cfg.write_text("train = nan\n")
+        assert run("backtest", "--config", str(cfg), "--bars", str(bars_csv)) == 2
+        assert "--train must be finite" in capsys.readouterr().err
+
     def test_hmse_separates_from_minus_one(self, prices_csv, tmp_path, capsys):
         # rv is a variance of about 1e-4 here; squared, rv²/σ² was about
         # 1e-4 and every HMSE read -0.9999

@@ -366,12 +366,7 @@ class TestFitMle:
         assert fitted.stop_reason == "gradient tolerance"
 
     def test_iteration_cap_is_reported(self, sample, monkeypatch):
-        newton = estimate._projected_newton
-
-        def one_step(*args, **kwargs):
-            return newton(*args, **{**kwargs, "max_iterations": 1})
-
-        monkeypatch.setattr(estimate, "_projected_newton", one_step)
+        monkeypatch.setattr(estimate, "_MAX_STEPS", 1)
         f = fit_mle(sample, ORDERS_111)
         assert not f.converged
         assert f.stop_reason == "iteration cap"
@@ -399,7 +394,7 @@ class TestProjectedNewton:
         theta, value, kkt, _, stop, _, _ = _projected_newton(
             lambda x: -float(np.sum((x - c) ** 2)),
             lambda x: (-2.0 * (x - c), -2.0 * np.eye(2)),
-            np.array([0.0, 0.5]), np.zeros(2), lambda x: True, 50, 1e-10, 30,
+            np.array([0.0, 0.5]), np.zeros(2), lambda x: True,
         )
         np.testing.assert_allclose(theta, [1.0, 0.0], atol=1e-12)
         assert value == pytest.approx(-1.0, abs=1e-12)
@@ -424,7 +419,7 @@ class TestProjectedNewton:
             return score_and_hessian(m.with_theta(th), sample)
 
         theta, value, kkt, _, stop, _, _ = _projected_newton(
-            objective, derivs, start, lower, lambda th: _feasible(k, th, ORDERS_111), 200, 1e-6, 30
+            objective, derivs, start, lower, lambda th: _feasible(k, th, ORDERS_111)
         )
         assert stop == "gradient tolerance"
         assert theta[1] > 0
@@ -442,7 +437,7 @@ class TestProjectedNewton:
         theta, _, kkt, _, stop, _, _ = _projected_newton(
             lambda x: -float(np.sum((x - target) ** 2)),
             lambda x: (grad(x), -2.0 * np.eye(2)),
-            np.array(start), np.zeros(2), lambda x: True, 50, 1e-10, 30,
+            np.array(start), np.zeros(2), lambda x: True,
             face=(np.ones(2), 1.0),
         )
         return theta, grad(theta), kkt, stop
@@ -477,7 +472,7 @@ class TestProjectedNewton:
         *_, stop, _, _ = _projected_newton(
             lambda x: 0.0 if x[0] == 0.5 else -1.0,
             lambda x: (np.array([1.0]), np.array([[-1.0]])),
-            theta0, np.zeros(1), lambda x: True, 10, 1e-10, 5,
+            theta0, np.zeros(1), lambda x: True,
         )
         assert stop == "no uphill step"
 

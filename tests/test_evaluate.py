@@ -21,6 +21,7 @@ from intgarch import (
     SimConfig,
     compare,
     fit_garch11,
+    fit_mle,
     garch11_forecast,
     garch11_path,
     hmse,
@@ -358,6 +359,47 @@ class TestFitGarch11:
         r[-1] = np.nan
         with pytest.raises(DataError, match="finite"):
             fit_garch11(r)
+
+
+class TestFittingContract:
+    """Both models fit under the same projected Newton, and a fit is
+    converged exactly when it stopped at the gradient tolerance."""
+
+    @pytest.mark.parametrize("seed,n", [(46, 500), (85, 504)])
+    def test_converged_start_wins_a_tie(self, seed, n, monkeypatch):
+        # both starts end on the persistence cap with equal logliks; one
+        # stops at the gradient tolerance and the other, its persistence
+        # one rounding error lower, finds no uphill step
+        from intgarch import evaluate
+
+        starts = []
+        newton = evaluate._projected_newton
+
+        def recorded(*args, **kwargs):
+            starts.append(newton(*args, **kwargs))
+            return starts[-1]
+
+        monkeypatch.setattr(evaluate, "_projected_newton", recorded)
+        series, _ = simulate(SimConfig(MODEL_I, length=n, seed=seed, burn_in=200))
+        fit = fit_garch11(series.centers)
+        assert sorted(s[4] for s in starts) == ["gradient tolerance", "no uphill step"]
+        assert fit.converged
+        best = max(s[1] for s in starts)
+        assert fit.loglik + 0.5 * n * math.log(2.0 * math.pi) >= best - 1e-9 * (1.0 + abs(best))
+
+    def test_baseline_converged_is_its_stop_reason(self):
+        # seeds 41 and 48-50 stopped with no uphill step at |kkt| < 1e-6
+        # when the baseline's own tolerance was 1e-8
+        for seed in range(40, 60):
+            series, _ = simulate(SimConfig(MODEL_I, length=300, seed=seed, burn_in=200))
+            fit = fit_garch11(series.centers)
+            assert fit.converged == (fit.stop_reason == "gradient tolerance"), seed
+
+    def test_interval_converged_is_its_stop_reason(self):
+        for seed in range(40, 60):
+            series, _ = simulate(SimConfig(MODEL_I, length=300, seed=seed, burn_in=200))
+            fit = fit_mle(series, MODEL_I.orders)
+            assert fit.converged == (fit.stop_reason == "gradient tolerance"), seed
 
 
 # ---------------------------------------------------------------------------
