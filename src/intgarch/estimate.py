@@ -14,7 +14,10 @@ as soon as its score points back into the interior. Its settings are
 fixed, and the same for the GARCH(1,1) baseline in evaluate: at most 200
 steps of at most 30 halvings, converged once every projected score is
 below 1e-6. It starts with mu at 0.4 of the implied mean scale and a
-weight of 0.2 in each coefficient group. Pre-sample lags are set to
+weight of 0.2 in each coefficient group; a walk-forward refit instead
+starts from the previous fit, when that is feasible under the new k-hat,
+and runs from the cold start only if that run does not converge
+(_warm_then_cold, shared with the baseline). Pre-sample lags are set to
 their stationary expectations (centers 0, radii k*E(h;theta), h either
 E(h;theta) or 0), and because E(h;theta) moves with theta, its first and
 second derivatives are carried through the recursions; the resulting
@@ -499,17 +502,49 @@ def _projected_newton(
             return theta, value, kkt, hess, "no uphill step", iterations, trace
 
 
+def _warm_then_cold(newton, cold_starts, warm=None, persistence=None) -> tuple:
+    """One fit's projected-Newton runs: from `warm` when given, and from
+    each of `cold_starts` only if that run does not converge.
+
+    newton(theta0) is one _projected_newton run from theta0; a warm run
+    that raises NumericalError counts as unconverged. Among the runs, one
+    more than 1e-9 * (1 + |first run's value|) below the best is dropped;
+    of the rest a converged run wins, then the lower persistence(theta)
+    where given, then the earlier run. Returns the winner's
+    _projected_newton tuple with iterations summed over every run.
+    """
+    runs = []
+    if warm is not None:
+        try:
+            runs.append(newton(warm))
+        except NumericalError:
+            pass
+    if not runs or runs[0][4] != "gradient tolerance":
+        runs += [newton(x0) for x0 in cold_starts]
+    floor = max(r[1] for r in runs) - 1e-9 * (1.0 + abs(runs[0][1]))
+    best = min(runs, key=lambda r: (
+        r[1] < floor, r[4] != "gradient tolerance", persistence(r[0]) if persistence else 0))
+    return best[:5] + (sum(r[5] for r in runs),) + best[6:]
+
+
 def fit_mle(
     series: IntervalSeries,
     orders: ModelOrders,
     init_mode: InitMode = InitMode.MEAN_H,
+    *,
+    start: ModelParams | None = None,
 ) -> FittedModel:
     """Two-stage fit: moment k, then projected-Newton MLE for the scale
     parameters.
 
-    Newton starts at init_theta, takes at most 200 steps of at most 30
-    halvings, and converges once every projected score is below 1e-6;
-    init_mode sets the pre-sample h. A coefficient that reaches 0 is held
+    Newton takes at most 200 steps of at most 30 halvings, and converges
+    once every projected score is below 1e-6; init_mode sets the pre-sample
+    h. It starts at init_theta, unless `start` (say, the previous refit's
+    parameters in a walk-forward) is given and its scale parameters are
+    feasible under this sample's k: then Newton runs from those first, and
+    from init_theta only if that run does not converge, the better run
+    winning (see _warm_then_cold); iterations counts the steps of both,
+    and loglik_trace is the winner's. A coefficient that reaches 0 is held
     there only while its score points outward, so a converged fit meets the
     bound-constrained optimality (KKT) conditions in every coefficient.
     Coefficients that end at exactly 0 are listed in `boundary`. Standard
@@ -522,21 +557,28 @@ def fit_mle(
             f"insufficient data: need at least {min_len} observations "
             f"for orders ({orders.p},{orders.q},{orders.w}), got {len(series)}"
         )
+    if start is not None and start.orders != orders:
+        raise ModelError(f"start has orders {start.orders}, the fit {orders}")
     k = estimate_k(series)
-    start = init_theta(series, k, orders)
+    cold = init_theta(series, k, orders)
+    warm = start.theta if start is not None and _feasible(k, start.theta, orders) else None
     lam = series.centers
     dlt = series.radii
     lower = np.zeros(orders.n_params)
     lower[0] = -np.inf  # mu > 0 is part of the feasibility check
 
-    theta, ll, kkt, hess, stop_reason, iterations, trace = _projected_newton(
-        lambda th: _loglik_raw(k, th, lam, dlt, orders, init_mode)[0],
-        lambda th: _score_hessian_raw(k, th, lam, dlt, orders, init_mode),
-        start.theta,
-        lower,
-        lambda th: _feasible(k, th, orders),
+    theta, ll, kkt, hess, stop_reason, iterations, trace = _warm_then_cold(
+        lambda th0: _projected_newton(
+            lambda th: _loglik_raw(k, th, lam, dlt, orders, init_mode)[0],
+            lambda th: _score_hessian_raw(k, th, lam, dlt, orders, init_mode),
+            th0,
+            lower,
+            lambda th: _feasible(k, th, orders),
+        ),
+        [cold.theta],
+        warm,
     )
-    params = start.with_theta(theta)
+    params = cold.with_theta(theta)
     names = np.array(params.param_names())
     free = theta > lower
     _, h_path = _loglik_raw(k, theta, lam, dlt, orders, init_mode)

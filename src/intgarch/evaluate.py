@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimate import _projected_newton, _recursion_derivs, fit_mle
+from .estimate import _projected_newton, _recursion_derivs, _warm_then_cold, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
 from .forecast import _horizons, rolling_forecast
 from .intervals import IntervalSeries
@@ -245,19 +245,23 @@ def garch11_forecast(
     return recurse(source, [params.a + params.b])
 
 
-def fit_garch11(returns) -> Garch11Fit:
+def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
     """Gaussian quasi-MLE of the baseline on scalar returns.
 
-    The variance path starts at the sample variance. Two starting points
-    are tried (a GARCH-shaped one and a near-white-noise one, whose basin
-    wins on serially independent data where the likelihood is flat along
-    the b ridge); each runs the projected Newton of the interval model,
-    under its fixed settings, with the analytic gradient and Hessian and
-    the face a + b <= 0.999. A fit on that cap has persistence 0.999. The
-    higher loglik wins; within 1e-9 * (1 + |loglik|) the converged start
-    wins, then the lower persistence. converged means the stop reason is
-    "gradient tolerance", so the KKT conditions hold, cap included; an
-    unconverged fit is not raised.
+    The variance path starts at the sample variance. Two cold starting
+    points are tried (a GARCH-shaped one and a near-white-noise one, whose
+    basin wins on serially independent data where the likelihood is flat
+    along the b ridge); each runs the projected Newton of the interval
+    model, under its fixed settings, with the analytic gradient and
+    Hessian and the face a + b <= 0.999. A fit on that cap has persistence
+    0.999. The higher loglik wins; within 1e-9 * (1 + |loglik|) the
+    converged start wins, then the lower persistence. Given `start` (say,
+    the previous refit's parameters in a walk-forward), raised to the
+    bounds and with a + b <= 0.999, Newton runs from it first, and the
+    cold starts run only if that run does not converge; the same rule
+    picks among all runs, and iterations counts the steps of every run.
+    converged means the stop reason is "gradient tolerance", so the KKT
+    conditions hold, cap included; an unconverged fit is not raised.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
@@ -271,23 +275,24 @@ def fit_garch11(returns) -> Garch11Fit:
         raise DataError("degenerate returns: zero variance")
     r2 = r * r
     lower = np.array([1e-12 * max(v, 1e-12), 0.0, 0.0])
+    warm = None
+    if start is not None:
+        warm = np.maximum([start.omega, start.a, start.b], lower)
+        if warm[1] + warm[2] > _GARCH_CAP:
+            warm = None
 
-    sols = [
-        _projected_newton(
+    theta, value, _, _, stop_reason, iterations, _ = _warm_then_cold(
+        lambda x0: _projected_newton(
             lambda th: _garch_objective(th, r2, v),
             lambda th: _garch_derivs(th, r2, v),
             x0,
             lower,
             lambda th: True,
             face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP),
-        )
-        for x0 in (np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0]))
-    ]
-    # drop a clearly worse optimum; on a tie prefer the converged start,
-    # then low persistence, then the first
-    floor = max(s[1] for s in sols) - 1e-9 * (1.0 + abs(sols[0][1]))
-    theta, value, _, _, stop_reason, _, _ = min(
-        sols, key=lambda s: (s[1] < floor, s[4] != "gradient tolerance", s[0][1] + s[0][2])
+        ),
+        [np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0])],
+        warm,
+        persistence=lambda th: th[1] + th[2],
     )
 
     # the bounds and the face keep these parameters constructible
@@ -296,7 +301,7 @@ def fit_garch11(returns) -> Garch11Fit:
         loglik=value - 0.5 * r.size * math.log(2.0 * math.pi),
         converged=stop_reason == "gradient tolerance",
         stop_reason=stop_reason,
-        iterations=sum(s[5] for s in sols),
+        iterations=iterations,
         n_obs=int(r.size),
         sigma2_path=_garch_variance(theta, r2, v),
     )
@@ -433,7 +438,10 @@ def run_backtest(
     period t). scalar_returns feeds the baseline; interval centers are the
     fallback when no closing returns exist. Both models forecast from the
     same origins: the interval model refits on the schedule, and the
-    baseline refits on the same growing sample exactly where it did.
+    baseline refits on the same growing sample exactly where it did. Each
+    refit of either model after its first starts from that model's last
+    fit (the `start` of fit_mle and fit_garch11); the in-sample fits of
+    include_insample start cold.
 
     Returns (reports, info) where info records skipped refits, failed
     baseline refits as (origin, message) pairs, and one (origin,
@@ -476,7 +484,9 @@ def run_backtest(
         if res.refit_converged is not None:
             intgarch_converged.append((t, res.refit_converged))
             try:
-                garch_fit = fit_garch11(returns[: t + 1])
+                garch_fit = fit_garch11(
+                    returns[: t + 1], start=None if garch_fit is None else garch_fit.params
+                )
                 garch_converged.append((t, garch_fit.converged))
             except IntGarchError as exc:
                 if garch_fit is None:

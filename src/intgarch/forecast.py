@@ -141,11 +141,15 @@ def rolling_forecast(
     """Walk-forward forecasts with periodic refitting.
 
     The model is fit on the first train_size observations and refit on the
-    growing sample at every refit_every-th origin thereafter. Each origin
-    t in train_size-1 .. len(series)-1 yields forecasts for 1..max(horizons)
-    steps ahead, with init_mode as the pre-sample mode. A failed refit
-    skips that origin (recorded in the second return value) and keeps the
-    previous parameters for later origins. Each result's refit_converged
+    growing sample at every refit_every-th origin thereafter. Each refit
+    after the first successful one starts from that last fit's parameters
+    (fit_mle's `start`). Each origin t in train_size-1 .. len(series)-1
+    yields forecasts for 1..max(horizons) steps ahead, with init_mode as
+    the pre-sample mode; origins that reuse a fit slice their h path from
+    one evaluation under it that stops at the next scheduled refit (and is
+    redone past it if that refit fails). A failed refit skips that origin
+    (recorded in the second return value) and keeps the previous
+    parameters for later origins. Each result's refit_converged
     is the converged flag of the refit at its origin, None where none was.
 
     Returns
@@ -167,17 +171,25 @@ def rolling_forecast(
     results: list = []
     skipped: list = []
     fitted: FittedModel | None = None
+    h_span = None  # fitted's h path up to the next scheduled refit, made at a reuse
     for t in range(train_size - 1, n):
         refit = fitted is None or (t - (train_size - 1)) % refit_every == 0
         if refit:
             try:
-                fitted = fit_mle(series[: t + 1], orders, init_mode)
+                fitted = fit_mle(
+                    series[: t + 1], orders, init_mode,
+                    start=None if fitted is None else fitted.params,
+                )
             except IntGarchError as exc:
                 skipped.append((t, str(exc)))
                 continue
-            h_path = fitted.h_path
+            h_path, h_span = fitted.h_path, None
         else:
-            _, h_path = loglik_eval(fitted.params, series[: t + 1], init_mode)
+            if h_span is None or len(h_span) <= t:  # none yet, or a refit failed
+                stop = min(t + refit_every - (t - (train_size - 1)) % refit_every, n)
+                _, h_span = loglik_eval(fitted.params, series[:stop], init_mode)
+            # element t depends only on the first t + 1 observations
+            h_path = h_span[: t + 1]
         res = forecast(fitted.params, series, max_h, h_path=h_path, origin_index=t)
         results.append(replace(res, refit_converged=fitted.converged) if refit else res)
     return results, skipped

@@ -598,7 +598,7 @@ class TestBacktest:
         real = evaluate.fit_garch11
         monkeypatch.setattr(
             evaluate, "fit_garch11",
-            lambda r: dataclasses.replace(real(r), converged=False),
+            lambda r, start=None: dataclasses.replace(real(r, start=start), converged=False),
         )
         assert run("backtest", "--bars", str(bars_csv), "--train", "100",
                    "--horizons", "1", "--refit-every", "16") == 0
@@ -610,7 +610,7 @@ class TestBacktest:
         real = forecast_module.fit_mle
         monkeypatch.setattr(
             forecast_module, "fit_mle",
-            lambda *args: dataclasses.replace(real(*args), converged=False),
+            lambda *args, **kw: dataclasses.replace(real(*args, **kw), converged=False),
         )
         assert run("backtest", "--bars", str(bars_csv), "--train", "100",
                    "--horizons", "1", "--refit-every", "16") == 0

@@ -1,6 +1,7 @@
 """Multi-step volatility forecasts and the walk-forward harness."""
 
 import datetime as dt
+import importlib
 import math
 
 import numpy as np
@@ -321,6 +322,52 @@ class TestRollingForecast:
         manual = forecast(f.params, series, 1, h_path=h_path, origin_index=t)
         got = next(r for r in results if r.origin_index == t)
         assert got.h_hat[0] == pytest.approx(manual.h_hat[0], rel=1e-12)
+
+    @pytest.mark.parametrize("init_mode", list(InitMode))
+    def test_reused_h_paths_equal_per_origin_paths(self, series, monkeypatch, init_mode):
+        # origins that reuse a fit slice one path that runs to the next
+        # refit, and on past it where that refit fails (here at 206); it must
+        # equal, bit for bit, the path loglik_eval gives on series[: t + 1]
+        module = importlib.import_module("intgarch.forecast")
+        real, real_fit, seen = module.forecast, module.fit_mle, {}
+
+        def spy(params, series_, horizon, h_path=None, origin_index=None):
+            seen[origin_index] = (params, h_path)
+            return real(params, series_, horizon, h_path=h_path, origin_index=origin_index)
+
+        def fit(sample, *args, **kw):
+            if len(sample) == 207:
+                raise DataError("refit failed")
+            return real_fit(sample, *args, **kw)
+
+        monkeypatch.setattr(module, "forecast", spy)
+        monkeypatch.setattr(module, "fit_mle", fit)
+        _, skipped = rolling_forecast(series, ORDERS_111, horizons=[1], train_size=200,
+                                      refit_every=7, init_mode=init_mode)
+        reused = [t for t in range(199, 260) if (t - 199) % 7]
+        assert [t for t, _ in skipped] == [206]
+        assert sorted(seen) == [t for t in range(199, 260) if t != 206]
+        for t in reused:
+            params, h_path = seen[t]
+            _, want = loglik_eval(params, series[: t + 1], init_mode)
+            assert h_path.shape == want.shape and np.array_equal(h_path, want)
+
+    def test_overflow_at_the_final_refit_only_skips_it(self):
+        # k * beta1 = 0.75, so a radius near the float maximum overflows the
+        # next h; sitting at 254, it first enters h_255, and 255 is the last
+        # origin and a refit one. Only that refit fails: the reuse origins
+        # before it evaluate h no further than 254.
+        model = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
+        s, _ = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
+        radii = s.radii.copy()
+        radii[254] = 1e308
+        extreme = IntervalSeries(s.centers, radii)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results, skipped = rolling_forecast(
+                extreme, ORDERS_111, horizons=[1], train_size=200, refit_every=7
+            )
+        assert [t for t, _ in skipped] == [255]
+        assert [r.origin_index for r in results] == list(range(199, 255))
 
     def test_horizons_validated(self, series):
         with pytest.raises(DataError, match="horizons"):
