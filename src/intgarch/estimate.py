@@ -17,12 +17,15 @@ below 1e-6. It starts with mu at 0.4 of the implied mean scale and a
 weight of 0.2 in each coefficient group; a walk-forward refit instead
 starts from the previous fit, when that is feasible under the new k-hat,
 and runs from the cold start only if that run does not converge
-(_warm_then_cold, shared with the baseline). Pre-sample lags are set to
-their stationary expectations (centers 0, radii k*E(h;theta), h either
-E(h;theta) or 0), and because E(h;theta) moves with theta, its first and
-second derivatives are carried through the recursions; the resulting
-score and Hessian match finite differences of the likelihood to near
-machine precision.
+(_warm_then_cold, shared with the baseline). Each point is evaluated
+once: _loglik_raw returns the log-likelihood with the h path and lag
+arrays it built, the score and Hessian take those, and the fit keeps the
+winning run's h path. Pre-sample lags are set to their stationary
+expectations (centers 0, radii k*E(h;theta), h either E(h;theta) or 0),
+and because E(h;theta) moves with theta, its first and second
+derivatives are carried through the recursions; the resulting score and
+Hessian match finite differences of the likelihood to near machine
+precision.
 
 The recursion h_t = base_t + sum_j gamma_j h_{t-j} and the identical
 recursion for the d columns of dh/dtheta are solved by process.recurse,
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -273,7 +275,7 @@ def _recursion_derivs(src, gamma, d0, u, v, ar) -> tuple:
     return grad, hess, ur
 
 
-def _h_recursion(
+def _loglik_raw(
     k: float,
     theta: np.ndarray,
     lam: np.ndarray,
@@ -281,7 +283,8 @@ def _h_recursion(
     o: ModelOrders,
     init_mode: InitMode,
 ) -> tuple:
-    """h path (finite and positive), the extended lag arrays, pre-sample h."""
+    """Log-likelihood and its evaluation: the h path (finite and
+    positive), the extended |lam| and del lag arrays, pre-sample h."""
     T = lam.shape[0]
     m = o.max_lag
     mu, alpha, beta, gamma = _split_theta(theta, o)
@@ -298,20 +301,8 @@ def _h_recursion(
     h = recurse(_fold(base, gamma, h0), gamma)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise NumericalError("numerical overflow in h recursion")
-    return h, abs_lam_ext, dlt_ext, h0
-
-
-def _loglik_raw(
-    k: float,
-    theta: np.ndarray,
-    lam: np.ndarray,
-    dlt: np.ndarray,
-    o: ModelOrders,
-    init_mode: InitMode,
-) -> tuple:
-    h, *_ = _h_recursion(k, theta, lam, dlt, o, init_mode)
     ll = float(np.sum(-(k + 1.0) * np.log(h) - lam**2 / (2.0 * h * h) - dlt / h))
-    return ll, h
+    return ll, (h, abs_lam_ext, dlt_ext, h0)
 
 
 def _score_hessian_raw(
@@ -321,13 +312,15 @@ def _score_hessian_raw(
     dlt: np.ndarray,
     o: ModelOrders,
     init_mode: InitMode,
+    evaluation: tuple,
 ) -> tuple:
-    """Analytic score and Hessian of the conditional log-likelihood."""
+    """Analytic score and Hessian of the conditional log-likelihood, given
+    _loglik_raw's evaluation at theta."""
     T = lam.shape[0]
     d = o.n_params
     m = o.max_lag
     _, _, beta, gamma = _split_theta(theta, o)
-    h, abs_lam_ext, dlt_ext, h0 = _h_recursion(k, theta, lam, dlt, o, init_mode)
+    h, abs_lam_ext, dlt_ext, h0 = evaluation
     _, level_grad, level_hess = _level_grad_hess(k, theta, o)
     k_level_grad = k * level_grad
     mean_init = init_mode is InitMode.MEAN_H
@@ -374,9 +367,10 @@ def loglik_eval(
     """
     if len(series) == 0:
         raise DataError("empty input")
-    return _loglik_raw(
+    ll, (h, *_) = _loglik_raw(
         params.k, params.theta, series.centers, series.radii, params.orders, init_mode
     )
+    return ll, h
 
 
 def score_and_hessian(
@@ -392,9 +386,8 @@ def score_and_hessian(
     """
     if len(series) == 0:
         raise DataError("empty input")
-    return _score_hessian_raw(
-        params.k, params.theta, series.centers, series.radii, params.orders, init_mode
-    )
+    args = (params.k, params.theta, series.centers, series.radii, params.orders, init_mode)
+    return _score_hessian_raw(*args, _loglik_raw(*args)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +411,10 @@ def _projected_newton(
     """Maximize objective(theta) subject to theta >= lower, feasible(theta)
     and, given face = (c, b) with c >= 0 and c.lower < b, c.theta <= b.
 
-    derivs(theta) returns the gradient and Hessian of the objective. Each
+    objective(theta) returns (value, evaluation), the evaluation being
+    whatever the model computed on the way to the value (say, its variance
+    path); derivs(theta, evaluation) returns the gradient and Hessian of
+    the objective there, so each point is evaluated once. Each
     iteration holds a bound, or the face, that theta is within
     _BOUNDARY_EPS of while its multiplier is positive: minus the score
     less the face's part, or the least-squares fit of the free score on c.
@@ -430,19 +426,20 @@ def _projected_newton(
     module's, the same for every model: at most _MAX_STEPS steps of at most
     _MAX_HALVINGS halvings, stopping once |kkt| < _GRADIENT_TOL.
 
-    Returns (theta, value, kkt, hess, stop_reason, iterations, trace):
-    kkt is the gradient at theta less the face's multiplier times c, with
-    the held coordinates zeroed, hess the Hessian there, iterations the
-    number of Newton steps, and stop_reason "gradient tolerance" (the
-    only converged one), "no uphill step" or "iteration cap".
+    Returns (theta, value, kkt, hess, stop_reason, iterations, trace,
+    evaluation): kkt is the gradient at theta less the face's multiplier
+    times c, with the held coordinates zeroed, hess the Hessian there,
+    iterations the number of Newton steps, stop_reason "gradient
+    tolerance" (the only converged one), "no uphill step" or "iteration
+    cap", and evaluation the objective's at theta.
     """
     theta = np.array(theta0, dtype=float)
     normal, level = face or (np.zeros(theta.size), np.inf)
-    value = objective(theta)
+    value, evaluation = objective(theta)
     trace = [value]
     iterations = 0
     while True:
-        grad, hess = derivs(theta)
+        grad, hess = derivs(theta, evaluation)
         if not np.all(np.isfinite(grad)) or not np.all(np.isfinite(hess)):
             raise NumericalError("numerical overflow in the score or Hessian")
         at_bound = theta <= lower + _BOUNDARY_EPS
@@ -454,9 +451,9 @@ def _projected_newton(
             held = at_bound & (grad - mult * normal < 0)
         kkt = np.where(held, 0.0, grad - mult * normal)
         if np.max(np.abs(kkt)) < _GRADIENT_TOL:
-            return theta, value, kkt, hess, "gradient tolerance", iterations, trace
+            return theta, value, kkt, hess, "gradient tolerance", iterations, trace, evaluation
         if iterations == _MAX_STEPS:
-            return theta, value, kkt, hess, "iteration cap", iterations, trace
+            return theta, value, kkt, hess, "iteration cap", iterations, trace, evaluation
         iterations += 1
         free = ~held
         gf = grad[free]
@@ -491,15 +488,15 @@ def _projected_newton(
                 cand = np.maximum(cand - excess / (along @ along) * along, lower)
             if not feasible(cand):
                 continue
-            value_cand = objective(cand)
+            value_cand, evaluation_cand = objective(cand)
             if value_cand >= value and np.isfinite(value_cand):
                 if value_cand > value or not np.array_equal(cand, theta):
-                    theta, value = cand, value_cand
+                    theta, value, evaluation = cand, value_cand, evaluation_cand
                     trace.append(value)
                     improved = True
                 break
         if not improved:
-            return theta, value, kkt, hess, "no uphill step", iterations, trace
+            return theta, value, kkt, hess, "no uphill step", iterations, trace, evaluation
 
 
 def _warm_then_cold(newton, cold_starts, warm=None, persistence=None) -> tuple:
@@ -544,12 +541,13 @@ def fit_mle(
     feasible under this sample's k: then Newton runs from those first, and
     from init_theta only if that run does not converge, the better run
     winning (see _warm_then_cold); iterations counts the steps of both,
-    and loglik_trace is the winner's. A coefficient that reaches 0 is held
-    there only while its score points outward, so a converged fit meets the
-    bound-constrained optimality (KKT) conditions in every coefficient.
-    Coefficients that end at exactly 0 are listed in `boundary`. Standard
-    errors come from the inverse negative Hessian over the other
-    parameters; boundary parameters carry none.
+    and loglik_trace and h_path are the winner's, as its last evaluation
+    left them. A coefficient that reaches 0 is held there only while its
+    score points outward, so a converged fit meets the bound-constrained
+    optimality (KKT) conditions in every coefficient. Coefficients that end
+    at exactly 0 are listed in `boundary`. Standard errors come from the
+    inverse negative Hessian over the other parameters; boundary parameters
+    carry none.
     """
     min_len = MIN_OBS_PER_PARAM * orders.n_params
     if len(series) < min_len:
@@ -562,15 +560,14 @@ def fit_mle(
     k = estimate_k(series)
     cold = init_theta(series, k, orders)
     warm = start.theta if start is not None and _feasible(k, start.theta, orders) else None
-    lam = series.centers
-    dlt = series.radii
+    fixed = (series.centers, series.radii, orders, init_mode)
     lower = np.zeros(orders.n_params)
     lower[0] = -np.inf  # mu > 0 is part of the feasibility check
 
-    theta, ll, kkt, hess, stop_reason, iterations, trace = _warm_then_cold(
+    theta, ll, kkt, hess, stop_reason, iterations, trace, (h_path, *_) = _warm_then_cold(
         lambda th0: _projected_newton(
-            lambda th: _loglik_raw(k, th, lam, dlt, orders, init_mode)[0],
-            lambda th: _score_hessian_raw(k, th, lam, dlt, orders, init_mode),
+            lambda th: _loglik_raw(k, th, *fixed),
+            lambda th, ev: _score_hessian_raw(k, th, *fixed, ev),
             th0,
             lower,
             lambda th: _feasible(k, th, orders),
@@ -581,18 +578,15 @@ def fit_mle(
     params = cold.with_theta(theta)
     names = np.array(params.param_names())
     free = theta > lower
-    _, h_path = _loglik_raw(k, theta, lam, dlt, orders, init_mode)
 
     hess_free = hess[np.ix_(free, free)]
     covariance = None
     std_errors: dict = {}
     neg = -hess_free
-    try:
+    try:  # Newton returns only a finite Hessian
         eigvals = np.linalg.eigvalsh(neg)
-    except np.linalg.LinAlgError:
-        eigvals = np.array([np.nan])
-    if not np.all(np.isfinite(eigvals)):
-        raise NumericalError("numerical overflow in h recursion")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigen-decomposition of the Hessian failed: {exc}") from exc
     eig_scale = float(np.max(np.abs(eigvals)))
     if eig_scale == 0.0 or abs(eigvals.min()) <= eig_scale * 1e-14:
         raise NumericalError("Hessian singular: model over-parameterized for data")

@@ -194,18 +194,19 @@ def _garch_variance(theta, r2: np.ndarray, s2_init: float) -> np.ndarray:
     return recurse(src, [b])
 
 
-def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> float:
-    """Gaussian log likelihood less its constant -n/2 log(2 pi). omega > 0
-    and a, b >= 0 keep the variance path positive."""
+def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
+    """Gaussian log likelihood less its constant -n/2 log(2 pi), and the
+    variance path s2 it was computed on. omega > 0 and a, b >= 0 keep the
+    variance path positive."""
     s2 = _garch_variance(theta, r2, s2_init)
-    return -0.5 * float(np.sum(np.log(s2) + r2 / s2))
+    return -0.5 * float(np.sum(np.log(s2) + r2 / s2)), s2
 
 
-def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
-    """Gradient and Hessian of _garch_objective: the variance path is an
-    AR(1) in b fixed at t=0, so its derivative source is [1, r2, sigma2]
-    lagged once, with no pre-sample term."""
-    s2 = _garch_variance(theta, r2, s2_init)
+def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2: np.ndarray) -> tuple:
+    """Gradient and Hessian of _garch_objective at theta, given its
+    variance path s2 there: the path is an AR(1) in b fixed at t=0, so its
+    derivative source is [1, r2, sigma2] lagged once, with no pre-sample
+    term."""
     src = np.zeros((r2.size, 3))
     src[1:, 0] = 1.0
     src[1:, 1] = r2[:-1]
@@ -260,6 +261,7 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
     bounds and with a + b <= 0.999, Newton runs from it first, and the
     cold starts run only if that run does not converge; the same rule
     picks among all runs, and iterations counts the steps of every run.
+    sigma2_path is the winner's, as its last evaluation left it.
     converged means the stop reason is "gradient tolerance", so the KKT
     conditions hold, cap included; an unconverged fit is not raised.
     """
@@ -281,10 +283,10 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
         if warm[1] + warm[2] > _GARCH_CAP:
             warm = None
 
-    theta, value, _, _, stop_reason, iterations, _ = _warm_then_cold(
+    theta, value, _, _, stop_reason, iterations, _, s2 = _warm_then_cold(
         lambda x0: _projected_newton(
             lambda th: _garch_objective(th, r2, v),
-            lambda th: _garch_derivs(th, r2, v),
+            lambda th, s2: _garch_derivs(th, r2, s2),
             x0,
             lower,
             lambda th: True,
@@ -303,7 +305,7 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
         stop_reason=stop_reason,
         iterations=iterations,
         n_obs=int(r.size),
-        sigma2_path=_garch_variance(theta, r2, v),
+        sigma2_path=s2,
     )
 
 
@@ -443,9 +445,10 @@ def run_backtest(
     fit (the `start` of fit_mle and fit_garch11); the in-sample fits of
     include_insample start cold.
 
-    Returns (reports, info) where info records skipped refits, failed
-    baseline refits as (origin, message) pairs, and one (origin,
-    converged) pair per completed refit of each model.
+    Returns (reports, info) where info records the origins rolling_forecast
+    skipped (a failed refit or an overflowing forecast) and failed baseline
+    refits as (origin, message) pairs, and one (origin, converged) pair per
+    completed refit of each model.
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)

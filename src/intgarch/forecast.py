@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimate import MIN_OBS_PER_PARAM, FittedModel, fit_mle, loglik_eval
-from .exceptions import DataError, IntGarchError
+from .exceptions import DataError, IntGarchError, NumericalError
 from .intervals import IntervalSeries
 from .process import InitMode, ModelOrders, ModelParams, mu_weights, recurse, volatility
 
@@ -53,14 +53,6 @@ def _horizons(horizons) -> list:
     return horizons
 
 
-def _resolve_params(model) -> ModelParams:
-    if isinstance(model, FittedModel):
-        return model.params
-    if isinstance(model, ModelParams):
-        return model
-    raise DataError(f"model must be a FittedModel or ModelParams, got {type(model).__name__}")
-
-
 def forecast(
     model,
     series: IntervalSeries,
@@ -87,8 +79,16 @@ def forecast(
         Index of the forecast origin; defaults to the last observation.
     init_mode : InitMode
         Pre-sample treatment for rebuilding the path from a ModelParams.
+
+    Raises NumericalError when a forecast h or volatility overflows, as
+    the h path does.
     """
-    params = _resolve_params(model)
+    if isinstance(model, FittedModel):
+        params, init_mode = model.params, model.init_mode
+    elif isinstance(model, ModelParams):
+        params = model
+    else:
+        raise DataError(f"model must be a FittedModel or ModelParams, got {type(model).__name__}")
     if horizon < 1:
         raise DataError(f"horizon must be >= 1, got {horizon}")
     o = params.orders
@@ -101,8 +101,6 @@ def forecast(
         raise DataError(
             f"insufficient history: origin {t} needs {m} observed lags"
         )
-    if isinstance(model, FittedModel):
-        init_mode = model.init_mode
     if h_path is None:
         _, h_path = loglik_eval(params, series[: t + 1], init_mode)
     h_path = np.asarray(h_path, dtype=float)
@@ -112,21 +110,21 @@ def forecast(
     # step j's source holds mu and the observed lags i >= j; recurse adds
     # the forecast lags, weighted by their expectations mu_i
     source = np.full(horizon, params.mu)
-    for j in range(1, min(horizon, m) + 1):
-        for i in range(j, o.p + 1):
-            source[j - 1] += params.alpha[i - 1] * abs(series.centers[t + j - i])
-        for i in range(j, o.q + 1):
-            source[j - 1] += params.beta[i - 1] * series.radii[t + j - i]
-        for i in range(j, o.w + 1):
-            source[j - 1] += params.gamma[i - 1] * h_path[t + j - i]
-    h_hat = recurse(source, mu_weights(params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, min(horizon, m) + 1):
+            for i in range(j, o.p + 1):
+                source[j - 1] += params.alpha[i - 1] * abs(series.centers[t + j - i])
+            for i in range(j, o.q + 1):
+                source[j - 1] += params.beta[i - 1] * series.radii[t + j - i]
+            for i in range(j, o.w + 1):
+                source[j - 1] += params.gamma[i - 1] * h_path[t + j - i]
+        h_hat = recurse(source, mu_weights(params))
+        sigma2 = np.asarray(volatility(params, h_hat), dtype=float)
+    if not np.all(np.isfinite(sigma2)):  # and so of h_hat
+        raise NumericalError(f"numerical overflow in the forecast from origin {t}")
     date = series.dates[t] if series.dates is not None else None
     return ForecastResult(
-        origin_index=t,
-        horizon=horizon,
-        h_hat=h_hat,
-        sigma2=np.asarray(volatility(params, h_hat), dtype=float),
-        origin_date=date,
+        origin_index=t, horizon=horizon, h_hat=h_hat, sigma2=sigma2, origin_date=date
     )
 
 
@@ -147,9 +145,10 @@ def rolling_forecast(
     yields forecasts for 1..max(horizons) steps ahead, with init_mode as
     the pre-sample mode; origins that reuse a fit slice their h path from
     one evaluation under it that stops at the next scheduled refit (and is
-    redone past it if that refit fails). A failed refit skips that origin
-    (recorded in the second return value) and keeps the previous
-    parameters for later origins. Each result's refit_converged
+    redone past it if that refit fails, and evaluated to the origin alone
+    if it overflows). A failed refit, or an h path or forecast that
+    overflows, skips that origin (recorded in the second return value),
+    and later origins keep the last fit. Each result's refit_converged
     is the converged flag of the refit at its origin, None where none was.
 
     Returns
@@ -174,22 +173,25 @@ def rolling_forecast(
     h_span = None  # fitted's h path up to the next scheduled refit, made at a reuse
     for t in range(train_size - 1, n):
         refit = fitted is None or (t - (train_size - 1)) % refit_every == 0
-        if refit:
-            try:
+        try:
+            if refit:
                 fitted = fit_mle(
                     series[: t + 1], orders, init_mode,
                     start=None if fitted is None else fitted.params,
                 )
-            except IntGarchError as exc:
-                skipped.append((t, str(exc)))
-                continue
-            h_path, h_span = fitted.h_path, None
-        else:
-            if h_span is None or len(h_span) <= t:  # none yet, or a refit failed
-                stop = min(t + refit_every - (t - (train_size - 1)) % refit_every, n)
-                _, h_span = loglik_eval(fitted.params, series[:stop], init_mode)
-            # element t depends only on the first t + 1 observations
-            h_path = h_span[: t + 1]
-        res = forecast(fitted.params, series, max_h, h_path=h_path, origin_index=t)
+                h_path, h_span = fitted.h_path, None
+            else:
+                if h_span is None or len(h_span) <= t:  # none yet, or a refit failed
+                    stop = min(t + refit_every - (t - (train_size - 1)) % refit_every, n)
+                    try:
+                        _, h_span = loglik_eval(fitted.params, series[:stop], init_mode)
+                    except NumericalError:  # the overflow may lie past t
+                        _, h_span = loglik_eval(fitted.params, series[: t + 1], init_mode)
+                # element t depends only on the first t + 1 observations
+                h_path = h_span[: t + 1]
+            res = forecast(fitted.params, series, max_h, h_path=h_path, origin_index=t)
+        except IntGarchError as exc:
+            skipped.append((t, str(exc)))
+            continue
         results.append(replace(res, refit_converged=fitted.converged) if refit else res)
     return results, skipped

@@ -15,6 +15,7 @@ from intgarch import (
     BENCHMARK_DESIGNS,
     FittedModel,
     InitMode,
+    IntervalSeries,
     ModelOrders,
     ModelParams,
     SimConfig,
@@ -34,6 +35,7 @@ from intgarch.marketdata import (
     load_csv,
     make_day_bars,
     save_bars_csv,
+    save_intervals_csv,
     save_ticks_csv,
 )
 
@@ -334,6 +336,15 @@ class TestFit:
         summary = (fit_dir / "summary.txt").read_text()
         assert "log-likelihood" in summary and "std error" in summary
 
+    def test_eigen_failure_exits_three(self, workdir, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert run("fit", "--data", str(workdir / "train.csv"),
+                   "--out", str(tmp_path / "fit.json")) == 3
+        assert "eigen-decomposition of the Hessian failed" in capsys.readouterr().err
+
     def test_fit_json_is_loadable(self, fit_dir):
         fitted = FittedModel.from_json((fit_dir / "fit.json").read_text())
         assert fitted.converged
@@ -390,6 +401,26 @@ class TestForecast:
         want = forecast(fitted.params, series, 2, origin_index=0, init_mode=InitMode.ZERO_H)
         got = [float(line.split(",")[1]) for line in outputs[0].splitlines()[1:]]
         assert got == [float(x) for x in want.h_hat]
+
+    def test_overflowing_forecast_exits_three(self, tmp_path, capsys):
+        # k * beta1 = 0.75: a radius near the float maximum at 254 overflows
+        # the forecast from there (and the log-likelihood of the h path the
+        # forecast rebuilds, to -inf); 8e307, not 1e308, so that the file's
+        # high - low stays finite
+        model = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
+        s, _ = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
+        radii = s.radii.copy()
+        radii[254] = 8e307
+        dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(len(s))]
+        save_intervals_csv(IntervalSeries(s.centers, radii, dates), tmp_path / "x.csv")
+        (tmp_path / "m.json").write_text(model.to_json())
+        args = ("forecast", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "x.csv"),
+                "--horizon", "1", "--origin")
+        assert run(*args, "253") == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert run(*args, "254") == 3
+        assert "overflow in the forecast from origin 254" in capsys.readouterr().err
 
     def test_bad_horizon(self, fit_dir, capsys):
         assert run("forecast", "--model", str(fit_dir / "model.json"),

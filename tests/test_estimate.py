@@ -352,6 +352,15 @@ class TestFitMle:
         with pytest.raises(NumericalError, match="over-parameterized"):
             fit_mle(s, ORDERS_111)
 
+    def test_eigen_failure_is_named(self, sample, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match="eigen-decomposition of the Hessian failed: "
+                           "Eigenvalues did not converge"):
+            fit_mle(sample, ORDERS_111)
+
     def test_insufficient_data(self):
         s = IntervalSeries(np.ones(20) * 0.3, np.ones(20) * 0.5)
         with pytest.raises(DataError, match="insufficient"):
@@ -391,9 +400,9 @@ class TestProjectedNewton:
         # coordinate starts at its bound with a positive score; the second
         # is pushed onto its bound and held there against an outward score
         c = np.array([1.0, -1.0])
-        theta, value, kkt, _, stop, _, _ = _projected_newton(
-            lambda x: -float(np.sum((x - c) ** 2)),
-            lambda x: (-2.0 * (x - c), -2.0 * np.eye(2)),
+        theta, value, kkt, _, stop, _, _, _ = _projected_newton(
+            lambda x: (-float(np.sum((x - c) ** 2)), None),
+            lambda x, _: (-2.0 * (x - c), -2.0 * np.eye(2)),
             np.array([0.0, 0.5]), np.zeros(2), lambda x: True,
         )
         np.testing.assert_allclose(theta, [1.0, 0.0], atol=1e-12)
@@ -413,12 +422,12 @@ class TestProjectedNewton:
         lower = np.array([-np.inf, 0.0, 0.0, 0.0])
 
         def objective(th):
-            return loglik_eval(m.with_theta(th), sample)[0]
+            return loglik_eval(m.with_theta(th), sample)[0], None
 
-        def derivs(th):
+        def derivs(th, _):
             return score_and_hessian(m.with_theta(th), sample)
 
-        theta, value, kkt, _, stop, _, _ = _projected_newton(
+        theta, value, kkt, _, stop, _, _, _ = _projected_newton(
             objective, derivs, start, lower, lambda th: _feasible(k, th, ORDERS_111)
         )
         assert stop == "gradient tolerance"
@@ -434,9 +443,9 @@ class TestProjectedNewton:
         def grad(x):
             return -2.0 * (x - target)
 
-        theta, _, kkt, _, stop, _, _ = _projected_newton(
-            lambda x: -float(np.sum((x - target) ** 2)),
-            lambda x: (grad(x), -2.0 * np.eye(2)),
+        theta, _, kkt, _, stop, _, _, _ = _projected_newton(
+            lambda x: (-float(np.sum((x - target) ** 2)), None),
+            lambda x, _: (grad(x), -2.0 * np.eye(2)),
             np.array(start), np.zeros(2), lambda x: True,
             face=(np.ones(2), 1.0),
         )
@@ -469,9 +478,9 @@ class TestProjectedNewton:
     def test_no_uphill_step(self):
         # a flat objective with a nonzero "score" offers no improvement
         theta0 = np.array([0.5])
-        *_, stop, _, _ = _projected_newton(
-            lambda x: 0.0 if x[0] == 0.5 else -1.0,
-            lambda x: (np.array([1.0]), np.array([[-1.0]])),
+        *_, stop, _, _, _ = _projected_newton(
+            lambda x: (0.0 if x[0] == 0.5 else -1.0, None),
+            lambda x, _: (np.array([1.0]), np.array([[-1.0]])),
             theta0, np.zeros(1), lambda x: True,
         )
         assert stop == "no uphill step"

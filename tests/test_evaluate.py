@@ -26,6 +26,7 @@ from intgarch import (
     garch11_forecast,
     garch11_path,
     hmse,
+    loglik_eval,
     mz_r2,
     qlike,
     render_reports,
@@ -231,19 +232,21 @@ class TestGarch11LoopReference:
         r2 = np.random.default_rng(4).standard_t(5, size=600) ** 2
         theta = np.array(theta)
         s2_init = float(np.mean(r2))
-        grad, hess = _garch_derivs(theta, r2, s2_init)
+
+        def derivs(th):
+            return _garch_derivs(th, r2, _garch_objective(th, r2, s2_init)[1])
+
+        grad, hess = derivs(theta)
         fd_g, fd_h = np.empty(3), np.empty((3, 3))
         for i in range(3):
             step = 1e-7 * max(theta[i], 1e-3)
             up, dn = theta.copy(), theta.copy()
             up[i] += step
             dn[i] -= step
-            fd_g[i] = (_garch_objective(up, r2, s2_init) - _garch_objective(dn, r2, s2_init)) / (
+            fd_g[i] = (_garch_objective(up, r2, s2_init)[0] - _garch_objective(dn, r2, s2_init)[0]) / (
                 2 * step
             )
-            fd_h[:, i] = (_garch_derivs(up, r2, s2_init)[0] - _garch_derivs(dn, r2, s2_init)[0]) / (
-                2 * step
-            )
+            fd_h[:, i] = (derivs(up)[0] - derivs(dn)[0]) / (2 * step)
         assert np.max(np.abs(grad - fd_g)) / np.max(np.abs(grad)) < 1e-5
         assert np.max(np.abs(hess - fd_h)) / np.max(np.abs(hess)) < 1e-5
 
@@ -387,6 +390,43 @@ class TestFittingContract:
         assert fit.converged
         best = max(s[1] for s in starts)
         assert fit.loglik + 0.5 * n * math.log(2.0 * math.pi) >= best - 1e-9 * (1.0 + abs(best))
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # the derivatives and the finished fit reuse the path the objective
+        # computed, so each fit makes one path evaluation per objective call
+        from intgarch import estimate, evaluate
+
+        counts = {"objective": 0, "path": 0}
+        newton = estimate._projected_newton
+
+        def counted(objective, *args, **kwargs):
+            def counted_objective(theta):
+                counts["objective"] += 1
+                return objective(theta)
+
+            return newton(counted_objective, *args, **kwargs)
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def spied(*args):
+                counts["path"] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, spied)
+
+        for module, evaluator in ((estimate, "_loglik_raw"), (evaluate, "_garch_variance")):
+            monkeypatch.setattr(module, "_projected_newton", counted)
+            spy(module, evaluator)
+        series, _ = simulate(SimConfig(MODEL_I, length=500, seed=3, burn_in=200))
+        fit = fit_mle(series, MODEL_I.orders)
+        assert counts["path"] == counts["objective"] > 0
+        counts.update(objective=0, path=0)
+        baseline = fit_garch11(series.centers)
+        assert counts["path"] == counts["objective"] > 0
+        monkeypatch.undo()
+        assert np.array_equal(fit.h_path, loglik_eval(fit.params, series)[1])
+        assert np.array_equal(baseline.sigma2_path, garch11_path(baseline.params, series.centers))
 
     def test_baseline_converged_is_its_stop_reason(self):
         # seeds 41 and 48-50 stopped with no uphill step at |kkt| < 1e-6
@@ -601,6 +641,23 @@ class TestRunBacktest:
         series, rv = backtest_inputs
         with pytest.raises(DataError, match="refit_every"):
             run_backtest(series, rv, train_size=120, refit_every=0)
+
+    def test_overflowing_forecast_skips_only_its_origin(self):
+        # the world of test_forecast's final-refit overflow: the forecast
+        # from 254 and the refit at 255 overflow, and the other 55 origins
+        # are reported
+        model = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
+        s, h = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
+        radii = s.radii.copy()
+        radii[254] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports, info = run_backtest(
+                IntervalSeries(s.centers, radii), rv_proxy(h, model.k, noise_sd=0.0),
+                train_size=200, horizons=(1,), refit_every=7,
+            )
+        assert [t for t, _ in info["skipped_refits"]] == [254, 255]
+        assert "overflow in the forecast from origin 254" in info["skipped_refits"][0][1]
+        assert [(r.model, r.n) for r in reports] == [("garch11", 55), ("intgarch", 55)]
 
     def test_scalar_returns_length(self, backtest_inputs):
         series, rv = backtest_inputs

@@ -15,6 +15,7 @@ from intgarch import (
     IntervalSeries,
     ModelOrders,
     ModelParams,
+    NumericalError,
     SimConfig,
     fit_mle,
     forecast,
@@ -287,6 +288,13 @@ class TestForecastValidation:
         with pytest.raises(DataError, match="model"):
             forecast({"mu": 0.1}, ORIGIN, 1, h_path=ORIGIN_H)
 
+    def test_overflow_raises(self):
+        # beta1 * 1e308 overflows the one-step source from origin 0
+        m = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
+        s = IntervalSeries([0.1], [1e308])
+        with pytest.raises(NumericalError, match="overflow in the forecast from origin 0"):
+            forecast(m, s, 2, h_path=ORIGIN_H)
+
 
 @pytest.fixture(scope="module")
 def series():
@@ -355,8 +363,8 @@ class TestRollingForecast:
     def test_overflow_at_the_final_refit_only_skips_it(self):
         # k * beta1 = 0.75, so a radius near the float maximum overflows the
         # next h; sitting at 254, it first enters h_255, and 255 is the last
-        # origin and a refit one. Only that refit fails: the reuse origins
-        # before it evaluate h no further than 254.
+        # origin and a refit one. Only that refit and the forecast from 254
+        # fail: the reuse origins before it evaluate h no further than 254.
         model = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
         s, _ = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
         radii = s.radii.copy()
@@ -366,8 +374,25 @@ class TestRollingForecast:
             results, skipped = rolling_forecast(
                 extreme, ORDERS_111, horizons=[1], train_size=200, refit_every=7
             )
-        assert [t for t, _ in skipped] == [255]
-        assert [r.origin_index for r in results] == list(range(199, 255))
+        assert [t for t, _ in skipped] == [254, 255]
+        assert [r.origin_index for r in results] == list(range(199, 254))
+
+    def test_overflow_inside_a_reused_span_skips_from_there(self):
+        # the same world with the radius at 202, inside the span that the
+        # fit of 199 evaluates for origins 200-205: 200 and 201 are still
+        # forecast from their own paths, and every origin from 202 on fails
+        model = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
+        s, _ = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
+        radii = s.radii.copy()
+        radii[202] = 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            results, skipped = rolling_forecast(
+                IntervalSeries(s.centers, radii), ORDERS_111, horizons=[1], train_size=200,
+                refit_every=7,
+            )
+        assert [r.origin_index for r in results] == [199, 200, 201]
+        assert [t for t, _ in skipped] == list(range(202, 256))
+        assert "overflow in the forecast from origin 202" in skipped[0][1]
 
     def test_horizons_validated(self, series):
         with pytest.raises(DataError, match="horizons"):
