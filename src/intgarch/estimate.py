@@ -22,14 +22,19 @@ once: _loglik_raw returns the log-likelihood with the h path and lag
 arrays it built, the score and Hessian take those, and the fit keeps the
 winning run's h path. Pre-sample lags are set to their stationary
 expectations (centers 0, radii k*E(h;theta), h either E(h;theta) or 0),
-and because E(h;theta) moves with theta, its first and second
-derivatives are carried through the recursions; the resulting score and
-Hessian match finite differences of the likelihood to near machine
-precision.
+and because E(h;theta) = mu/(1-S) moves with theta, its first and second
+derivatives are carried through the recursions; the objective forms the
+level alone, and each score and Hessian call builds its derivatives once
+from the r = 1/(1-S) and the weight-sum direction the evaluation carries.
+The resulting score and Hessian match finite differences of the
+likelihood to near machine precision. Both run with numpy's overflow
+warnings off: an h path that overflows raises NumericalError, and the
+Newton rejects a non-finite value and raises on a non-finite score.
 
 The recursion h_t = base_t + sum_j gamma_j h_{t-j} and the identical
 recursion for the d columns of dh/dtheta are solved by process.recurse,
-with the pre-sample values folded into the first w rows of the source.
+with the pre-sample values folded, in place, into the first w rows of
+the freshly built source.
 The Hessian's second-order term sum_t u_t d2h_t/dtheta2 is taken in
 adjoint (reverse-mode) form, sum_t u~_t Q_t (Griewank & Walther 2008):
 u~ is the reverse filter of the score weights u with the same gamma, and
@@ -220,46 +225,22 @@ def _weight_sum_direction(k: float, o: ModelOrders) -> np.ndarray:
     return s
 
 
-def _weight_sum(k: float, theta: np.ndarray, o: ModelOrders) -> float:
-    return float(_weight_sum_direction(k, o)[1:] @ theta[1:])
-
-
-def _level_grad_hess(k: float, theta: np.ndarray, o: ModelOrders) -> tuple:
-    """Stationary mean E(h) = mu/(1-S) with gradient and Hessian in theta."""
-    S = _weight_sum(k, theta, o)
-    if S >= 1.0:
-        raise ModelError(
-            f"nonstationary parameters (weight sum {S:.6g} >= 1): pre-sample "
-            "expectation undefined"
-        )
-    mu = theta[0]
-    s = _weight_sum_direction(k, o)
-    e0 = np.zeros(o.n_params)
-    e0[0] = 1.0
-    r = 1.0 / (1.0 - S)
-    level = mu * r
-    grad = e0 * r + mu * s * r * r
-    hess = (np.outer(e0, s) + np.outer(s, e0)) * r * r + 2.0 * mu * np.outer(s, s) * r**3
-    return level, grad, hess
-
-
 def _fold(source: np.ndarray, gamma: np.ndarray, init) -> np.ndarray:
-    """Copy of source with the pre-sample terms sum_{j>t} gamma_j * init
-    added to each row t < w, for `recurse`'s zero pre-sample."""
-    src = np.array(source, dtype=float)
-    for t in range(min(len(gamma), len(src))):
-        src[t] += gamma[t:].sum() * init
-    return src
+    """Add the pre-sample terms sum_{j>t} gamma_j * init to each row t < w
+    of source, in place, for `recurse`'s zero pre-sample; returns source."""
+    for t in range(min(len(gamma), len(source))):
+        source[t] += gamma[t:].sum() * init
+    return source
 
 
 def _recursion_derivs(src, gamma, d0, u, v, ar) -> tuple:
     """Gradient and Hessian of sum_t f_t(y_t), y_t = base_t + sum_j
     gamma_j y_{t-j}: src is the direct derivative of base_t and y_{t-j}
-    in theta, d0 that of the pre-sample y, u and v are f_t' and f_t'', and
-    columns `ar` hold gamma_1, gamma_2, ... Returns (grad, hess, ur): D'u
-    and (D v)'D, D the derivative columns, plus the second-order term of
-    the `ar` rows and columns; ur, the reverse filter of u, weighs the
-    caller's other second-order sources.
+    in theta, folded in place, d0 that of the pre-sample y, u and v are
+    f_t' and f_t'', and columns `ar` hold gamma_1, gamma_2, ... Returns
+    (grad, hess, ur): D'u and (D v)'D, D the derivative columns, plus the
+    second-order term of the `ar` rows and columns; ur, the reverse filter
+    of u, weighs the caller's other second-order sources.
     """
     D = recurse(_fold(src, gamma, d0), gamma)
     grad = D.T @ u
@@ -275,6 +256,7 @@ def _recursion_derivs(src, gamma, d0, u, v, ar) -> tuple:
     return grad, hess, ur
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _loglik_raw(
     k: float,
     theta: np.ndarray,
@@ -284,11 +266,21 @@ def _loglik_raw(
     init_mode: InitMode,
 ) -> tuple:
     """Log-likelihood and its evaluation: the h path (finite and
-    positive), the extended |lam| and del lag arrays, pre-sample h."""
+    positive), the extended |lam| and del lag arrays, pre-sample h, and
+    the weight-sum direction s and r = 1/(1-S) of the stationary level
+    E(h) = mu/(1-S)."""
     T = lam.shape[0]
     m = o.max_lag
     mu, alpha, beta, gamma = _split_theta(theta, o)
-    level, _, _ = _level_grad_hess(k, theta, o)  # validates S < 1
+    s = _weight_sum_direction(k, o)
+    S = float(s[1:] @ theta[1:])
+    if S >= 1.0:
+        raise ModelError(
+            f"nonstationary parameters (weight sum {S:.6g} >= 1): pre-sample "
+            "expectation undefined"
+        )
+    r = 1.0 / (1.0 - S)
+    level = mu * r
     h0 = level if init_mode is InitMode.MEAN_H else 0.0
 
     abs_lam_ext = np.concatenate((np.zeros(m), np.abs(lam)))
@@ -302,9 +294,10 @@ def _loglik_raw(
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise NumericalError("numerical overflow in h recursion")
     ll = float(np.sum(-(k + 1.0) * np.log(h) - lam**2 / (2.0 * h * h) - dlt / h))
-    return ll, (h, abs_lam_ext, dlt_ext, h0)
+    return ll, (h, abs_lam_ext, dlt_ext, h0, s, r)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _score_hessian_raw(
     k: float,
     theta: np.ndarray,
@@ -319,9 +312,12 @@ def _score_hessian_raw(
     T = lam.shape[0]
     d = o.n_params
     m = o.max_lag
-    _, _, beta, gamma = _split_theta(theta, o)
-    h, abs_lam_ext, dlt_ext, h0 = evaluation
-    _, level_grad, level_hess = _level_grad_hess(k, theta, o)
+    mu, _, beta, gamma = _split_theta(theta, o)
+    h, abs_lam_ext, dlt_ext, h0, s, r = evaluation
+    e0 = np.zeros(d)
+    e0[0] = 1.0
+    level_grad = e0 * r + mu * s * r * r  # of the level mu * r
+    level_hess = (np.outer(e0, s) + np.outer(s, e0)) * r * r + 2.0 * mu * np.outer(s, s) * r**3
     k_level_grad = k * level_grad
     mean_init = init_mode is InitMode.MEAN_H
     dh0 = level_grad if mean_init else np.zeros(d)
@@ -397,7 +393,7 @@ def score_and_hessian(
 def _feasible(k: float, theta: np.ndarray, o: ModelOrders) -> bool:
     if theta[0] <= 0 or np.any(theta[1:] < 0):
         return False
-    return _weight_sum(k, theta, o) < 1.0 - _STATIONARITY_MARGIN
+    return _weight_sum_direction(k, o)[1:] @ theta[1:] < 1.0 - _STATIONARITY_MARGIN
 
 
 def _projected_newton(

@@ -443,7 +443,9 @@ def run_backtest(
     baseline refits on the same growing sample exactly where it did. Each
     refit of either model after its first starts from that model's last
     fit (the `start` of fit_mle and fit_garch11); the in-sample fits of
-    include_insample start cold.
+    include_insample start cold. The baseline forecasts from a refit's own
+    sigma2_path, and rebuilds the path with garch11_path only at origins
+    that reuse a fit.
 
     Returns (reports, info) where info records the origins rolling_forecast
     skipped (a failed refit or an overflowing forecast) and failed baseline
@@ -495,7 +497,8 @@ def run_backtest(
                 if garch_fit is None:
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
                 garch_failures.append((t, str(exc)))
-        path = garch11_path(garch_fit.params, returns[: t + 1])
+        own = garch_fit.n_obs == t + 1  # refit at this origin
+        path = garch_fit.sigma2_path if own else garch11_path(garch_fit.params, returns[: t + 1])
         g_fc = garch11_forecast(garch_fit.params, returns[: t + 1], horizons[-1], path)
         for h in horizons:
             if t + h < n:

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: DataError -> 2 (bad input),
 NumericalError -> 3 (numerical failure), ConvergenceError -> 4.
 """
 
+__all__ = ["IntGarchError", "DataError", "ModelError", "NumericalError", "ConvergenceError"]
+
 
 class IntGarchError(Exception):
     """Base class for package errors."""

@@ -143,13 +143,14 @@ def rolling_forecast(
     after the first successful one starts from that last fit's parameters
     (fit_mle's `start`). Each origin t in train_size-1 .. len(series)-1
     yields forecasts for 1..max(horizons) steps ahead, with init_mode as
-    the pre-sample mode; origins that reuse a fit slice their h path from
-    one evaluation under it that stops at the next scheduled refit (and is
-    redone past it if that refit fails, and evaluated to the origin alone
-    if it overflows). A failed refit, or an h path or forecast that
-    overflows, skips that origin (recorded in the second return value),
-    and later origins keep the last fit. Each result's refit_converged
-    is the converged flag of the refit at its origin, None where none was.
+    the pre-sample mode. Each fit has one h path: at its refit the fit's
+    own, and from the first origin past it one evaluation under the fit up
+    to the next scheduled refit (or to the origin alone, if that one
+    overflows), which origins slice up to themselves. A failed refit, or
+    an h path or forecast that overflows, skips that origin (recorded in
+    the second return value), and later origins keep the last fit and
+    evaluate its path anew. Each result's refit_converged is the
+    converged flag of the refit at its origin, None where none was.
 
     Returns
     -------
@@ -170,7 +171,6 @@ def rolling_forecast(
     results: list = []
     skipped: list = []
     fitted: FittedModel | None = None
-    h_span = None  # fitted's h path up to the next scheduled refit, made at a reuse
     for t in range(train_size - 1, n):
         refit = fitted is None or (t - (train_size - 1)) % refit_every == 0
         try:
@@ -179,17 +179,15 @@ def rolling_forecast(
                     series[: t + 1], orders, init_mode,
                     start=None if fitted is None else fitted.params,
                 )
-                h_path, h_span = fitted.h_path, None
-            else:
-                if h_span is None or len(h_span) <= t:  # none yet, or a refit failed
-                    stop = min(t + refit_every - (t - (train_size - 1)) % refit_every, n)
-                    try:
-                        _, h_span = loglik_eval(fitted.params, series[:stop], init_mode)
-                    except NumericalError:  # the overflow may lie past t
-                        _, h_span = loglik_eval(fitted.params, series[: t + 1], init_mode)
-                # element t depends only on the first t + 1 observations
-                h_path = h_span[: t + 1]
-            res = forecast(fitted.params, series, max_h, h_path=h_path, origin_index=t)
+                h_path = fitted.h_path
+            elif len(h_path) <= t:  # the first origin past a refit, or past a failed one
+                stop = min(t + refit_every - (t - (train_size - 1)) % refit_every, n)
+                try:
+                    _, h_path = loglik_eval(fitted.params, series[:stop], init_mode)
+                except NumericalError:  # the overflow may lie past t
+                    _, h_path = loglik_eval(fitted.params, series[: t + 1], init_mode)
+            # element t depends only on the first t + 1 observations
+            res = forecast(fitted.params, series, max_h, h_path=h_path[: t + 1], origin_index=t)
         except IntGarchError as exc:
             skipped.append((t, str(exc)))
             continue

@@ -418,9 +418,8 @@ class TestForecast:
                 "--horizon", "1", "--origin")
         assert run(*args, "253") == 0
         capsys.readouterr()
-        with np.errstate(over="ignore"):
-            assert run(*args, "254") == 3
-        assert "overflow in the forecast from origin 254" in capsys.readouterr().err
+        assert run(*args, "254") == 3
+        assert capsys.readouterr().err == "error: numerical overflow in the forecast from origin 254\n"
 
     def test_bad_horizon(self, fit_dir, capsys):
         assert run("forecast", "--model", str(fit_dir / "model.json"),

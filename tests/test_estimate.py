@@ -292,6 +292,19 @@ class TestFitMle:
         assert fitted.loglik == pytest.approx(ll, rel=1e-12)
         np.testing.assert_allclose(fitted.h_path, h, rtol=1e-12)
 
+    def test_level_derivatives_built_once_per_derivative_call(self, sample, monkeypatch):
+        # the level's Hessian takes three outer products and nothing else in
+        # a fit takes any: the objective forms the level alone, and each
+        # score and Hessian call builds its derivatives once
+        real_outer, real_derivs = np.outer, estimate._score_hessian_raw
+        outers, calls = [], []
+        monkeypatch.setattr(np, "outer", lambda *a: outers.append(a) or real_outer(*a))
+        monkeypatch.setattr(
+            estimate, "_score_hessian_raw", lambda *a: calls.append(a) or real_derivs(*a)
+        )
+        fit_mle(sample, ORDERS_111)
+        assert calls and len(outers) == 3 * len(calls)
+
     def test_trace_monotone(self, fitted):
         trace = np.asarray(fitted.loglik_trace)
         assert trace.size >= 2

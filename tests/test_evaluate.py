@@ -642,6 +642,22 @@ class TestRunBacktest:
         with pytest.raises(DataError, match="refit_every"):
             run_backtest(series, rv, train_size=120, refit_every=0)
 
+    def test_baseline_path_rebuilt_only_where_a_fit_is_reused(self, backtest_inputs, monkeypatch):
+        # 8 origins refitting every 4: the refits at 152 and 156 forecast
+        # from their fit's own sigma2_path, and the 6 other origins rebuild
+        # the path under the fit they reuse
+        series, rv = backtest_inputs
+        module = importlib.import_module("intgarch.evaluate")
+        real, origins = module.garch11_path, []
+
+        def spy(params, returns, *args):
+            origins.append(len(returns) - 1)
+            return real(params, returns, *args)
+
+        monkeypatch.setattr(module, "garch11_path", spy)
+        run_backtest(series, rv, train_size=153, horizons=(1,), refit_every=4)
+        assert origins == [153, 154, 155, 157, 158, 159]
+
     def test_overflowing_forecast_skips_only_its_origin(self):
         # the world of test_forecast's final-refit overflow: the forecast
         # from 254 and the refit at 255 overflow, and the other 55 origins
@@ -650,11 +666,10 @@ class TestRunBacktest:
         s, h = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
         radii = s.radii.copy()
         radii[254] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            reports, info = run_backtest(
-                IntervalSeries(s.centers, radii), rv_proxy(h, model.k, noise_sd=0.0),
-                train_size=200, horizons=(1,), refit_every=7,
-            )
+        reports, info = run_backtest(
+            IntervalSeries(s.centers, radii), rv_proxy(h, model.k, noise_sd=0.0),
+            train_size=200, horizons=(1,), refit_every=7,
+        )
         assert [t for t, _ in info["skipped_refits"]] == [254, 255]
         assert "overflow in the forecast from origin 254" in info["skipped_refits"][0][1]
         assert [(r.model, r.n) for r in reports] == [("garch11", 55), ("intgarch", 55)]

@@ -370,10 +370,9 @@ class TestRollingForecast:
         radii = s.radii.copy()
         radii[254] = 1e308
         extreme = IntervalSeries(s.centers, radii)
-        with np.errstate(over="ignore", invalid="ignore"):
-            results, skipped = rolling_forecast(
-                extreme, ORDERS_111, horizons=[1], train_size=200, refit_every=7
-            )
+        results, skipped = rolling_forecast(
+            extreme, ORDERS_111, horizons=[1], train_size=200, refit_every=7
+        )
         assert [t for t, _ in skipped] == [254, 255]
         assert [r.origin_index for r in results] == list(range(199, 254))
 
@@ -385,11 +384,10 @@ class TestRollingForecast:
         s, _ = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
         radii = s.radii.copy()
         radii[202] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
-            results, skipped = rolling_forecast(
-                IntervalSeries(s.centers, radii), ORDERS_111, horizons=[1], train_size=200,
-                refit_every=7,
-            )
+        results, skipped = rolling_forecast(
+            IntervalSeries(s.centers, radii), ORDERS_111, horizons=[1], train_size=200,
+            refit_every=7,
+        )
         assert [r.origin_index for r in results] == [199, 200, 201]
         assert [t for t, _ in skipped] == list(range(202, 256))
         assert "overflow in the forecast from origin 202" in skipped[0][1]
