@@ -367,12 +367,14 @@ def cmd_backtest(args) -> int:
         if np.isnan(r.r2):
             print(f"R² undefined for {r.model} at horizon {r.horizon}: "
                   "constant forecasts or realized values", file=sys.stderr)
-    if info["skipped_refits"]:
-        print(f"skipped refits: {len(info['skipped_refits'])}", file=sys.stderr)
+    overflowed = len(info["overflowed_forecasts"])
+    counts = {"failed interval-model refits": len(info["skipped_refits"]) - overflowed,
+              "overflowed interval-model forecasts": overflowed}
     for key, label in (("intgarch_converged", "interval-model"), ("garch_converged", "baseline")):
-        unconverged = sum(1 for _, ok in info[key] if not ok)
-        if unconverged:
-            print(f"unconverged {label} refits: {unconverged}", file=sys.stderr)
+        counts[f"unconverged {label} refits"] = sum(1 for _, ok in info[key] if not ok)
+    for label, count in counts.items():
+        if count:
+            print(f"{label}: {count}", file=sys.stderr)
     return 0
 
 

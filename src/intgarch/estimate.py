@@ -291,7 +291,7 @@ def _loglik_raw(
     for i in range(1, o.q + 1):
         base += beta[i - 1] * dlt_ext[m - i : m - i + T]
     h = recurse(_fold(base, gamma, h0), gamma)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0):
+    if not np.isfinite(h).all() or (h <= 0).any():
         raise NumericalError("numerical overflow in h recursion")
     ll = float(np.sum(-(k + 1.0) * np.log(h) - lam**2 / (2.0 * h * h) - dlt / h))
     return ll, (h, abs_lam_ext, dlt_ext, h0, s, r)
@@ -391,7 +391,7 @@ def score_and_hessian(
 
 
 def _feasible(k: float, theta: np.ndarray, o: ModelOrders) -> bool:
-    if theta[0] <= 0 or np.any(theta[1:] < 0):
+    if theta[0] <= 0 or (theta[1:] < 0).any():
         return False
     return _weight_sum_direction(k, o)[1:] @ theta[1:] < 1.0 - _STATIONARITY_MARGIN
 
@@ -416,8 +416,9 @@ def _projected_newton(
     less the face's part, or the least-squares fit of the free score on c.
     Held coordinates step onto their bounds and a held face is kept
     (Bertsekas 1982; Nocedal & Wright 2006, ch. 16); the others take a
-    Newton step, with a ridge on their Hessian raised until the step
-    points uphill. The step is projected onto the face and the bounds and
+    Newton step, one linear solve; only a step that does not point uphill
+    builds a ridge on their Hessian, 1e-8 * max(1, |diagonal|), doubled
+    until it does. The step is projected onto the face and the bounds and
     halved until the point is feasible and no worse. The settings are the
     module's, the same for every model: at most _MAX_STEPS steps of at most
     _MAX_HALVINGS halvings, stopping once |kkt| < _GRADIENT_TOL.
@@ -436,39 +437,42 @@ def _projected_newton(
     iterations = 0
     while True:
         grad, hess = derivs(theta, evaluation)
-        if not np.all(np.isfinite(grad)) or not np.all(np.isfinite(hess)):
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
             raise NumericalError("numerical overflow in the score or Hessian")
         at_bound = theta <= lower + _BOUNDARY_EPS
         held = at_bound & (grad < 0)
         mult = 0.0
-        for _ in range(theta.size if normal @ theta >= level - _BOUNDARY_EPS else 0):
+        for _ in range(theta.size if face and normal @ theta >= level - _BOUNDARY_EPS else 0):
             along = np.where(held, 0.0, normal)
             mult = max(0.0, along @ grad / (along @ along)) if along.any() else 0.0
-            held = at_bound & (grad - mult * normal < 0)
-        kkt = np.where(held, 0.0, grad - mult * normal)
-        if np.max(np.abs(kkt)) < _GRADIENT_TOL:
+            held, before = at_bound & (grad - mult * normal < 0), held
+            if (held == before).all():  # a fixed point: later passes repeat this one
+                break
+        some_held = held.any()
+        kkt = np.where(held, 0.0, grad - mult * normal) if some_held or mult else grad
+        if np.abs(kkt).max() < _GRADIENT_TOL:
             return theta, value, kkt, hess, "gradient tolerance", iterations, trace, evaluation
         if iterations == _MAX_STEPS:
             return theta, value, kkt, hess, "iteration cap", iterations, trace, evaluation
         iterations += 1
         free = ~held
-        gf = grad[free]
-        hf = hess[np.ix_(free, free)]
-        ridge = 0.0
-        scale = max(1.0, float(np.max(np.abs(np.diag(hf)))))
+        gf, hf = (grad[free], hess[np.ix_(free, free)]) if some_held else (grad, hess)
         rhs = -gf
         if mult > 0:  # border the system so that the step ends on the face
-            hf = np.block([[hf, normal[free, None]], [normal[free], 0.0]])
-            rhs = np.append(rhs, level - normal @ np.where(held, lower, theta))
-        for _ in range(60):
-            try:  # the ridge spares the border
-                ridged = hf - ridge * np.diag(np.arange(rhs.size) < gf.size)
+            system = np.zeros((gf.size + 1, gf.size + 1))
+            system[:-1, :-1], system[-1, :-1], system[:-1, -1] = hf, normal[free], normal[free]
+            hf, rhs = system, np.append(rhs, level - normal @ np.where(held, lower, theta))
+        for attempt in range(60):
+            try:  # attempt j > 0 takes the ridge 1e-8 * scale * 2^(j-1)
+                ridged = hf - unit * 2.0 ** (attempt - 1) if attempt else hf
                 direction = np.linalg.solve(ridged, rhs)[: gf.size]
             except np.linalg.LinAlgError:
                 direction = None
             if direction is not None and gf @ direction > 0:
                 break
-            ridge = max(2.0 * ridge, 1e-8 * scale)
+            if attempt == 0:  # the ridge, built on the first escalation, spares the border
+                scale = max(1.0, float(np.max(np.abs(np.diag(hf)))))
+                unit = 1e-8 * scale * np.diag(np.arange(rhs.size) < gf.size)
         else:
             raise NumericalError("Hessian singular: model over-parameterized for data")
         step = lower - theta
@@ -476,7 +480,7 @@ def _projected_newton(
         improved = False
         for halving in range(_MAX_HALVINGS + 1):
             cand = np.maximum(theta + step / (2.0**halving), lower)
-            for _ in range(theta.size):  # onto the face along the coordinates off their bounds
+            for _ in range(theta.size if face else 0):  # onto the face, off-bound coordinates
                 excess = normal @ cand - level
                 if excess <= 0:
                     break
@@ -485,7 +489,7 @@ def _projected_newton(
             if not feasible(cand):
                 continue
             value_cand, evaluation_cand = objective(cand)
-            if value_cand >= value and np.isfinite(value_cand):
+            if value_cand >= value and -np.inf < value_cand < np.inf:
                 if value_cand > value or not np.array_equal(cand, theta):
                     theta, value, evaluation = cand, value_cand, evaluation_cand
                     trace.append(value)

@@ -448,9 +448,10 @@ def run_backtest(
     that reuse a fit.
 
     Returns (reports, info) where info records the origins rolling_forecast
-    skipped (a failed refit or an overflowing forecast) and failed baseline
-    refits as (origin, message) pairs, and one (origin, converged) pair per
-    completed refit of each model.
+    skipped (skipped_refits: a failed refit or an overflowing forecast;
+    overflowed_forecasts: the latter alone) and failed baseline refits as
+    (origin, message) pairs, and one (origin, converged) pair per completed
+    refit of each model.
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)
@@ -507,7 +508,8 @@ def run_backtest(
                     forecasts[name][h][1].append(fc[h - 1])
 
     info: dict = {
-        "skipped_refits": skipped,
+        "skipped_refits": [(t, reason) for t, _, reason in skipped],
+        "overflowed_forecasts": [(t, reason) for t, stage, reason in skipped if stage == "forecast"],
         "garch_failed_refits": garch_failures,
         "garch_converged": garch_converged,
         "intgarch_converged": intgarch_converged,

@@ -148,13 +148,14 @@ def rolling_forecast(
     to the next scheduled refit (or to the origin alone, if that one
     overflows), which origins slice up to themselves. A failed refit, or
     an h path or forecast that overflows, skips that origin (recorded in
-    the second return value), and later origins keep the last fit and
-    evaluate its path anew. Each result's refit_converged is the
-    converged flag of the refit at its origin, None where none was.
+    the second return value with its stage, "refit" or "forecast"), and
+    later origins keep the last fit and evaluate its path anew. Each
+    result's refit_converged is the converged flag of the refit at its
+    origin, None where none was.
 
     Returns
     -------
-    (list of ForecastResult, list of (origin_index, reason))
+    (list of ForecastResult, list of (origin_index, stage, reason))
     """
     max_h = _horizons(horizons)[-1]
     n = len(series)
@@ -173,13 +174,14 @@ def rolling_forecast(
     fitted: FittedModel | None = None
     for t in range(train_size - 1, n):
         refit = fitted is None or (t - (train_size - 1)) % refit_every == 0
+        stage = "refit" if refit else "forecast"
         try:
             if refit:
                 fitted = fit_mle(
                     series[: t + 1], orders, init_mode,
                     start=None if fitted is None else fitted.params,
                 )
-                h_path = fitted.h_path
+                h_path, stage = fitted.h_path, "forecast"
             elif len(h_path) <= t:  # the first origin past a refit, or past a failed one
                 stop = min(t + refit_every - (t - (train_size - 1)) % refit_every, n)
                 try:
@@ -189,7 +191,7 @@ def rolling_forecast(
             # element t depends only on the first t + 1 observations
             res = forecast(fitted.params, series, max_h, h_path=h_path[: t + 1], origin_index=t)
         except IntGarchError as exc:
-            skipped.append((t, str(exc)))
+            skipped.append((t, stage, str(exc)))
             continue
         results.append(replace(res, refit_converged=fitted.converged) if refit else res)
     return results, skipped

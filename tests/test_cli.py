@@ -13,11 +13,13 @@ import pytest
 
 from intgarch import (
     BENCHMARK_DESIGNS,
+    ConvergenceError,
     FittedModel,
     InitMode,
     IntervalSeries,
     ModelOrders,
     ModelParams,
+    NumericalError,
     SimConfig,
     __version__,
     forecast,
@@ -646,6 +648,34 @@ class TestBacktest:
                    "--horizons", "1", "--refit-every", "16") == 0
         # origins 99..138 refit at 99, 115 and 131
         assert "unconverged interval-model refits: 3" in capsys.readouterr().err
+
+    def test_failed_refits_and_overflowed_forecasts_counted_apart(
+        self, bars_csv, tmp_path, monkeypatch, capsys
+    ):
+        forecast_module = importlib.import_module("intgarch.forecast")
+        real_fit, real_forecast = forecast_module.fit_mle, forecast_module.forecast
+
+        def fit(sample, *args, **kw):
+            if len(sample) == 116:
+                raise ConvergenceError("forced failure")
+            return real_fit(sample, *args, **kw)
+
+        def forecast(*args, origin_index, **kw):
+            if origin_index in (120, 121):
+                raise NumericalError(f"numerical overflow in the forecast from origin {origin_index}")
+            return real_forecast(*args, origin_index=origin_index, **kw)
+
+        monkeypatch.setattr(forecast_module, "fit_mle", fit)
+        monkeypatch.setattr(forecast_module, "forecast", forecast)
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(bars_csv), "--train", "100", "--horizons", "1",
+                   "--refit-every", "16", "--out", str(out)) == 0
+        # origins 99..138 refit at 99, 115 and 131; the refit at 115 fails
+        err = capsys.readouterr().err
+        assert "failed interval-model refits: 1\n" in err
+        assert "overflowed interval-model forecasts: 2\n" in err
+        assert "skipped refits" not in err
+        assert "# skipped_refits = 3" in out.read_text()
 
     def test_fractional_train_split(self, bars_csv, tmp_path, capsys):
         out = tmp_path / "bt.csv"

@@ -488,6 +488,38 @@ class TestProjectedNewton:
         assert abs(kkt[1]) < 1e-10
         assert stop == "gradient tolerance"
 
+    @staticmethod
+    def _solves(monkeypatch, hess, start):
+        # maximize x.(1, 1) + x'Hx/2 from start, recording every linear system
+        real, systems = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.copy()) or real(a, b))
+        _, _, _, _, stop, iterations, _, _ = _projected_newton(
+            lambda x: (float(x.sum() + 0.5 * x @ hess @ x), None),
+            lambda x, _: (1.0 + hess @ x, hess),
+            np.array(start), np.full(2, -np.inf), lambda x: True,
+        )
+        return systems, stop, iterations
+
+    def test_one_solve_per_concave_step(self, monkeypatch):
+        systems, stop, iterations = self._solves(monkeypatch, -np.diag([1.0, 4.0]), [0.3, 0.2])
+        assert stop == "gradient tolerance" and iterations >= 1
+        assert len(systems) == iterations
+
+    def test_ridge_rungs_on_indefinite_hessian(self, monkeypatch):
+        # H = diag(-2, 1): at 0 the score is (1, 1) and the Newton step
+        # (0.5, -1) is not uphill; a ridge r makes it uphill only past 1, so
+        # the rungs run 1e-8 * scale * 2^j, scale = max(1, |diag H|) = 2,
+        # up to the first j with 2e-8 * 2^j > 1
+        monkeypatch.setattr(estimate, "_MAX_STEPS", 1)
+        hess = np.diag([-2.0, 1.0])
+        systems, stop, _ = self._solves(monkeypatch, hess, [0.0, 0.0])
+        j = 26
+        assert 2e-8 * 2.0 ** (j - 1) < 1.0 < 2e-8 * 2.0**j
+        assert stop == "iteration cap" and len(systems) == j + 2
+        assert np.array_equal(systems[0], hess)
+        for rung, system in enumerate(systems[1:]):
+            assert np.array_equal(system, hess - 1e-8 * 2.0 * 2.0**rung * np.eye(2))
+
     def test_no_uphill_step(self):
         # a flat objective with a nonzero "score" offers no improvement
         theta0 = np.array([0.5])

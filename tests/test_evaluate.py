@@ -582,8 +582,9 @@ class TestRunBacktest:
         for r in reports:
             assert 0.0 <= r.r2 <= 1.0
             assert set(r.wins) <= {"r2", "qlike", "hmse"}
-        assert set(info) == {"skipped_refits", "garch_failed_refits", "garch_converged", "intgarch_converged"}
-        assert info["skipped_refits"] == []
+        assert set(info) == {"skipped_refits", "overflowed_forecasts", "garch_failed_refits",
+                             "garch_converged", "intgarch_converged"}
+        assert info["skipped_refits"] == info["overflowed_forecasts"] == []
         assert info["garch_failed_refits"] == []
         # one (origin, converged) pair per baseline refit: origins 119..159
         assert [t for t, _ in info["garch_converged"]] == [119, 139, 159]
@@ -661,7 +662,7 @@ class TestRunBacktest:
     def test_overflowing_forecast_skips_only_its_origin(self):
         # the world of test_forecast's final-refit overflow: the forecast
         # from 254 and the refit at 255 overflow, and the other 55 origins
-        # are reported
+        # are reported; overflowed_forecasts holds the first alone
         model = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
         s, h = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
         radii = s.radii.copy()
@@ -672,6 +673,7 @@ class TestRunBacktest:
         )
         assert [t for t, _ in info["skipped_refits"]] == [254, 255]
         assert "overflow in the forecast from origin 254" in info["skipped_refits"][0][1]
+        assert info["overflowed_forecasts"] == info["skipped_refits"][:1]
         assert [(r.model, r.n) for r in reports] == [("garch11", 55), ("intgarch", 55)]
 
     def test_scalar_returns_length(self, backtest_inputs):
@@ -732,7 +734,8 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
         forecasts["intgarch"][h] = (dates_h, int_s2)
         forecasts["garch11"][h] = (dates_h, g_s2)
     info = {
-        "skipped_refits": skipped,
+        "skipped_refits": [(t, reason) for t, _, reason in skipped],
+        "overflowed_forecasts": [(t, reason) for t, stage, reason in skipped if stage == "forecast"],
         "garch_failed_refits": garch_failures,
         "garch_converged": garch_converged,
     }

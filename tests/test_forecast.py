@@ -353,7 +353,7 @@ class TestRollingForecast:
         _, skipped = rolling_forecast(series, ORDERS_111, horizons=[1], train_size=200,
                                       refit_every=7, init_mode=init_mode)
         reused = [t for t in range(199, 260) if (t - 199) % 7]
-        assert [t for t, _ in skipped] == [206]
+        assert [(t, stage) for t, stage, _ in skipped] == [(206, "refit")]
         assert sorted(seen) == [t for t in range(199, 260) if t != 206]
         for t in reused:
             params, h_path = seen[t]
@@ -373,7 +373,7 @@ class TestRollingForecast:
         results, skipped = rolling_forecast(
             extreme, ORDERS_111, horizons=[1], train_size=200, refit_every=7
         )
-        assert [t for t, _ in skipped] == [254, 255]
+        assert [(t, stage) for t, stage, _ in skipped] == [(254, "forecast"), (255, "refit")]
         assert [r.origin_index for r in results] == list(range(199, 254))
 
     def test_overflow_inside_a_reused_span_skips_from_there(self):
@@ -389,8 +389,10 @@ class TestRollingForecast:
             refit_every=7,
         )
         assert [r.origin_index for r in results] == [199, 200, 201]
-        assert [t for t, _ in skipped] == list(range(202, 256))
-        assert "overflow in the forecast from origin 202" in skipped[0][1]
+        assert [t for t, _, _ in skipped] == list(range(202, 256))
+        # the refits at 206, 213, ... fail too; every other origin's forecast
+        assert {t for t, stage, _ in skipped if stage == "refit"} == set(range(206, 256, 7))
+        assert "overflow in the forecast from origin 202" in skipped[0][2]
 
     def test_horizons_validated(self, series):
         with pytest.raises(DataError, match="horizons"):
