@@ -17,6 +17,7 @@ import errno
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -370,8 +371,11 @@ def cmd_backtest(args) -> int:
     overflowed = len(info["overflowed_forecasts"])
     counts = {"failed interval-model refits": len(info["skipped_refits"]) - overflowed,
               "overflowed interval-model forecasts": overflowed}
-    for key, label in (("intgarch_converged", "interval-model"), ("garch_converged", "baseline")):
-        counts[f"unconverged {label} refits"] = sum(1 for _, ok in info[key] if not ok)
+    for key, label in (("intgarch", "interval-model"), ("garch", "baseline")):
+        reasons = Counter(reason for (_, ok), (_, reason, _) in
+                          zip(info[f"{key}_converged"], info[f"{key}_stop_reasons"]) if not ok)
+        split = ", ".join(f"{reason}: {n}" for reason, n in sorted(reasons.items()))
+        counts[f"unconverged {label} refits"] = f"{reasons.total()} ({split})" if reasons else 0
     for label, count in counts.items():
         if count:
             print(f"{label}: {count}", file=sys.stderr)

@@ -17,17 +17,18 @@ below 1e-6. It starts with mu at 0.4 of the implied mean scale and a
 weight of 0.2 in each coefficient group; a walk-forward refit instead
 starts from the previous fit, when that is feasible under the new k-hat,
 and runs from the cold start only if that run does not converge
-(_warm_then_cold, shared with the baseline). Each point is evaluated
-once: _loglik_raw returns the log-likelihood with the h path and lag
-arrays it built, the score and Hessian take those, and the fit keeps the
-winning run's h path. Pre-sample lags are set to their stationary
-expectations (centers 0, radii k*E(h;theta), h either E(h;theta) or 0),
-and because E(h;theta) = mu/(1-S) moves with theta, its first and second
-derivatives are carried through the recursions; the objective forms the
-level alone, and each score and Hessian call builds its derivatives once
-from the r = 1/(1-S) and the weight-sum direction the evaluation carries.
-The resulting score and Hessian match finite differences of the
-likelihood to near machine precision. Both run with numpy's overflow
+(_warm_then_cold, shared with the baseline). _likelihood builds a fit's
+objective, score and Hessian once, every array fixed in theta made up
+front (the source's constant columns and the level's outer products on
+the first derivative call); loglik_eval and score_and_hessian use it
+too. Each point is evaluated once: the objective returns the h path,
+pre-sample h and r = 1/(1-S) with the value, the score and Hessian take
+those, and the fit keeps the winning run's h path. Pre-sample lags are
+set to their stationary expectations (centers 0, radii k*E(h;theta), h
+either E(h;theta) or 0), and because E(h;theta) = mu/(1-S) moves with
+theta, its first and second derivatives are carried through the
+recursions. The resulting score and Hessian match finite differences of
+the likelihood to near machine precision. Both run with numpy's overflow
 warnings off: an h path that overflows raises NumericalError, and the
 Newton rejects a non-finite value and raises on a non-finite score.
 
@@ -216,15 +217,6 @@ def _split_theta(theta: np.ndarray, o: ModelOrders) -> tuple:
     )
 
 
-def _weight_sum_direction(k: float, o: ModelOrders) -> np.ndarray:
-    """Gradient of the stationarity weight sum S(theta) in theta."""
-    s = np.zeros(o.n_params)
-    s[1 : 1 + o.p] = ABS_NORMAL_MEAN
-    s[1 + o.p : 1 + o.p + o.q] = k
-    s[1 + o.p + o.q :] = 1.0
-    return s
-
-
 def _fold(source: np.ndarray, gamma: np.ndarray, init) -> np.ndarray:
     """Add the pre-sample terms sum_{j>t} gamma_j * init to each row t < w
     of source, in place, for `recurse`'s zero pre-sample; returns source."""
@@ -236,13 +228,13 @@ def _fold(source: np.ndarray, gamma: np.ndarray, init) -> np.ndarray:
 def _recursion_derivs(src, gamma, d0, u, v, ar) -> tuple:
     """Gradient and Hessian of sum_t f_t(y_t), y_t = base_t + sum_j
     gamma_j y_{t-j}: src is the direct derivative of base_t and y_{t-j}
-    in theta, folded in place, d0 that of the pre-sample y, u and v are
+    in theta, already folded, d0 that of the pre-sample y, u and v are
     f_t' and f_t'', and columns `ar` hold gamma_1, gamma_2, ... Returns
     (grad, hess, ur): D'u and (D v)'D, D the derivative columns, plus the
     second-order term of the `ar` rows and columns; ur, the reverse filter
     of u, weighs the caller's other second-order sources.
     """
-    D = recurse(_fold(src, gamma, d0), gamma)
+    D = recurse(src, gamma)
     grad = D.T @ u
     hess = (D * v[:, None]).T @ D
     ur = recurse(u[::-1], gamma)[::-1]
@@ -256,94 +248,98 @@ def _recursion_derivs(src, gamma, d0, u, v, ar) -> tuple:
     return grad, hess, ur
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _loglik_raw(
-    k: float,
-    theta: np.ndarray,
-    lam: np.ndarray,
-    dlt: np.ndarray,
-    o: ModelOrders,
-    init_mode: InitMode,
-) -> tuple:
-    """Log-likelihood and its evaluation: the h path (finite and
-    positive), the extended |lam| and del lag arrays, pre-sample h, and
-    the weight-sum direction s and r = 1/(1-S) of the stationary level
-    E(h) = mu/(1-S)."""
-    T = lam.shape[0]
-    m = o.max_lag
-    mu, alpha, beta, gamma = _split_theta(theta, o)
-    s = _weight_sum_direction(k, o)
-    S = float(s[1:] @ theta[1:])
-    if S >= 1.0:
-        raise ModelError(
-            f"nonstationary parameters (weight sum {S:.6g} >= 1): pre-sample "
-            "expectation undefined"
-        )
-    r = 1.0 / (1.0 - S)
-    level = mu * r
-    h0 = level if init_mode is InitMode.MEAN_H else 0.0
-
-    abs_lam_ext = np.concatenate((np.zeros(m), np.abs(lam)))
-    dlt_ext = np.concatenate((np.full(m, k * level), dlt))
-    base = np.full(T, mu)
-    for i in range(1, o.p + 1):
-        base += alpha[i - 1] * abs_lam_ext[m - i : m - i + T]
-    for i in range(1, o.q + 1):
-        base += beta[i - 1] * dlt_ext[m - i : m - i + T]
-    h = recurse(_fold(base, gamma, h0), gamma)
-    if not np.isfinite(h).all() or (h <= 0).any():
-        raise NumericalError("numerical overflow in h recursion")
-    ll = float(np.sum(-(k + 1.0) * np.log(h) - lam**2 / (2.0 * h * h) - dlt / h))
-    return ll, (h, abs_lam_ext, dlt_ext, h0, s, r)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _score_hessian_raw(
-    k: float,
-    theta: np.ndarray,
-    lam: np.ndarray,
-    dlt: np.ndarray,
-    o: ModelOrders,
-    init_mode: InitMode,
-    evaluation: tuple,
-) -> tuple:
-    """Analytic score and Hessian of the conditional log-likelihood, given
-    _loglik_raw's evaluation at theta."""
-    T = lam.shape[0]
-    d = o.n_params
-    m = o.max_lag
-    mu, _, beta, gamma = _split_theta(theta, o)
-    h, abs_lam_ext, dlt_ext, h0, s, r = evaluation
-    e0 = np.zeros(d)
-    e0[0] = 1.0
-    level_grad = e0 * r + mu * s * r * r  # of the level mu * r
-    level_hess = (np.outer(e0, s) + np.outer(s, e0)) * r * r + 2.0 * mu * np.outer(s, s) * r**3
-    k_level_grad = k * level_grad
+def _likelihood(k: float, lam: np.ndarray, dlt: np.ndarray, o: ModelOrders, init_mode: InitMode) -> tuple:
+    """One sample's log-likelihood as (objective, derivs, feasible), each
+    array that does not move with theta made once. objective(theta)
+    returns the log-likelihood and its evaluation: the finite, positive h
+    path, pre-sample h and r = 1/(1-S) of the level E(h) = mu/(1-S).
+    derivs(theta, evaluation) returns the analytic score and Hessian
+    there, making its own fixed arrays (the source's constant columns,
+    the level's outer products) on its first call, all under numpy's
+    overflow warnings off, as is the objective: k is huge for huge radii.
+    feasible(theta) is mu > 0, every coefficient >= 0 and S below 1 by
+    _STATIONARITY_MARGIN.
+    """
+    T, d, m = lam.shape[0], o.n_params, o.max_lag
     mean_init = init_mode is InitMode.MEAN_H
-    dh0 = level_grad if mean_init else np.zeros(d)
+    s = np.zeros(d)  # the weight-sum direction: S = s'theta
+    s[1 : 1 + o.p], s[1 + o.p : 1 + o.p + o.q], s[1 + o.p + o.q :] = ABS_NORMAL_MEAN, k, 1.0
+    lam2 = lam**2
+    # the |lam| and del lags with 0 before the sample; a pre-sample del,
+    # k * level, moves with theta and is added at each point
+    ext = (np.concatenate((np.zeros(m), np.abs(lam))), np.concatenate((np.zeros(m), dlt)))
+    lags = [x[m - i : m - i + T] for x, n in zip(ext, (o.p, o.q)) for i in range(1, n + 1)]
+    fixed = None  # derivs' own fixed arrays, made on its first call
 
-    # first-derivative source: the direct derivative of h_t in theta
-    # [1, |lam| lags, del lags, h lags] plus the pre-sample radius terms
-    h_ext = np.concatenate((np.full(m, h0), h))
-    groups = ((abs_lam_ext, o.p), (dlt_ext, o.q), (h_ext, o.w))
-    lagged = [x[m - i : m - i + T] for x, n in groups for i in range(1, n + 1)]
-    src = np.column_stack([np.ones(T)] + lagged)
-    for i in range(1, o.q + 1):
-        src[:i] += beta[i - 1] * k_level_grad  # rows whose del_{t-i} is pre-sample
-    u = -(k + 1.0) / h + lam**2 / h**3 + dlt / h**2
-    v = (k + 1.0) / h**2 - 3.0 * lam**2 / h**4 - 2.0 * dlt / h**3
-    grad, hess, ur = _recursion_derivs(src, gamma, dh0, u, v, range(o.p + o.q + 1, d))
+    def feasible(theta):
+        if theta[0] <= 0 or (theta[1:] < 0).any():
+            return False
+        return s[1:] @ theta[1:] < 1.0 - _STATIONARITY_MARGIN
 
-    # the second-order terms of the pre-sample levels, weighted by ur
-    for i in range(1, o.q + 1):
-        weight = ur[:i].sum()  # rows whose del_{t-i} is pre-sample
-        bi = o.p + i
-        hess[bi, :] += weight * k_level_grad
-        hess[:, bi] += weight * k_level_grad
-        hess += weight * beta[i - 1] * k * level_hess
-    if mean_init:  # the pre-sample second derivatives folded into rows t < w
-        hess += sum(ur[t] * gamma[t:].sum() for t in range(min(o.w, T))) * level_hess
-    return grad, hess
+    def objective(theta):
+        mu, _, _, gamma = _split_theta(theta, o)
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = float(s[1:] @ theta[1:])
+            if S >= 1.0:
+                raise ModelError(
+                    f"nonstationary parameters (weight sum {S:.6g} >= 1): pre-sample "
+                    "expectation undefined"
+                )
+            r = 1.0 / (1.0 - S)
+            level = mu * r
+            h0 = level if mean_init else 0.0
+            base = np.full(T, mu)
+            for col, x in enumerate(lags, 1):
+                base += theta[col] * x
+                if col > o.p:  # rows whose del_{t-i} is pre-sample, i = col - p
+                    base[: col - o.p] += theta[col] * (k * level)
+            h = recurse(_fold(base, gamma, h0), gamma)
+            if not np.isfinite(h).all() or (h <= 0).any():
+                raise NumericalError("numerical overflow in h recursion")
+            ll = float(np.sum(-(k + 1.0) * np.log(h) - lam2 / (2.0 * h * h) - dlt / h))
+        return ll, (h, h0, r)
+
+    def derivs(theta, evaluation):
+        nonlocal fixed
+        mu, _, beta, gamma = _split_theta(theta, o)
+        h, h0, r = evaluation
+        with np.errstate(over="ignore", invalid="ignore"):
+            if fixed is None:
+                e0 = np.eye(d)[0]
+                fixed = (np.column_stack([np.ones(T)] + lags + [np.zeros((T, o.w))]),
+                         e0, np.outer(e0, s) + np.outer(s, e0), np.outer(s, s))
+            const, e0, e0_s, s_s = fixed
+            level_grad = e0 * r + mu * s * r * r  # of the level mu * r
+            level_hess = e0_s * r * r + 2.0 * mu * s_s * r**3
+            k_level_grad = k * level_grad
+            dh0 = level_grad if mean_init else np.zeros(d)
+
+            # first-derivative source: the direct derivative of h_t in theta
+            # [1, |lam| lags, del lags, h lags] plus the pre-sample radius terms
+            src = const.copy()
+            for i in range(1, o.q + 1):
+                src[:i, o.p + i] = k * (mu * r)
+            for i in range(1, o.w + 1):
+                src[:i, o.p + o.q + i], src[i:, o.p + o.q + i] = h0, h[: max(T - i, 0)]
+            for i in range(1, o.q + 1):
+                src[:i] += beta[i - 1] * k_level_grad  # rows whose del_{t-i} is pre-sample
+            u = -(k + 1.0) / h + lam2 / h**3 + dlt / h**2
+            v = (k + 1.0) / h**2 - 3.0 * lam2 / h**4 - 2.0 * dlt / h**3
+            grad, hess, ur = _recursion_derivs(
+                _fold(src, gamma, dh0), gamma, dh0, u, v, range(o.p + o.q + 1, d))
+
+            # the second-order terms of the pre-sample levels, weighted by ur
+            for i in range(1, o.q + 1):
+                weight = ur[:i].sum()  # rows whose del_{t-i} is pre-sample
+                bi = o.p + i
+                hess[bi, :] += weight * k_level_grad
+                hess[:, bi] += weight * k_level_grad
+                hess += weight * beta[i - 1] * k * level_hess
+            if mean_init:  # the pre-sample second derivatives folded into rows t < w
+                hess += sum(ur[t] * gamma[t:].sum() for t in range(min(o.w, T))) * level_hess
+        return grad, hess
+
+    return objective, derivs, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +359,8 @@ def loglik_eval(
     """
     if len(series) == 0:
         raise DataError("empty input")
-    ll, (h, *_) = _loglik_raw(
-        params.k, params.theta, series.centers, series.radii, params.orders, init_mode
-    )
+    objective, _, _ = _likelihood(params.k, series.centers, series.radii, params.orders, init_mode)
+    ll, (h, *_) = objective(params.theta)
     return ll, h
 
 
@@ -382,18 +377,34 @@ def score_and_hessian(
     """
     if len(series) == 0:
         raise DataError("empty input")
-    args = (params.k, params.theta, series.centers, series.radii, params.orders, init_mode)
-    return _score_hessian_raw(*args, _loglik_raw(*args)[1])
+    objective, derivs, _ = _likelihood(params.k, series.centers, series.radii, params.orders, init_mode)
+    return derivs(params.theta, objective(params.theta)[1])
 
 
 # ---------------------------------------------------------------------------
 # projected-Newton optimizer
 
 
-def _feasible(k: float, theta: np.ndarray, o: ModelOrders) -> bool:
-    if theta[0] <= 0 or (theta[1:] < 0).any():
-        return False
-    return _weight_sum_direction(k, o)[1:] @ theta[1:] < 1.0 - _STATIONARITY_MARGIN
+def _first_rung(hess: np.ndarray, grad: np.ndarray, unit: float) -> int:
+    """The first j >= 1 at which d_j, solving (hess - rho_j I) d_j = -grad
+    at rho_j = unit * 2^(j-1), may point uphill: with hess = sum_i l_i q_i
+    q_i', grad'd_j = sum_i (q_i'grad)^2 / (rho_j - l_i) (Nocedal & Wright
+    2006, sec. 3.4). A rung is passed over only when that sum is below
+    -1e-6 of its terms' absolute sum and rho_j is 1e-6 * max(rho_j,
+    max |l_i|) clear of every l_i, so that the solve there, too, could
+    only have pointed downhill."""
+    try:
+        lam, q = np.linalg.eigh(hess)
+    except np.linalg.LinAlgError:  # no start: the scan solves every rung
+        return 1
+    c2 = (q.T @ grad) ** 2
+    rho = unit * 2.0 ** np.arange(59)[:, None]
+    gap = rho - lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = c2 / gap
+    clear = (terms.sum(1) < -1e-6 * np.abs(terms).sum(1)) & (
+        np.abs(gap).min(1) > 1e-6 * np.maximum(rho[:, 0], np.abs(lam).max()))
+    return 1 + int(np.argmin(clear))
 
 
 def _projected_newton(
@@ -418,10 +429,12 @@ def _projected_newton(
     (Bertsekas 1982; Nocedal & Wright 2006, ch. 16); the others take a
     Newton step, one linear solve; only a step that does not point uphill
     builds a ridge on their Hessian, 1e-8 * max(1, |diagonal|), doubled
-    until it does. The step is projected onto the face and the bounds and
-    halved until the point is feasible and no worse. The settings are the
-    module's, the same for every model: at most _MAX_STEPS steps of at most
-    _MAX_HALVINGS halvings, stopping once |kkt| < _GRADIENT_TOL.
+    until it does, from the first rung on a bordered system and otherwise
+    from the first that one eigendecomposition shows may (_first_rung). The
+    step is projected onto the face and the bounds and halved until the
+    point is feasible and no worse. The settings are the module's, the same
+    for every model: at most _MAX_STEPS steps of at most _MAX_HALVINGS
+    halvings, stopping once |kkt| < _GRADIENT_TOL.
 
     Returns (theta, value, kkt, hess, stop_reason, iterations, trace,
     evaluation): kkt is the gradient at theta less the face's multiplier
@@ -462,7 +475,8 @@ def _projected_newton(
             system = np.zeros((gf.size + 1, gf.size + 1))
             system[:-1, :-1], system[-1, :-1], system[:-1, -1] = hf, normal[free], normal[free]
             hf, rhs = system, np.append(rhs, level - normal @ np.where(held, lower, theta))
-        for attempt in range(60):
+        attempt = 0
+        while attempt < 60:
             try:  # attempt j > 0 takes the ridge 1e-8 * scale * 2^(j-1)
                 ridged = hf - unit * 2.0 ** (attempt - 1) if attempt else hf
                 direction = np.linalg.solve(ridged, rhs)[: gf.size]
@@ -473,6 +487,7 @@ def _projected_newton(
             if attempt == 0:  # the ridge, built on the first escalation, spares the border
                 scale = max(1.0, float(np.max(np.abs(np.diag(hf)))))
                 unit = 1e-8 * scale * np.diag(np.arange(rhs.size) < gf.size)
+            attempt = attempt + 1 if attempt or mult > 0 else _first_rung(hf, gf, 1e-8 * scale)
         else:
             raise NumericalError("Hessian singular: model over-parameterized for data")
         step = lower - theta
@@ -559,19 +574,13 @@ def fit_mle(
         raise ModelError(f"start has orders {start.orders}, the fit {orders}")
     k = estimate_k(series)
     cold = init_theta(series, k, orders)
-    warm = start.theta if start is not None and _feasible(k, start.theta, orders) else None
-    fixed = (series.centers, series.radii, orders, init_mode)
+    objective, derivs, feasible = _likelihood(k, series.centers, series.radii, orders, init_mode)
+    warm = start.theta if start is not None and feasible(start.theta) else None
     lower = np.zeros(orders.n_params)
     lower[0] = -np.inf  # mu > 0 is part of the feasibility check
 
     theta, ll, kkt, hess, stop_reason, iterations, trace, (h_path, *_) = _warm_then_cold(
-        lambda th0: _projected_newton(
-            lambda th: _loglik_raw(k, th, *fixed),
-            lambda th, ev: _score_hessian_raw(k, th, *fixed, ev),
-            th0,
-            lower,
-            lambda th: _feasible(k, th, orders),
-        ),
+        lambda th0: _projected_newton(objective, derivs, th0, lower, feasible),
         [cold.theta],
         warm,
     )

@@ -142,43 +142,45 @@ def _check_pair(rv, sigma2) -> tuple:
     return v, s2
 
 
+def _scores(v: np.ndarray, s2: np.ndarray, metrics) -> dict:
+    """The named metrics of a checked pair, R^2 first; QLIKE or HMSE gives both."""
+    out = {}
+    if "r2" in metrics:
+        if v.size < 3:
+            raise DataError("insufficient data: the regression needs at least 3 observations")
+        if np.ptp(s2) == 0:
+            raise DataError("R² undefined: constant forecasts")
+        ss_tot = float(np.sum((v - v.mean()) ** 2))
+        if ss_tot == 0:
+            raise DataError("R² undefined: constant realized values")
+        x = np.column_stack((np.ones_like(s2), s2))
+        coef, _, _, _ = np.linalg.lstsq(x, v, rcond=None)
+        resid = v - x @ coef
+        out["r2"] = float(min(1.0, max(0.0, 1.0 - (resid @ resid) / ss_tot)))  # guard rounding
+    if "qlike" in metrics or "hmse" in metrics:
+        if np.any(v < 0):
+            raise DataError("rv is a variance and must be nonnegative")
+        ratio = v / s2
+        out["qlike"] = float(np.mean(np.log(s2) + ratio))
+        out["hmse"] = float(np.mean(ratio - 1.0))
+    return out
+
+
 def mz_r2(rv, sigma2) -> float:
     """R^2 of the regression of the realized proxy on an intercept and
     the forecast. In [0, 1]; affine changes of the forecast leave it
     unchanged."""
-    v, s2 = _check_pair(rv, sigma2)
-    if v.size < 3:
-        raise DataError("insufficient data: the regression needs at least 3 observations")
-    if np.ptp(s2) == 0:
-        raise DataError("R² undefined: constant forecasts")
-    ss_tot = float(np.sum((v - v.mean()) ** 2))
-    if ss_tot == 0:
-        raise DataError("R² undefined: constant realized values")
-    x = np.column_stack((np.ones_like(s2), s2))
-    coef, _, _, _ = np.linalg.lstsq(x, v, rcond=None)
-    resid = v - x @ coef
-    r2 = 1.0 - (resid @ resid) / ss_tot
-    return float(min(1.0, max(0.0, r2)))  # guard rounding at the edges
-
-
-def _ratio(rv, sigma2) -> tuple:
-    """(sigma2, rv / sigma2) of a checked pair whose proxy is a variance."""
-    v, s2 = _check_pair(rv, sigma2)
-    if np.any(v < 0):
-        raise DataError("rv is a variance and must be nonnegative")
-    return s2, v / s2
+    return _scores(*_check_pair(rv, sigma2), ("r2",))["r2"]
 
 
 def qlike(rv, sigma2) -> float:
     """mean(log sigma2 + rv/sigma2); lower is better."""
-    s2, ratio = _ratio(rv, sigma2)
-    return float(np.mean(np.log(s2) + ratio))
+    return _scores(*_check_pair(rv, sigma2), ("qlike",))["qlike"]
 
 
 def hmse(rv, sigma2) -> float:
     """mean(rv/sigma2 - 1), a signed relative-bias measure; 0 is ideal."""
-    _, ratio = _ratio(rv, sigma2)
-    return float(np.mean(ratio - 1.0))
+    return _scores(*_check_pair(rv, sigma2), ("hmse",))["hmse"]
 
 
 # ---------------------------------------------------------------------------
@@ -194,27 +196,30 @@ def _garch_variance(theta, r2: np.ndarray, s2_init: float) -> np.ndarray:
     return recurse(src, [b])
 
 
-def _garch_objective(theta: np.ndarray, r2: np.ndarray, s2_init: float) -> tuple:
-    """Gaussian log likelihood less its constant -n/2 log(2 pi), and the
-    variance path s2 it was computed on. omega > 0 and a, b >= 0 keep the
-    variance path positive."""
-    s2 = _garch_variance(theta, r2, s2_init)
-    return -0.5 * float(np.sum(np.log(s2) + r2 / s2)), s2
+def _garch_likelihood(r2: np.ndarray, s2_init: float) -> tuple:
+    """The baseline's Gaussian log likelihood, less its constant
+    -n/2 log(2 pi), on squared returns r2 as (objective, derivs):
+    objective(theta) returns it and the variance path s2 (positive when
+    omega > 0 and a, b >= 0), derivs(theta, s2) the gradient and Hessian
+    there. The path is an AR(1) in b fixed at t=0, so the derivative
+    source is [1, r2, sigma2] lagged once, with no pre-sample term; its
+    first two columns are made here, once."""
+    src0 = np.zeros((r2.size, 3))
+    src0[1:, 0] = 1.0
+    src0[1:, 1] = r2[:-1]
 
+    def objective(theta):
+        s2 = _garch_variance(theta, r2, s2_init)
+        return -0.5 * float(np.sum(np.log(s2) + r2 / s2)), s2
 
-def _garch_derivs(theta: np.ndarray, r2: np.ndarray, s2: np.ndarray) -> tuple:
-    """Gradient and Hessian of _garch_objective at theta, given its
-    variance path s2 there: the path is an AR(1) in b fixed at t=0, so its
-    derivative source is [1, r2, sigma2] lagged once, with no pre-sample
-    term."""
-    src = np.zeros((r2.size, 3))
-    src[1:, 0] = 1.0
-    src[1:, 1] = r2[:-1]
-    src[1:, 2] = s2[:-1]
-    u = 0.5 * (r2 / s2**2 - 1.0 / s2)
-    v = 0.5 * (1.0 / s2**2 - 2.0 * r2 / s2**3)
-    grad, hess, _ = _recursion_derivs(src, theta[2:], 0.0, u, v, [2])
-    return grad, hess
+    def derivs(theta, s2):
+        src = src0.copy()
+        src[1:, 2] = s2[:-1]
+        u = 0.5 * (r2 / s2**2 - 1.0 / s2)
+        v = 0.5 * (1.0 / s2**2 - 2.0 * r2 / s2**3)
+        return _recursion_derivs(src, theta[2:], 0.0, u, v, [2])[:2]
+
+    return objective, derivs
 
 
 def garch11_path(params: Garch11Params, returns, s2_init: float | None = None) -> np.ndarray:
@@ -275,7 +280,6 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
     v = float(np.var(r))
     if v <= 0:
         raise DataError("degenerate returns: zero variance")
-    r2 = r * r
     lower = np.array([1e-12 * max(v, 1e-12), 0.0, 0.0])
     warm = None
     if start is not None:
@@ -283,14 +287,10 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
         if warm[1] + warm[2] > _GARCH_CAP:
             warm = None
 
+    objective, derivs = _garch_likelihood(r * r, v)
     theta, value, _, _, stop_reason, iterations, _, s2 = _warm_then_cold(
         lambda x0: _projected_newton(
-            lambda th: _garch_objective(th, r2, v),
-            lambda th, s2: _garch_derivs(th, r2, s2),
-            x0,
-            lower,
-            lambda th: True,
-            face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP),
+            objective, derivs, x0, lower, lambda th: True, face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP)
         ),
         [np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0])],
         warm,
@@ -371,13 +371,8 @@ def compare(forecasts: Mapping, rv, asset: str = "") -> list:
             v = np.array([rv_map[d_key] for d_key in dates])
             v, s2 = _check_pair(v, s2)
             constant = np.ptp(s2) == 0 or np.ptp(v) == 0
-            row = {
-                "model": name,
-                "n": int(v.size),
-                "r2": math.nan if constant else mz_r2(v, s2),
-                "qlike": qlike(v, s2),
-                "hmse": hmse(v, s2),
-            }
+            row = {"model": name, "n": int(v.size), "r2": math.nan,
+                   **_scores(v, s2, METRICS[1:] if constant else METRICS)}
             rows.append(row)
             per_metric["r2"].append(-row["r2"])  # negate: min wins below
             per_metric["qlike"].append(row["qlike"])
@@ -450,8 +445,10 @@ def run_backtest(
     Returns (reports, info) where info records the origins rolling_forecast
     skipped (skipped_refits: a failed refit or an overflowing forecast;
     overflowed_forecasts: the latter alone) and failed baseline refits as
-    (origin, message) pairs, and one (origin, converged) pair per completed
-    refit of each model.
+    (origin, message) pairs, and for each completed refit of each model an
+    (origin, converged) pair (intgarch_converged, garch_converged) and an
+    (origin, stop_reason, iterations) triple (intgarch_stop_reasons,
+    garch_stop_reasons).
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)
@@ -481,19 +478,21 @@ def run_backtest(
         raise DataError("all refits failed; nothing to evaluate")
 
     garch_failures: list = []
-    garch_converged: list = []
-    intgarch_converged: list = []
+    refits: dict = {key: [] for key in ("garch_converged", "intgarch_converged",
+                                        "garch_stop_reasons", "intgarch_stop_reasons")}
     garch_fit: Garch11Fit | None = None
     forecasts: dict = {name: {h: ([], []) for h in horizons} for name in ("intgarch", "garch11")}
     for res in results:
         t = res.origin_index
         if res.refit_converged is not None:
-            intgarch_converged.append((t, res.refit_converged))
+            refits["intgarch_converged"].append((t, res.refit_converged))
+            refits["intgarch_stop_reasons"].append((t, res.refit_stop_reason, res.refit_iterations))
             try:
                 garch_fit = fit_garch11(
                     returns[: t + 1], start=None if garch_fit is None else garch_fit.params
                 )
-                garch_converged.append((t, garch_fit.converged))
+                refits["garch_converged"].append((t, garch_fit.converged))
+                refits["garch_stop_reasons"].append((t, garch_fit.stop_reason, garch_fit.iterations))
             except IntGarchError as exc:
                 if garch_fit is None:
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
@@ -511,8 +510,7 @@ def run_backtest(
         "skipped_refits": [(t, reason) for t, _, reason in skipped],
         "overflowed_forecasts": [(t, reason) for t, stage, reason in skipped if stage == "forecast"],
         "garch_failed_refits": garch_failures,
-        "garch_converged": garch_converged,
-        "intgarch_converged": intgarch_converged,
+        **refits,
     }
     if include_insample:
         full = fit_mle(series, orders, init_mode)

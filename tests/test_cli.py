@@ -630,24 +630,28 @@ class TestBacktest:
         real = evaluate.fit_garch11
         monkeypatch.setattr(
             evaluate, "fit_garch11",
-            lambda r, start=None: dataclasses.replace(real(r, start=start), converged=False),
+            lambda r, start=None: dataclasses.replace(
+                real(r, start=start), converged=False, stop_reason="iteration cap"),
         )
         assert run("backtest", "--bars", str(bars_csv), "--train", "100",
                    "--horizons", "1", "--refit-every", "16") == 0
         # origins 99..138 refit at 99, 115 and 131
-        assert "unconverged baseline refits: 3" in capsys.readouterr().err
+        assert "unconverged baseline refits: 3 (iteration cap: 3)\n" in capsys.readouterr().err
 
     def test_unconverged_interval_refits_counted(self, bars_csv, monkeypatch, capsys):
         forecast_module = importlib.import_module("intgarch.forecast")
         real = forecast_module.fit_mle
         monkeypatch.setattr(
             forecast_module, "fit_mle",
-            lambda *args, **kw: dataclasses.replace(real(*args, **kw), converged=False),
+            lambda *args, **kw: dataclasses.replace(
+                real(*args, **kw), converged=False,
+                stop_reason="no uphill step" if len(args[0]) == 116 else "iteration cap"),
         )
         assert run("backtest", "--bars", str(bars_csv), "--train", "100",
                    "--horizons", "1", "--refit-every", "16") == 0
         # origins 99..138 refit at 99, 115 and 131
-        assert "unconverged interval-model refits: 3" in capsys.readouterr().err
+        assert ("unconverged interval-model refits: 3 (iteration cap: 2, no uphill step: 1)\n"
+                in capsys.readouterr().err)
 
     def test_failed_refits_and_overflowed_forecasts_counted_apart(
         self, bars_csv, tmp_path, monkeypatch, capsys

@@ -26,7 +26,7 @@ from intgarch import (
     simulate,
 )
 from intgarch import estimate
-from intgarch.estimate import _feasible, _projected_newton
+from intgarch.estimate import _likelihood, _projected_newton
 
 MODEL_I = ModelParams.first_order(k=1.8147, mu=0.0906, alpha1=0.0318, beta1=0.374, gamma1=0.1265)
 ORDERS_111 = ModelOrders(1, 1, 1)
@@ -292,18 +292,21 @@ class TestFitMle:
         assert fitted.loglik == pytest.approx(ll, rel=1e-12)
         np.testing.assert_allclose(fitted.h_path, h, rtol=1e-12)
 
-    def test_level_derivatives_built_once_per_derivative_call(self, sample, monkeypatch):
+    def test_level_outer_products_built_once_per_fit(self, sample, monkeypatch):
         # the level's Hessian takes three outer products and nothing else in
-        # a fit takes any: the objective forms the level alone, and each
-        # score and Hessian call builds its derivatives once
-        real_outer, real_derivs = np.outer, estimate._score_hessian_raw
-        outers, calls = [], []
+        # a fit takes any: the fit's likelihood builds them once, and every
+        # score and Hessian call reuses them
+        real_outer, real_likelihood = np.outer, estimate._likelihood
+        outers, derivs_calls = [], []
+
+        def likelihood(*args):
+            objective, derivs, feasible = real_likelihood(*args)
+            return objective, lambda *a: derivs_calls.append(a) or derivs(*a), feasible
+
         monkeypatch.setattr(np, "outer", lambda *a: outers.append(a) or real_outer(*a))
-        monkeypatch.setattr(
-            estimate, "_score_hessian_raw", lambda *a: calls.append(a) or real_derivs(*a)
-        )
+        monkeypatch.setattr(estimate, "_likelihood", likelihood)
         fit_mle(sample, ORDERS_111)
-        assert calls and len(outers) == 3 * len(calls)
+        assert len(derivs_calls) > 1 and len(outers) == 3
 
     def test_trace_monotone(self, fitted):
         trace = np.asarray(fitted.loglik_trace)
@@ -440,9 +443,8 @@ class TestProjectedNewton:
         def derivs(th, _):
             return score_and_hessian(m.with_theta(th), sample)
 
-        theta, value, kkt, _, stop, _, _, _ = _projected_newton(
-            objective, derivs, start, lower, lambda th: _feasible(k, th, ORDERS_111)
-        )
+        feasible = _likelihood(k, sample.centers, sample.radii, ORDERS_111, InitMode.MEAN_H)[2]
+        theta, value, kkt, _, stop, _, _, _ = _projected_newton(objective, derivs, start, lower, feasible)
         assert stop == "gradient tolerance"
         assert theta[1] > 0
         assert np.max(np.abs(kkt)) < 1e-6
@@ -508,17 +510,94 @@ class TestProjectedNewton:
     def test_ridge_rungs_on_indefinite_hessian(self, monkeypatch):
         # H = diag(-2, 1): at 0 the score is (1, 1) and the Newton step
         # (0.5, -1) is not uphill; a ridge r makes it uphill only past 1, so
-        # the rungs run 1e-8 * scale * 2^j, scale = max(1, |diag H|) = 2,
-        # up to the first j with 2e-8 * 2^j > 1
+        # of the rungs 1e-8 * scale * 2^j, scale = max(1, |diag H|) = 2, the
+        # first with 2e-8 * 2^j > 1 is the one solved after H itself
         monkeypatch.setattr(estimate, "_MAX_STEPS", 1)
         hess = np.diag([-2.0, 1.0])
         systems, stop, _ = self._solves(monkeypatch, hess, [0.0, 0.0])
         j = 26
         assert 2e-8 * 2.0 ** (j - 1) < 1.0 < 2e-8 * 2.0**j
-        assert stop == "iteration cap" and len(systems) == j + 2
+        assert stop == "iteration cap" and len(systems) == 2
         assert np.array_equal(systems[0], hess)
-        for rung, system in enumerate(systems[1:]):
-            assert np.array_equal(system, hess - 1e-8 * 2.0 * 2.0**rung * np.eye(2))
+        assert np.array_equal(systems[1], hess - 1e-8 * 2.0 * 2.0**j * np.eye(2))
+
+    def test_ridge_scan_solves_every_rung_without_eigendecomposition(self, monkeypatch):
+        # an eigendecomposition that fails leaves no start: rungs 2^0..2^26
+        monkeypatch.setattr(estimate, "_MAX_STEPS", 1)
+
+        def eigh(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        hess = np.diag([-2.0, 1.0])
+        systems, stop, _ = self._solves(monkeypatch, hess, [0.0, 0.0])
+        assert stop == "iteration cap" and len(systems) == 28
+        assert np.array_equal(systems[-1], hess - 1e-8 * 2.0 * 2.0**26 * np.eye(2))
+
+    @staticmethod
+    def _reference_ridge(hess, grad):
+        # every rung from the first, as the scan ran before it had a start
+        try:
+            direction = np.linalg.solve(hess, -grad)
+            if grad @ direction > 0:
+                return hess, direction
+        except np.linalg.LinAlgError:
+            pass
+        unit = 1e-8 * max(1.0, float(np.max(np.abs(np.diag(hess))))) * np.eye(len(grad))
+        for attempt in range(1, 60):
+            ridged = hess - unit * 2.0 ** (attempt - 1)
+            try:
+                direction = np.linalg.solve(ridged, -grad)
+            except np.linalg.LinAlgError:
+                continue
+            if grad @ direction > 0:
+                return ridged, direction
+        raise AssertionError("no rung points uphill")
+
+    def test_ridge_start_accepts_the_rung_of_a_full_scan(self, monkeypatch):
+        # random indefinite Hessians; in three of four cases |eigenvalues|
+        # <= 1, so scale = 1, and one positive eigenvalue lies on a rung
+        # (diagonal: the ridged system is singular there) or within 5e-16
+        # of one (rotated: the solve's sign there is rounding's), so the
+        # start must not pass over a rung that only rounding rejects
+        monkeypatch.setattr(estimate, "_MAX_STEPS", 1)
+        real, systems = np.linalg.solve, []
+
+        def solve(a, b):
+            systems.append((a.copy(), real(a, b)))
+            return systems[-1][1]
+
+        rng = np.random.default_rng(20261019)
+        escalated = 0
+        for case in range(1200):
+            n, kind = 2 + case % 3, case % 4
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            eig = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4, size=n)
+            eig[0], eig[1] = -abs(eig[0]), abs(eig[1])
+            if kind:
+                eig = np.clip(eig, -1.0, 1.0)
+                eig[1] = 1e-8 * 2.0 ** rng.integers(0, 26)
+                if kind == 1:
+                    q = np.eye(n)
+                else:
+                    eig[1] += rng.uniform(-5.0, 5.0) * 1e-16
+            hess = (q * eig) @ q.T
+            hess = 0.5 * (hess + hess.T)
+            grad = rng.normal(size=n)
+            want_system, want_direction = self._reference_ridge(hess, grad)
+            systems.clear()
+            monkeypatch.setattr(np.linalg, "solve", solve)
+            _projected_newton(
+                lambda x: (float(grad @ x + 0.5 * x @ hess @ x), None),
+                lambda x, _: (grad + hess @ x, hess),
+                np.zeros(n), np.full(n, -np.inf), lambda x: True,
+            )
+            monkeypatch.setattr(np.linalg, "solve", real)
+            escalated += len(systems) > 1
+            got_system, got_direction = systems[-1]
+            assert np.array_equal(got_system, want_system), case
+            assert np.array_equal(got_direction, want_direction), case
+        assert escalated > 400
 
     def test_no_uphill_step(self):
         # a flat objective with a nonzero "score" offers no improvement

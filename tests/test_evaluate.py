@@ -227,14 +227,14 @@ class TestGarch11LoopReference:
     @pytest.mark.parametrize("theta", [(0.05, 0.08, 0.88), (0.3, 0.2, 0.1), (0.02, 0.1, 0.95)])
     def test_derivatives_match_finite_differences(self, theta):
         # the Hessian's second-order term is taken in adjoint form
-        from intgarch.evaluate import _garch_derivs, _garch_objective
+        from intgarch.evaluate import _garch_likelihood
 
         r2 = np.random.default_rng(4).standard_t(5, size=600) ** 2
         theta = np.array(theta)
-        s2_init = float(np.mean(r2))
+        objective, garch_derivs = _garch_likelihood(r2, float(np.mean(r2)))
 
         def derivs(th):
-            return _garch_derivs(th, r2, _garch_objective(th, r2, s2_init)[1])
+            return garch_derivs(th, objective(th)[1])
 
         grad, hess = derivs(theta)
         fd_g, fd_h = np.empty(3), np.empty((3, 3))
@@ -243,9 +243,7 @@ class TestGarch11LoopReference:
             up, dn = theta.copy(), theta.copy()
             up[i] += step
             dn[i] -= step
-            fd_g[i] = (_garch_objective(up, r2, s2_init)[0] - _garch_objective(dn, r2, s2_init)[0]) / (
-                2 * step
-            )
+            fd_g[i] = (objective(up)[0] - objective(dn)[0]) / (2 * step)
             fd_h[:, i] = (derivs(up)[0] - derivs(dn)[0]) / (2 * step)
         assert np.max(np.abs(grad - fd_g)) / np.max(np.abs(grad)) < 1e-5
         assert np.max(np.abs(hess - fd_h)) / np.max(np.abs(hess)) < 1e-5
@@ -393,10 +391,12 @@ class TestFittingContract:
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         # the derivatives and the finished fit reuse the path the objective
-        # computed, so each fit makes one path evaluation per objective call
+        # computed: each fit evaluates its likelihood's path once per
+        # objective call, and each derivative call runs two recursions of
+        # its own (the derivative columns and the reverse filter), no path
         from intgarch import estimate, evaluate
 
-        counts = {"objective": 0, "path": 0}
+        counts = dict.fromkeys(("objective", "path", "derivs", "recurse"), 0)
         newton = estimate._projected_newton
 
         def counted(objective, *args, **kwargs):
@@ -406,24 +406,40 @@ class TestFittingContract:
 
             return newton(counted_objective, *args, **kwargs)
 
-        def spy(module, name):
-            real = getattr(module, name)
+        def spy(module, builder):
+            real_builder, real_recurse = getattr(module, builder), module.recurse
 
-            def spied(*args):
-                counts["path"] += 1
-                return real(*args)
+            def built(*args):
+                objective, derivs, *rest = real_builder(*args)
 
-            monkeypatch.setattr(module, name, spied)
+                def path(theta):
+                    counts["path"] += 1
+                    return objective(theta)
 
-        for module, evaluator in ((estimate, "_loglik_raw"), (evaluate, "_garch_variance")):
+                def spied_derivs(*a):
+                    counts["derivs"] += 1
+                    return derivs(*a)
+
+                return (path, spied_derivs, *rest)
+
+            def recurse(*args):
+                counts["recurse"] += 1
+                return real_recurse(*args)
+
+            monkeypatch.setattr(module, builder, built)
+            monkeypatch.setattr(module, "recurse", recurse)
             monkeypatch.setattr(module, "_projected_newton", counted)
-            spy(module, evaluator)
+
+        for module, builder in ((estimate, "_likelihood"), (evaluate, "_garch_likelihood")):
+            spy(module, builder)
         series, _ = simulate(SimConfig(MODEL_I, length=500, seed=3, burn_in=200))
         fit = fit_mle(series, MODEL_I.orders)
         assert counts["path"] == counts["objective"] > 0
-        counts.update(objective=0, path=0)
+        assert counts["recurse"] == counts["path"] + 2 * counts["derivs"]
+        counts.update(objective=0, path=0, derivs=0, recurse=0)
         baseline = fit_garch11(series.centers)
         assert counts["path"] == counts["objective"] > 0
+        assert counts["recurse"] == counts["path"] + 2 * counts["derivs"]
         monkeypatch.undo()
         assert np.array_equal(fit.h_path, loglik_eval(fit.params, series)[1])
         assert np.array_equal(baseline.sigma2_path, garch11_path(baseline.params, series.centers))
@@ -583,12 +599,20 @@ class TestRunBacktest:
             assert 0.0 <= r.r2 <= 1.0
             assert set(r.wins) <= {"r2", "qlike", "hmse"}
         assert set(info) == {"skipped_refits", "overflowed_forecasts", "garch_failed_refits",
-                             "garch_converged", "intgarch_converged"}
+                             "garch_converged", "intgarch_converged",
+                             "garch_stop_reasons", "intgarch_stop_reasons"}
         assert info["skipped_refits"] == info["overflowed_forecasts"] == []
         assert info["garch_failed_refits"] == []
         # one (origin, converged) pair per baseline refit: origins 119..159
         assert [t for t, _ in info["garch_converged"]] == [119, 139, 159]
         assert all(type(ok) is bool for _, ok in info["garch_converged"])
+        # and one (origin, stop_reason, iterations) triple per refit of each model
+        for model in ("garch", "intgarch"):
+            reasons = info[f"{model}_stop_reasons"]
+            assert [t for t, _, _ in reasons] == [119, 139, 159]
+            assert [ok for _, ok in info[f"{model}_converged"]] == [
+                reason == "gradient tolerance" for _, reason, _ in reasons]
+            assert all(type(n) is int and n >= 0 for _, _, n in reasons)
 
     def test_insample_reports(self, backtest_inputs):
         series, rv = backtest_inputs
@@ -705,6 +729,7 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
     horizons = sorted(set(int(h) for h in horizons))
     garch_failures: list = []
     garch_converged: list = []
+    garch_stop_reasons: list = []
     garch_fit = None
     garch_fc: dict = {}
     for res in results:
@@ -714,6 +739,7 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
             try:
                 garch_fit = EVALUATE_MODULE.fit_garch11(returns[: t + 1])
                 garch_converged.append((t, garch_fit.converged))
+                garch_stop_reasons.append((t, garch_fit.stop_reason, garch_fit.iterations))
             except IntGarchError as exc:
                 if garch_fit is None:
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
@@ -738,6 +764,7 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
         "overflowed_forecasts": [(t, reason) for t, stage, reason in skipped if stage == "forecast"],
         "garch_failed_refits": garch_failures,
         "garch_converged": garch_converged,
+        "garch_stop_reasons": garch_stop_reasons,
     }
     return compare(forecasts, (labels, np.asarray(rv, dtype=float))), info
 
@@ -772,8 +799,9 @@ class TestWalkForwardReference:
                 raise ConvergenceError(f"forced failure at {t}")
             if ("intgarch", t) not in fits:
                 fits["intgarch", t] = real_fit_mle(sample, orders, init_mode)
-            interval_refits.append((t, fits["intgarch", t].converged))
-            return fits["intgarch", t]
+            fit = fits["intgarch", t]
+            interval_refits.append((t, fit.converged, fit.stop_reason, fit.iterations))
+            return fit
 
         def fit_garch11(sample, start=None):
             t = len(sample) - 1
@@ -787,7 +815,9 @@ class TestWalkForwardReference:
         monkeypatch.setattr(EVALUATE_MODULE, "fit_garch11", fit_garch11)
         reports, info = run_backtest(series, rv, train_size=150, horizons=(1, 2, 5),
                                      refit_every=refit_every, scalar_returns=returns)
-        assert info.pop("intgarch_converged") == interval_refits
+        assert info.pop("intgarch_converged") == [refit[:2] for refit in interval_refits]
+        assert info.pop("intgarch_stop_reasons") == [
+            (t, reason, iterations) for t, _, reason, iterations in interval_refits]
         want_reports, want_info = reference_backtest(series, rv, 150, (1, 2, 5), refit_every, returns)
         assert repr(reports) == repr(want_reports)
         assert repr(info) == repr(want_info)
