@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import errno
+import itertools
 import json
 import os
 import sys
@@ -156,12 +157,10 @@ def _meta(args, keys, **extra) -> dict:
 def _synth_dates(n: int, start: _dt.date) -> list:
     """n consecutive weekdays from start (synthetic calendar for
     simulated series; intervals CSV needs date labels)."""
-    out: list = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += _dt.timedelta(days=1)
+    days = map(_dt.date.fromordinal, range(start.toordinal(), _dt.date.max.toordinal() + 1))
+    out = list(itertools.islice((d for d in days if d.weekday() < 5), n))
+    if len(out) < n:
+        raise DataError(f"--start-date {start}: {n} weekdays from it run past {_dt.date.max}")
     return out
 
 
@@ -368,12 +367,12 @@ def cmd_backtest(args) -> int:
         if np.isnan(r.r2):
             print(f"R² undefined for {r.model} at horizon {r.horizon}: "
                   "constant forecasts or realized values", file=sys.stderr)
-    overflowed = len(info["overflowed_forecasts"])
-    counts = {"failed interval-model refits": len(info["skipped_refits"]) - overflowed,
-              "overflowed interval-model forecasts": overflowed}
+    stages = Counter(stage for _, stage, _ in info["skipped_refits"])
+    counts = {"failed interval-model refits": stages["refit"],
+              "overflowed interval-model forecasts": stages["forecast"]}
     for key, label in (("intgarch", "interval-model"), ("garch", "baseline")):
-        reasons = Counter(reason for (_, ok), (_, reason, _) in
-                          zip(info[f"{key}_converged"], info[f"{key}_stop_reasons"]) if not ok)
+        reasons = Counter(reason for _, reason, _ in info[f"{key}_stop_reasons"]
+                          if reason != "gradient tolerance")
         split = ", ".join(f"{reason}: {n}" for reason, n in sorted(reasons.items()))
         counts[f"unconverged {label} refits"] = f"{reasons.total()} ({split})" if reasons else 0
     for label, count in counts.items():
@@ -504,14 +503,11 @@ def _load_config_file(path) -> dict:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
-    text_stripped = text.lstrip()
-    if text_stripped.startswith("{"):
+    if text.lstrip().startswith("{"):  # text from "{" that parses is a JSON object
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError(f"{path}: config must be a JSON object")
         for key, value in doc.items():
             if value is None or isinstance(value, (list, dict)):
                 raise DataError(f"{path}: config key {key!r} must be a string, number or boolean")

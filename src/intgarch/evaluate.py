@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,6 +64,8 @@ __all__ = [
 
 _GARCH_CAP = 0.999  # the fit's persistence ceiling, a + b <= _GARCH_CAP
 METRICS = ("r2", "qlike", "hmse")
+# each metric's loss in METRICS order: the lowest wins
+_LOSSES = {"r2": lambda r: -r.r2, "qlike": lambda r: r.qlike, "hmse": lambda r: abs(r.hmse)}
 
 
 @dataclass(frozen=True)
@@ -222,17 +224,16 @@ def _garch_likelihood(r2: np.ndarray, s2_init: float) -> tuple:
     return objective, derivs
 
 
-def garch11_path(params: Garch11Params, returns, s2_init: float | None = None) -> np.ndarray:
+def garch11_path(params: Garch11Params, returns) -> np.ndarray:
     """Conditional variance path under the baseline recursion, started at
-    the sample variance unless s2_init is given."""
+    the sample variance."""
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise DataError("insufficient data: need at least 2 returns")
-    if s2_init is None:
-        s2_init = float(np.var(r))
-    if s2_init <= 0:
+    v = float(np.var(r))
+    if v <= 0:
         raise DataError("degenerate returns: zero variance")
-    return _garch_variance((params.omega, params.a, params.b), r * r, s2_init)
+    return _garch_variance((params.omega, params.a, params.b), r * r, v)
 
 
 def garch11_forecast(
@@ -349,8 +350,7 @@ def compare(forecasts: Mapping, rv, asset: str = "") -> list:
         names = sorted(m for m, per_model in forecasts.items() if h in per_model)
         ref_name = names[0]
         ref_dates = tuple(forecasts[ref_name][h][0])
-        per_metric: dict = {m: [] for m in METRICS}
-        rows: list = []
+        group: list = []
         for name in names:
             dates, s2 = forecasts[name][h]
             dates = tuple(dates)
@@ -371,31 +371,15 @@ def compare(forecasts: Mapping, rv, asset: str = "") -> list:
             v = np.array([rv_map[d_key] for d_key in dates])
             v, s2 = _check_pair(v, s2)
             constant = np.ptp(s2) == 0 or np.ptp(v) == 0
-            row = {"model": name, "n": int(v.size), "r2": math.nan,
-                   **_scores(v, s2, METRICS[1:] if constant else METRICS)}
-            rows.append(row)
-            per_metric["r2"].append(-row["r2"])  # negate: min wins below
-            per_metric["qlike"].append(row["qlike"])
-            per_metric["hmse"].append(abs(row["hmse"]))
-        winners: dict = {}
-        for metric, scores in per_metric.items():
+            metrics = {"r2": math.nan, **_scores(v, s2, METRICS[1:] if constant else METRICS)}
+            group.append(EvalReport(asset=asset, model=name, horizon=h, n=int(v.size), **metrics))
+        for metric, loss in _LOSSES.items():
+            scores = [loss(r) for r in group]
             order = np.argsort(scores)
             if len(scores) > 1 and not np.isnan(scores).any() and scores[order[0]] < scores[order[1]]:
-                winners[metric] = rows[order[0]]["model"]
-        for row in rows:
-            wins = tuple(m for m in METRICS if winners.get(m) == row["model"])
-            reports.append(
-                EvalReport(
-                    asset=asset,
-                    model=row["model"],
-                    horizon=h,
-                    r2=row["r2"],
-                    qlike=row["qlike"],
-                    hmse=row["hmse"],
-                    n=row["n"],
-                    wins=wins,
-                )
-            )
+                best = group[order[0]]
+                group[order[0]] = replace(best, wins=best.wins + (metric,))
+        reports += group
     return reports
 
 
@@ -442,13 +426,11 @@ def run_backtest(
     sigma2_path, and rebuilds the path with garch11_path only at origins
     that reuse a fit.
 
-    Returns (reports, info) where info records the origins rolling_forecast
-    skipped (skipped_refits: a failed refit or an overflowing forecast;
-    overflowed_forecasts: the latter alone) and failed baseline refits as
-    (origin, message) pairs, and for each completed refit of each model an
-    (origin, converged) pair (intgarch_converged, garch_converged) and an
-    (origin, stop_reason, iterations) triple (intgarch_stop_reasons,
-    garch_stop_reasons).
+    Returns (reports, info). info holds rolling_forecast's skipped origins
+    as its (origin, stage, message) triples (skipped_refits), failed
+    baseline refits as (origin, message) pairs (garch_failed_refits), and
+    each completed refit of each model as an (origin, stop_reason,
+    iterations) triple (intgarch_stop_reasons, garch_stop_reasons).
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)
@@ -477,26 +459,23 @@ def run_backtest(
     if not results:
         raise DataError("all refits failed; nothing to evaluate")
 
-    garch_failures: list = []
-    refits: dict = {key: [] for key in ("garch_converged", "intgarch_converged",
-                                        "garch_stop_reasons", "intgarch_stop_reasons")}
+    info: dict = {"skipped_refits": skipped, "garch_failed_refits": [],
+                  "intgarch_stop_reasons": [], "garch_stop_reasons": []}
     garch_fit: Garch11Fit | None = None
     forecasts: dict = {name: {h: ([], []) for h in horizons} for name in ("intgarch", "garch11")}
     for res in results:
         t = res.origin_index
-        if res.refit_converged is not None:
-            refits["intgarch_converged"].append((t, res.refit_converged))
-            refits["intgarch_stop_reasons"].append((t, res.refit_stop_reason, res.refit_iterations))
+        if res.refit_stop_reason is not None:
+            info["intgarch_stop_reasons"].append((t, res.refit_stop_reason, res.refit_iterations))
             try:
                 garch_fit = fit_garch11(
                     returns[: t + 1], start=None if garch_fit is None else garch_fit.params
                 )
-                refits["garch_converged"].append((t, garch_fit.converged))
-                refits["garch_stop_reasons"].append((t, garch_fit.stop_reason, garch_fit.iterations))
+                info["garch_stop_reasons"].append((t, garch_fit.stop_reason, garch_fit.iterations))
             except IntGarchError as exc:
                 if garch_fit is None:
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
-                garch_failures.append((t, str(exc)))
+                info["garch_failed_refits"].append((t, str(exc)))
         own = garch_fit.n_obs == t + 1  # refit at this origin
         path = garch_fit.sigma2_path if own else garch11_path(garch_fit.params, returns[: t + 1])
         g_fc = garch11_forecast(garch_fit.params, returns[: t + 1], horizons[-1], path)
@@ -506,12 +485,6 @@ def run_backtest(
                     forecasts[name][h][0].append(labels[t + h])
                     forecasts[name][h][1].append(fc[h - 1])
 
-    info: dict = {
-        "skipped_refits": [(t, reason) for t, _, reason in skipped],
-        "overflowed_forecasts": [(t, reason) for t, stage, reason in skipped if stage == "forecast"],
-        "garch_failed_refits": garch_failures,
-        **refits,
-    }
     if include_insample:
         full = fit_mle(series, orders, init_mode)
         g_full = fit_garch11(returns)
@@ -585,7 +558,10 @@ def simulation_study(
         raise DataError("length must be >= 100")
     if jobs < 1:
         raise DataError("jobs must be >= 1")
-    root = np.random.SeedSequence(seed)
+    try:
+        root = np.random.SeedSequence(seed)
+    except ValueError as exc:
+        raise DataError(f"seed must be a nonnegative integer, got {seed!r}") from exc
     tasks: list = []
     for dseq, (name, params) in zip(root.spawn(len(designs)), designs.items()):
         if not isinstance(params, ModelParams):

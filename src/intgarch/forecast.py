@@ -33,17 +33,17 @@ __all__ = ["ForecastResult", "forecast", "rolling_forecast"]
 @dataclass(frozen=True)
 class ForecastResult:
     """Forecasts from one origin: h_hat[j-1] and sigma2[j-1] are the
-    j-step-ahead scale and volatility. refit_converged, refit_stop_reason
-    and refit_iterations are the converged flag, stop reason and Newton
-    steps of the fit rolling_forecast made at this origin, None where it
-    reused earlier parameters and in every result of forecast()."""
+    j-step-ahead scale and volatility. refit_stop_reason and
+    refit_iterations are the stop reason and Newton steps of the fit
+    rolling_forecast made at this origin (converged means "gradient
+    tolerance"), None where it reused earlier parameters and in every
+    result of forecast()."""
 
     origin_index: int
     horizon: int
     h_hat: np.ndarray = field(repr=False)
     sigma2: np.ndarray = field(repr=False)
     origin_date: _dt.date | None = None
-    refit_converged: bool | None = None
     refit_stop_reason: str | None = None
     refit_iterations: int | None = None
 
@@ -153,8 +153,8 @@ def rolling_forecast(
     an h path or forecast that overflows, skips that origin (recorded in
     the second return value with its stage, "refit" or "forecast"), and
     later origins keep the last fit and evaluate its path anew. Each
-    result's refit_* fields describe the refit at its origin, None where
-    none was.
+    result's refit_stop_reason and refit_iterations describe the refit at
+    its origin, None where none was.
 
     Returns
     -------
@@ -196,6 +196,6 @@ def rolling_forecast(
         except IntGarchError as exc:
             skipped.append((t, stage, str(exc)))
             continue
-        results.append(replace(res, refit_converged=fitted.converged, refit_stop_reason=fitted.stop_reason,
+        results.append(replace(res, refit_stop_reason=fitted.stop_reason,
                                refit_iterations=fitted.iterations) if refit else res)
     return results, skipped

@@ -110,7 +110,10 @@ def simulate_paths(
     m = o.max_lag
     total = length + burn_in
 
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    try:
+        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    except ValueError as exc:
+        raise ModelError(f"seed must be a nonnegative integer, got {seed!r}") from exc
     seq_eps, seq_eta = root.spawn(2)
     eps = np.random.default_rng(seq_eps).standard_normal((n_paths, total))
     eta = np.random.default_rng(seq_eta).gamma(params.k, 1.0, (n_paths, total))

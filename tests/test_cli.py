@@ -748,3 +748,112 @@ class TestTable1:
     def test_jobs_below_one_exit_two(self, jobs, capsys):
         assert run("table1", "--designs", "III", "--reps", "2", "--T", "100", "--jobs", jobs) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """Each bad input exits 2 with its message and no traceback, and
+    writes no output."""
+
+    def exits_two(self, capsys, argv, message):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def simulate_argv(self, workdir, tmp_path, *flags):
+        return ["simulate", "--model", str(workdir / "model.json"), "--T", "50",
+                *flags, "--out", str(tmp_path / "s.csv")]
+
+    def test_negative_seed(self, workdir, tmp_path, capsys):
+        self.exits_two(capsys, self.simulate_argv(workdir, tmp_path, "--seed", "-1"),
+                       "seed must be a nonnegative integer, got -1")
+        self.exits_two(capsys, ["table1", "--reps", "2", "--T", "100", "--seed", "-3",
+                                "--out", str(tmp_path / "t1.csv")],
+                       "seed must be a nonnegative integer, got -3")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -5}))
+        self.exits_two(capsys, self.simulate_argv(workdir, tmp_path, "--config", str(cfg)),
+                       "seed must be a nonnegative integer, got -5")
+        assert not (tmp_path / "s.csv").exists() and not (tmp_path / "t1.csv").exists()
+
+    def test_start_date_past_the_calendar(self, workdir, tmp_path, capsys):
+        self.exits_two(capsys, self.simulate_argv(workdir, tmp_path, "--start-date", "9999-12-30"),
+                       "--start-date 9999-12-30: 50 weekdays from it run past 9999-12-31")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_start_date_whose_weekdays_end_on_the_last_day(self, workdir, tmp_path):
+        # Monday 9999-12-27 to Friday 9999-12-31
+        out = tmp_path / "s.csv"
+        assert run("simulate", "--model", str(workdir / "model.json"), "--T", "5", "--seed", "1",
+                   "--start-date", "9999-12-27", "--out", str(out)) == 0
+        assert [row.split(",")[0] for row in data_rows(out)[1:]] == [
+            f"9999-12-{d}" for d in range(27, 32)]
+
+    @pytest.mark.parametrize("orders, message", [
+        ("1,1,1,1", "orders must be 'p,q' or 'p,q,w', got '1,1,1,1'"),
+        ("1,x,1", "orders must be integers, got '1,x,1'"),
+    ])
+    def test_bad_orders(self, workdir, tmp_path, capsys, orders, message):
+        self.exits_two(capsys, ["fit", "--data", str(workdir / "train.csv"), "--orders", orders,
+                                "--out", str(tmp_path / "f.json")], message)
+        assert not (tmp_path / "f.json").exists()
+
+    def test_two_part_orders_fit_without_w(self, workdir, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        assert run("fit", "--data", str(workdir / "train.csv"), "--orders", "1,1",
+                   "--out", str(out)) == 0
+        assert FittedModel.from_dict(json.loads(out.read_text())).params.orders == ModelOrders(1, 1, 0)
+
+    def test_bad_horizons(self, bars_csv, capsys):
+        self.exits_two(capsys, ["backtest", "--bars", str(bars_csv), "--train", "100",
+                                "--horizons", "1,x"], "horizons must be integers, got '1,x'")
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read {}"),
+        ('{"orders": [1, 1, 1],', "{}: invalid JSON"),
+        ("[1, 1, 1]", "{}: expected a JSON object"),
+        ('{"k": 1.5}', "{}: neither a parameter nor a fit document"),
+    ], ids=["missing", "invalid", "not-an-object", "neither"])
+    def test_bad_model_document(self, tmp_path, capsys, text, message):
+        model = tmp_path / "model.json"
+        if text is not None:
+            model.write_text(text)
+        self.exits_two(capsys, ["simulate", "--model", str(model), "--T", "50",
+                                "--out", str(tmp_path / "s.csv")], message.format(model))
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config"),
+        ('{"T": 50,', "invalid JSON"),
+        ("T = 50\nseed 4\n", "line 2: expected key=value"),
+        ("[1]", "line 1: expected key=value"),
+        ("T = 50\nbogus = 1\n", "unknown config key 'bogus' for command 'simulate'"),
+    ], ids=["missing", "invalid-json", "no-equals", "json-array", "unknown-key"])
+    def test_bad_config_file(self, workdir, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.txt"
+        if text is not None:
+            cfg.write_text(text)
+        self.exits_two(capsys, self.simulate_argv(workdir, tmp_path, "--config", str(cfg)), message)
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "forecast"])
+    def test_out_names_a_directory(self, fit_dir, tmp_path, capsys, command):
+        data, model = str(fit_dir / "train.csv"), str(fit_dir / "model.json")
+        argv = {"fit": ["fit", "--data", data],
+                "forecast": ["forecast", "--model", model, "--data", data, "--horizon", "2"]}[command]
+        self.exits_two(capsys, [*argv, "--out", str(tmp_path)], f"cannot write {tmp_path}: [Errno 21]")
+
+    def test_prepare_with_one_usable_day(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text("timestamp,bid,ask\n" + "".join(
+            f"2024-03-04T{9 + m // 60:02d}:{m % 60:02d}:00,99.99,100.01\n" for m in range(30, 400, 30)))
+        self.exits_two(capsys, ["prepare", "--ticks", str(ticks), "--grid-minutes", "30",
+                                "--out-intervals", str(tmp_path / "iv.csv")],
+                       "insufficient data: need at least 2 usable days")
+        assert not (tmp_path / "iv.csv").exists()
+
+    def test_backtest_with_two_days(self, tmp_path, capsys):
+        bars = tmp_path / "bars.csv"
+        save_bars_csv([make_day_bars(dt.date(2023, 1, 2 + i), 4.6 + 0.01 * np.arange(5.0))
+                       for i in range(2)], bars)
+        self.exits_two(capsys, ["backtest", "--bars", str(bars), "--train", "1"],
+                       "insufficient data: need at least 3 days")

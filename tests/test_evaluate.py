@@ -40,6 +40,7 @@ from intgarch import (
     study_to_csv,
     weak_stationarity,
 )
+from intgarch.evaluate import _garch_variance
 
 MODEL_I = BENCHMARK_DESIGNS["I"]
 
@@ -251,9 +252,8 @@ class TestGarch11LoopReference:
 
 class TestGarch11Path:
     def test_hand_recursion(self):
-        p = Garch11Params(0.1, 0.2, 0.5)
         r = np.array([1.0, -2.0, 0.5])
-        path = garch11_path(p, r, s2_init=2.0)
+        path = _garch_variance((0.1, 0.2, 0.5), r * r, 2.0)
         # s2[1] = 0.1 + 0.2*1 + 0.5*2, s2[2] = 0.1 + 0.2*4 + 0.5*1.3
         np.testing.assert_allclose(path, [2.0, 1.3, 1.55], rtol=1e-14)
 
@@ -265,7 +265,7 @@ class TestGarch11Path:
     def test_forecast_recursion(self):
         p = Garch11Params(0.1, 0.2, 0.5)
         r = np.array([1.0, -2.0, 0.5])
-        path = garch11_path(p, r, s2_init=2.0)
+        path = _garch_variance((0.1, 0.2, 0.5), r * r, 2.0)
         f = garch11_forecast(p, r, 3, path)
         one = 0.1 + 0.2 * 0.5**2 + 0.5 * 1.55
         np.testing.assert_allclose(
@@ -598,20 +598,17 @@ class TestRunBacktest:
         for r in reports:
             assert 0.0 <= r.r2 <= 1.0
             assert set(r.wins) <= {"r2", "qlike", "hmse"}
-        assert set(info) == {"skipped_refits", "overflowed_forecasts", "garch_failed_refits",
-                             "garch_converged", "intgarch_converged",
+        assert set(info) == {"skipped_refits", "garch_failed_refits",
                              "garch_stop_reasons", "intgarch_stop_reasons"}
-        assert info["skipped_refits"] == info["overflowed_forecasts"] == []
+        assert info["skipped_refits"] == []
         assert info["garch_failed_refits"] == []
-        # one (origin, converged) pair per baseline refit: origins 119..159
-        assert [t for t, _ in info["garch_converged"]] == [119, 139, 159]
-        assert all(type(ok) is bool for _, ok in info["garch_converged"])
-        # and one (origin, stop_reason, iterations) triple per refit of each model
+        # one (origin, stop_reason, iterations) triple per refit of each
+        # model: origins 119..159, each stop reason one of the optimizer's
         for model in ("garch", "intgarch"):
             reasons = info[f"{model}_stop_reasons"]
             assert [t for t, _, _ in reasons] == [119, 139, 159]
-            assert [ok for _, ok in info[f"{model}_converged"]] == [
-                reason == "gradient tolerance" for _, reason, _ in reasons]
+            assert all(reason in ("gradient tolerance", "no uphill step", "iteration cap")
+                       for _, reason, _ in reasons)
             assert all(type(n) is int and n >= 0 for _, _, n in reasons)
 
     def test_insample_reports(self, backtest_inputs):
@@ -686,7 +683,7 @@ class TestRunBacktest:
     def test_overflowing_forecast_skips_only_its_origin(self):
         # the world of test_forecast's final-refit overflow: the forecast
         # from 254 and the refit at 255 overflow, and the other 55 origins
-        # are reported; overflowed_forecasts holds the first alone
+        # are reported, each skip with its stage
         model = ModelParams.first_order(k=0.3, mu=0.05, alpha1=0.05, beta1=2.5, gamma1=0.1)
         s, h = simulate(SimConfig(model, length=256, seed=24, burn_in=100))
         radii = s.radii.copy()
@@ -695,9 +692,9 @@ class TestRunBacktest:
             IntervalSeries(s.centers, radii), rv_proxy(h, model.k, noise_sd=0.0),
             train_size=200, horizons=(1,), refit_every=7,
         )
-        assert [t for t, _ in info["skipped_refits"]] == [254, 255]
-        assert "overflow in the forecast from origin 254" in info["skipped_refits"][0][1]
-        assert info["overflowed_forecasts"] == info["skipped_refits"][:1]
+        assert [t for t, _, _ in info["skipped_refits"]] == [254, 255]
+        assert "overflow in the forecast from origin 254" in info["skipped_refits"][0][2]
+        assert [stage for _, stage, _ in info["skipped_refits"]] == ["forecast", "refit"]
         assert [(r.model, r.n) for r in reports] == [("garch11", 55), ("intgarch", 55)]
 
     def test_scalar_returns_length(self, backtest_inputs):
@@ -728,7 +725,6 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
     )
     horizons = sorted(set(int(h) for h in horizons))
     garch_failures: list = []
-    garch_converged: list = []
     garch_stop_reasons: list = []
     garch_fit = None
     garch_fc: dict = {}
@@ -738,7 +734,6 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
         if scheduled or garch_fit is None:
             try:
                 garch_fit = EVALUATE_MODULE.fit_garch11(returns[: t + 1])
-                garch_converged.append((t, garch_fit.converged))
                 garch_stop_reasons.append((t, garch_fit.stop_reason, garch_fit.iterations))
             except IntGarchError as exc:
                 if garch_fit is None:
@@ -760,10 +755,8 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
         forecasts["intgarch"][h] = (dates_h, int_s2)
         forecasts["garch11"][h] = (dates_h, g_s2)
     info = {
-        "skipped_refits": [(t, reason) for t, _, reason in skipped],
-        "overflowed_forecasts": [(t, reason) for t, stage, reason in skipped if stage == "forecast"],
+        "skipped_refits": skipped,
         "garch_failed_refits": garch_failures,
-        "garch_converged": garch_converged,
         "garch_stop_reasons": garch_stop_reasons,
     }
     return compare(forecasts, (labels, np.asarray(rv, dtype=float))), info
@@ -800,7 +793,7 @@ class TestWalkForwardReference:
             if ("intgarch", t) not in fits:
                 fits["intgarch", t] = real_fit_mle(sample, orders, init_mode)
             fit = fits["intgarch", t]
-            interval_refits.append((t, fit.converged, fit.stop_reason, fit.iterations))
+            interval_refits.append((t, fit.stop_reason, fit.iterations))
             return fit
 
         def fit_garch11(sample, start=None):
@@ -815,9 +808,7 @@ class TestWalkForwardReference:
         monkeypatch.setattr(EVALUATE_MODULE, "fit_garch11", fit_garch11)
         reports, info = run_backtest(series, rv, train_size=150, horizons=(1, 2, 5),
                                      refit_every=refit_every, scalar_returns=returns)
-        assert info.pop("intgarch_converged") == [refit[:2] for refit in interval_refits]
-        assert info.pop("intgarch_stop_reasons") == [
-            (t, reason, iterations) for t, _, reason, iterations in interval_refits]
+        assert info.pop("intgarch_stop_reasons") == interval_refits
         want_reports, want_info = reference_backtest(series, rv, 150, (1, 2, 5), refit_every, returns)
         assert repr(reports) == repr(want_reports)
         assert repr(info) == repr(want_info)
@@ -1019,6 +1010,8 @@ class TestSimulationStudy:
             simulation_study(replications=1)
         with pytest.raises(DataError, match="length"):
             simulation_study(replications=2, length=99)
+        with pytest.raises(DataError, match="seed must be a nonnegative integer, got -3"):
+            simulation_study(replications=2, length=100, seed=-3)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,12 @@ class TestValidation:
         with pytest.raises(ModelError, match="n_paths"):
             simulate_paths(MODEL_I, n_paths=0, length=10, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ModelError, match="seed must be a nonnegative integer, got -1"):
+            simulate_paths(MODEL_I, n_paths=1, length=10, seed=-1)
+        with pytest.raises(ModelError, match="got -7"):
+            simulate(SimConfig(MODEL_I, length=10, seed=-7))
+
     def test_overflow_detected(self):
         # explosive recursion: h multiplies by ~10 each step
         m = ModelParams.first_order(k=1.0, mu=0.1, alpha1=0.0, beta1=0.0, gamma1=10.0)
