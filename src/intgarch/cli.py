@@ -154,6 +154,13 @@ def _meta(args, keys, **extra) -> dict:
     return meta
 
 
+def _emit(args, meta, header, rows, text=None) -> None:
+    """Write the table under the run lines to --out, if set; print text, else the CSV."""
+    if args.out:
+        _write_csv(args.out, meta, header, rows)
+    print("\n".join(_csv_lines(header, rows)) if text is None else text)
+
+
 def _synth_dates(n: int, start: _dt.date) -> list:
     """n consecutive weekdays from start (synthetic calendar for
     simulated series; intervals CSV needs date labels)."""
@@ -258,9 +265,7 @@ def cmd_forecast(args) -> int:
     )
     header = "step,h_hat,sigma2"
     rows = [(j + 1, result.h_hat[j], result.sigma2[j]) for j in range(args.horizon)]
-    if args.out:
-        _write_csv(args.out, meta, header, rows)
-    print("\n".join(_csv_lines(header, rows)))
+    _emit(args, meta, header, rows)
     return 0
 
 
@@ -277,9 +282,7 @@ def cmd_acf(args) -> int:
         header, rows = "lag,sample_acf", [(s, sample[s]) for s in lags]
     else:
         header, rows = "lag,sample_acf,theoretical_acf", [(s, sample[s], theo[s]) for s in lags]
-    if args.out:
-        _write_csv(args.out, meta, header, rows)
-    print("\n".join(_csv_lines(header, rows)))
+    _emit(args, meta, header, rows)
     return 0
 
 
@@ -360,9 +363,7 @@ def cmd_backtest(args) -> int:
         skipped_refits=len(info["skipped_refits"]),
     )
     header, rows = _report_rows(reports)
-    if args.out:
-        _write_csv(args.out, meta, header, rows)
-    print("\n".join(_csv_lines(header, rows)) if args.format == "csv" else render_reports(reports))
+    _emit(args, meta, header, rows, render_reports(reports) if args.format == "text" else None)
     for r in reports:
         if np.isnan(r.r2):
             print(f"R² undefined for {r.model} at horizon {r.horizon}: "
@@ -370,11 +371,13 @@ def cmd_backtest(args) -> int:
     stages = Counter(stage for _, stage, _ in info["skipped_refits"])
     counts = {"failed interval-model refits": stages["refit"],
               "overflowed interval-model forecasts": stages["forecast"]}
-    for key, label in (("intgarch", "interval-model"), ("garch", "baseline")):
-        reasons = Counter(reason for _, reason, _ in info[f"{key}_stop_reasons"]
-                          if reason != "gradient tolerance")
-        split = ", ".join(f"{reason}: {n}" for reason, n in sorted(reasons.items()))
-        counts[f"unconverged {label} refits"] = f"{reasons.total()} ({split})" if reasons else 0
+    insample = info.get("insample_stop_reasons", ())
+    for i, (key, label) in enumerate((("intgarch", "interval-model"), ("garch", "baseline"))):
+        refits = [reason for _, reason, _ in info[f"{key}_stop_reasons"]]
+        for kind, stops in (("refits", refits), ("in-sample fits", [r for r, _ in insample[i:i + 1]])):
+            reasons = Counter(reason for reason in stops if reason != "gradient tolerance")
+            split = ", ".join(f"{reason}: {n}" for reason, n in sorted(reasons.items()))
+            counts[f"unconverged {label} {kind}"] = f"{reasons.total()} ({split})" if reasons else 0
     for label, count in counts.items():
         if count:
             print(f"{label}: {count}", file=sys.stderr)
@@ -399,9 +402,7 @@ def cmd_table1(args) -> int:
     )
     meta = _meta(args, ["designs", "reps", "T", "jobs"], seed=seed)
     header, rows = _study_rows(cells)
-    if args.out:
-        _write_csv(args.out, meta, header, rows)
-    print("\n".join(_csv_lines(header, rows)) if args.format == "csv" else render_study(cells))
+    _emit(args, meta, header, rows, render_study(cells) if args.format == "text" else None)
     return 0
 
 

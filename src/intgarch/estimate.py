@@ -48,7 +48,6 @@ with the baseline, takes the gamma rows and columns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,17 +150,6 @@ class FittedModel:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed fit document: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FittedModel":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid fit JSON: {exc}") from exc
-        return cls.from_dict(doc)
 
 
 def estimate_k(series: IntervalSeries) -> float:

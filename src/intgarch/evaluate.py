@@ -430,7 +430,9 @@ def run_backtest(
     as its (origin, stage, message) triples (skipped_refits), failed
     baseline refits as (origin, message) pairs (garch_failed_refits), and
     each completed refit of each model as an (origin, stop_reason,
-    iterations) triple (intgarch_stop_reasons, garch_stop_reasons).
+    iterations) triple (intgarch_stop_reasons, garch_stop_reasons); with
+    include_insample, the in-sample fits of the interval model and the
+    baseline as (stop_reason, iterations) pairs (insample_stop_reasons).
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)
@@ -490,7 +492,8 @@ def run_backtest(
         g_full = fit_garch11(returns)
         forecasts["intgarch"][0] = (labels, volatility(full.params, full.h_path))
         forecasts["garch11"][0] = (labels, g_full.sigma2_path)
-        info["insample_converged"] = (full.converged, g_full.converged)
+        info["insample_stop_reasons"] = ((full.stop_reason, full.iterations),
+                                         (g_full.stop_reason, g_full.iterations))
 
     reports = compare(forecasts, (labels, rv_arr), asset=asset)
     return reports, info

@@ -233,13 +233,14 @@ def sample_correlation(a: IntervalSeries, b: IntervalSeries) -> float:
     return sample_covariance(a, b) / float(np.sqrt(va * vb))
 
 
-def _acov_biased(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocovariances gamma(0..max_lag) with divisor n (biased)."""
+def _lagged_sums(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_t (x_t - xbar)(x_{t+s} - xbar) for s = 0..max_lag; every
+    autocovariance here is one of these over its divisor."""
     n = x.shape[0]
     xc = x - x.mean()
     out = np.empty(max_lag + 1)
     for s in range(max_lag + 1):
-        out[s] = np.dot(xc[: n - s], xc[s:]) / n
+        out[s] = np.dot(xc[: n - s], xc[s:])
     return out
 
 
@@ -253,41 +254,27 @@ def sample_acf(series: IntervalSeries, max_lag: int) -> np.ndarray:
     """
     if max_lag < 0:
         raise DataError("max_lag must be >= 0")
-    if len(series) <= max_lag + 1:
+    n = len(series)
+    if n <= max_lag + 1:
         raise DataError("insufficient data: series length must exceed max_lag + 1")
-    num = _acov_biased(series.centers, max_lag) + _acov_biased(series.radii, max_lag)
+    num = _lagged_sums(series.centers, max_lag) / n + _lagged_sums(series.radii, max_lag) / n
     if num[0] <= 0:
         raise DataError("degenerate series")
     return num / num[0]
 
 
 def component_acf(values: Sequence[float] | np.ndarray, max_lag: int) -> np.ndarray:
-    """Autocorrelations of a scalar series (biased autocovariances)."""
+    """Autocorrelations of a scalar series: sample_acf with radius 0."""
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise DataError("values must be 1-d")
-    if max_lag < 0:
-        raise DataError("max_lag must be >= 0")
-    if x.shape[0] <= max_lag + 1:
-        raise DataError("insufficient data: series length must exceed max_lag + 1")
-    g = _acov_biased(x, max_lag)
-    if g[0] <= 0:
-        raise DataError("degenerate series")
-    return g / g[0]
+    return sample_acf(IntervalSeries(x, np.zeros_like(x)), max_lag)
 
 
 def summarize(series: IntervalSeries, max_lag: int = 0) -> SummaryMoments:
     """Mean, variance, and autocovariances (divisor n-1 throughout)."""
-    if len(series) < 2:
-        raise DataError("insufficient data: summary needs at least 2 observations")
-    if len(series) <= max_lag:
-        raise DataError("insufficient data: series length must exceed max_lag")
     n = len(series)
-    cc = series.centers - series.centers.mean()
-    rr = series.radii - series.radii.mean()
-    acov = np.empty(max_lag + 1)
-    for s in range(max_lag + 1):
-        acov[s] = (np.dot(cc[: n - s], cc[s:]) + np.dot(rr[: n - s], rr[s:])) / (n - 1)
-    return SummaryMoments(
-        mean=aumann_mean(series), variance=float(acov[0]), autocovariances=acov
-    )
+    if n < 2:
+        raise DataError("insufficient data: summary needs at least 2 observations")
+    if n <= max_lag:
+        raise DataError("insufficient data: series length must exceed max_lag")
+    acov = (_lagged_sums(series.centers, max_lag) + _lagged_sums(series.radii, max_lag)) / (n - 1)
+    return SummaryMoments(aumann_mean(series), float(acov[0]), acov)

@@ -27,7 +27,6 @@ evaluate is the same recurrence at order 1.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -192,17 +191,6 @@ class ModelParams:
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model document: {exc}") from exc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid model JSON: {exc}") from exc
-        return cls.from_dict(doc)
-
 
 def conditional_variance(params: ModelParams, h: float) -> float:
     """Conditional variance of the interval return: h^2 * (1 + k)."""
@@ -343,8 +331,9 @@ def strict_stationarity_check(params: ModelParams) -> bool:
 
 @dataclass(frozen=True)
 class TheoreticalMoments:
-    """Stationary moments. Second-moment fields are None when unavailable
-    (higher-order models, or c2 >= 1)."""
+    """Stationary moments. For higher-order models c1 holds the weight sum
+    sum_i mu_i. Second-moment fields are None when unavailable (higher-order
+    models, or c2 >= 1)."""
 
     mean_h: float
     mean_r: Interval
@@ -415,8 +404,12 @@ def theoretical_acov(params: ModelParams, s: int) -> float:
     if s < 0:
         raise ModelError("lag must be >= 0")
     tm = theoretical_moments(params)
+    if tm.c2 is None:  # a higher-order model
+        o = params.orders
+        raise ModelError(f"closed-form autocovariances need a first-order model, "
+                         f"got orders ({o.p},{o.q},{o.w})")
     if tm.var_r is None:
-        raise ModelError("nonstationary: moments do not exist (c2 >= 1 or higher-order model)")
+        raise ModelError(f"second moments do not exist: c2 = {tm.c2:.6g} >= 1")
     if s == 0:
         return float(tm.var_r)
     k = params.k

@@ -72,7 +72,7 @@ def split_meta(text):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
-    (d / "model.json").write_text(MODEL_I.to_json() + "\n")
+    (d / "model.json").write_text(json.dumps(MODEL_I.to_dict(), indent=2) + "\n")
     assert run("simulate", "--model", str(d / "model.json"), "--T", "600",
                "--seed", "12", "--burn-in", "100", "--out", str(d / "train.csv")) == 0
     return d
@@ -135,7 +135,7 @@ class TestSimulate:
     def test_require_stationary_refusal(self, workdir, tmp_path, capsys):
         bad = ModelParams(ModelOrders(1, 1, 1), 1.8147, 0.0906, (0.5,), (0.6,), (0.4,))
         p = tmp_path / "bad.json"
-        p.write_text(bad.to_json())
+        p.write_text(json.dumps(bad.to_dict(), indent=2))
         assert run("simulate", "--model", str(p), "--T", "60",
                    "--out", str(tmp_path / "x.csv"), "--require-stationary") == 2
         assert "not mean stationary" in capsys.readouterr().err
@@ -143,7 +143,7 @@ class TestSimulate:
     def test_overflow_exits_three(self, tmp_path, capsys):
         boom = ModelParams(ModelOrders(1, 1, 1), 1.8147, 0.0906, (2.0,), (6.0,), (4.0,))
         p = tmp_path / "boom.json"
-        p.write_text(boom.to_json())
+        p.write_text(json.dumps(boom.to_dict(), indent=2))
         assert run("simulate", "--model", str(p), "--T", "5000", "--seed", "1",
                    "--out", str(tmp_path / "y.csv")) == 3
         assert "overflow" in capsys.readouterr().err
@@ -168,7 +168,7 @@ class TestConfigFile:
 
     def test_json_booleans_and_choices(self, workdir, tmp_path, capsys):
         bad = ModelParams(ModelOrders(1, 1, 1), 1.8147, 0.0906, (0.5,), (0.6,), (0.4,))
-        (tmp_path / "bad.json").write_text(bad.to_json())
+        (tmp_path / "bad.json").write_text(json.dumps(bad.to_dict(), indent=2))
         cfg = tmp_path / "cfg.json"
         doc = {"T": 50, "seed": 4, "init": "mean", "require_stationary": True}
         cfg.write_text(json.dumps({**doc, "model": str(workdir / "model.json")}))
@@ -241,7 +241,7 @@ class TestTableBytes:
 
     def test_simulate_h_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "model.json").write_text(MODEL_I.to_json())
+        (tmp_path / "model.json").write_text(json.dumps(MODEL_I.to_dict(), indent=2))
         assert run("simulate", "--model", "model.json", "--T", "30", "--seed", "9",
                    "--out", "s.csv", "--h-out", "h.csv") == 0
         _, h = simulate(SimConfig(params=MODEL_I, length=30, seed=9, burn_in=0, init_mode=InitMode("zero")))
@@ -348,12 +348,12 @@ class TestFit:
         assert "eigen-decomposition of the Hessian failed" in capsys.readouterr().err
 
     def test_fit_json_is_loadable(self, fit_dir):
-        fitted = FittedModel.from_json((fit_dir / "fit.json").read_text())
+        fitted = FittedModel.from_dict(json.loads((fit_dir / "fit.json").read_text()))
         assert fitted.converged
         assert fitted.params.orders == ModelOrders(1, 1, 1)
 
     def test_nonconvergence_exits_four(self, fit_dir, tmp_path, monkeypatch, capsys):
-        fitted = FittedModel.from_json((fit_dir / "fit.json").read_text())
+        fitted = FittedModel.from_dict(json.loads((fit_dir / "fit.json").read_text()))
         stub = dataclasses.replace(fitted, converged=False)
         monkeypatch.setattr(cli, "fit_mle", lambda *a, **k: stub)
         out = tmp_path / "nc.json"
@@ -398,7 +398,7 @@ class TestForecast:
                        "--horizon", "2", "--origin", "0", "--init", init) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
-        fitted = FittedModel.from_json(fit_path.read_text())
+        fitted = FittedModel.from_dict(json.loads(fit_path.read_text()))
         series = load_csv(data, "intervals")
         want = forecast(fitted.params, series, 2, origin_index=0, init_mode=InitMode.ZERO_H)
         got = [float(line.split(",")[1]) for line in outputs[0].splitlines()[1:]]
@@ -415,7 +415,7 @@ class TestForecast:
         radii[254] = 8e307
         dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(len(s))]
         save_intervals_csv(IntervalSeries(s.centers, radii, dates), tmp_path / "x.csv")
-        (tmp_path / "m.json").write_text(model.to_json())
+        (tmp_path / "m.json").write_text(json.dumps(model.to_dict(), indent=2))
         args = ("forecast", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "x.csv"),
                 "--horizon", "1", "--origin")
         assert run(*args, "253") == 0
@@ -442,6 +442,24 @@ class TestAcf:
     def test_sample_only_without_model(self, fit_dir, capsys):
         assert run("acf", "--data", str(fit_dir / "train.csv"), "--max-lag", "2") == 0
         assert capsys.readouterr().out.splitlines()[0] == "lag,sample_acf"
+
+    @pytest.mark.parametrize("model, message", [
+        # mean stationary (weight sum 0.556), but of higher order
+        (ModelParams(ModelOrders(2, 1, 1), 1.5, 0.05, (0.05, 0.02), (0.2,), (0.2,)),
+         "closed-form autocovariances need a first-order model, got orders (2,1,1)"),
+        # mean stationary (c1 = 0.64), but c2 = 2.91
+        (ModelParams.first_order(k=0.1, mu=0.05, alpha1=0.05, beta1=5.0, gamma1=0.1),
+         "second moments do not exist: c2 = 2.91"),
+    ], ids=["higher-order", "c2-past-one"])
+    def test_model_without_autocovariances_names_the_cause(self, fit_dir, tmp_path, capsys, model, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model.to_dict(), indent=2))
+        out = tmp_path / "acf.csv"
+        assert run("acf", "--data", str(fit_dir / "train.csv"), "--max-lag", "3",
+                   "--model", str(path), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert "nonstationary" not in captured.err and not out.exists()
 
 
 class TestPrepare:
@@ -652,6 +670,34 @@ class TestBacktest:
         # origins 99..138 refit at 99, 115 and 131
         assert ("unconverged interval-model refits: 3 (iteration cap: 2, no uphill step: 1)\n"
                 in capsys.readouterr().err)
+
+    def test_unconverged_insample_fits_printed(self, bars_csv, monkeypatch, capsys):
+        from intgarch import evaluate
+
+        # the in-sample fits are the only ones on all 139 intervals
+        real_fit, real_garch = evaluate.fit_mle, evaluate.fit_garch11
+
+        def garch(r, start=None):
+            fit = real_garch(r, start=start)
+            return fit if len(r) < 139 else dataclasses.replace(
+                fit, converged=False, stop_reason="no uphill step")
+
+        monkeypatch.setattr(
+            evaluate, "fit_mle",
+            lambda *args, **kw: dataclasses.replace(
+                real_fit(*args, **kw), converged=False, stop_reason="iteration cap"),
+        )
+        monkeypatch.setattr(evaluate, "fit_garch11", garch)
+        argv = ["backtest", "--bars", str(bars_csv), "--train", "100", "--horizons", "1",
+                "--refit-every", "64", "--insample"]
+        assert run(*argv) == 0
+        err = capsys.readouterr().err
+        assert "unconverged interval-model in-sample fits: 1 (iteration cap: 1)\n" in err
+        assert "unconverged baseline in-sample fits: 1 (no uphill step: 1)\n" in err
+        assert "refits" not in err
+        monkeypatch.undo()
+        assert run(*argv) == 0
+        assert "in-sample" not in capsys.readouterr().err
 
     def test_failed_refits_and_overflowed_forecasts_counted_apart(
         self, bars_csv, tmp_path, monkeypatch, capsys

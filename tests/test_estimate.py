@@ -612,7 +612,7 @@ class TestProjectedNewton:
 
 class TestFittedModelSerialization:
     def test_round_trip(self, fitted):
-        doc = json.loads(fitted.to_json())
+        doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
         again = FittedModel.from_dict(doc)
         assert again.params == fitted.params
         assert again.loglik == fitted.loglik
@@ -622,27 +622,27 @@ class TestFittedModelSerialization:
         assert again.init_mode == fitted.init_mode
 
     def test_stop_reason_round_trips(self, fitted):
-        doc = json.loads(fitted.to_json())
+        doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
         assert doc["stop_reason"] == "gradient tolerance"
         assert FittedModel.from_dict(doc).stop_reason == "gradient tolerance"
 
     def test_document_without_stop_reason_loads(self, fitted):
-        doc = json.loads(fitted.to_json())
+        doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
         del doc["stop_reason"]
         assert FittedModel.from_dict(doc).stop_reason is None
 
     def test_loglik_trace_round_trips(self, fitted):
-        doc = json.loads(fitted.to_json())
+        doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
         assert len(fitted.loglik_trace) > 1 and doc["loglik_trace"] == list(fitted.loglik_trace)
         assert FittedModel.from_dict(doc).loglik_trace == fitted.loglik_trace
 
     def test_document_without_loglik_trace_loads(self, fitted):
-        doc = json.loads(fitted.to_json())
+        doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
         del doc["loglik_trace"]
         assert FittedModel.from_dict(doc).loglik_trace == ()
 
     def test_extra_keys_ignored(self, fitted):
-        doc = json.loads(fitted.to_json())
+        doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
         doc["run_config"] = {"note": "anything"}
         assert FittedModel.from_dict(doc).n_obs == fitted.n_obs
 

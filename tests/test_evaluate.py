@@ -620,8 +620,12 @@ class TestRunBacktest:
         assert by_h[("intgarch", 0)].n == 160
         assert by_h[("garch11", 0)].n == 160
         assert by_h[("intgarch", 1)].n == 40
-        flags = info["insample_converged"]
-        assert len(flags) == 2 and all(isinstance(f, bool) for f in flags)
+        # one (stop_reason, iterations) pair for the interval model, then
+        # one for the baseline
+        pairs = info["insample_stop_reasons"]
+        assert len(pairs) == 2
+        assert all(reason in ("gradient tolerance", "no uphill step", "iteration cap")
+                   and type(n) is int and n >= 0 for reason, n in pairs)
 
     def test_single_fit_when_refit_period_exceeds_window(self, backtest_inputs):
         series, rv = backtest_inputs

@@ -2,6 +2,7 @@
 
 import datetime as dt
 import importlib
+import json
 import math
 
 import numpy as np
@@ -232,7 +233,7 @@ class TestOriginHandling:
         # was read from JSON without its path, and whatever init_mode says
         series, _ = series_h
         f = fit_mle(series[:250], ORDERS_111, mode)
-        loaded = FittedModel.from_json(f.to_json())
+        loaded = FittedModel.from_dict(json.loads(json.dumps(f.to_dict(), indent=2)))
         assert loaded.h_path is None
         other = next(x for x in InitMode if x is not mode)
         # the first origin, where the pre-sample start shows most in h

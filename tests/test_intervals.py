@@ -261,6 +261,16 @@ class TestAcf:
         s = IntervalSeries(c, np.full(80, 2.0))
         np.testing.assert_allclose(sample_acf(s, 4), component_acf(c, 4), rtol=1e-12)
 
+    @pytest.mark.parametrize("values, message", [
+        ([0.1, np.nan, -0.2, 0.3, 0.0], "must be finite"),
+        ([0.1, np.inf, -0.2, 0.3, 0.0], "must be finite"),
+        ([0.1, -np.inf, -0.2, 0.3, 0.0], "must be finite"),
+        ([[0.1, -0.2], [0.3, 0.0], [0.2, 0.1]], "1-d"),
+    ])
+    def test_component_acf_rejects_non_finite_and_2d_input(self, values, message):
+        with pytest.raises(DataError, match=message):
+            component_acf(values, 1)
+
     def test_insufficient_length(self):
         s = IntervalSeries([0.0, 1.0, 2.0], [0.1, 0.1, 0.1])
         with pytest.raises(DataError, match="insufficient"):

@@ -1021,6 +1021,22 @@ class TestTickParserEdges:
         assert "error: line 3: " in capsys.readouterr().err
         assert not (tmp_path / "iv.csv").exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("2024-02-30T10:00:01,99.98,100.02", "day is out of range for month"),
+        ("2024-03-04T10:05:00,1o0.0,100.02", "could not convert string to float: '1o0.0'"),
+    ], ids=["impossible-date", "letter-in-number"])
+    def test_cells_numpy_refuses_name_their_line(self, tmp_path, capsys, row, message):
+        # each file is in the column form, so the column step reads it
+        # until numpy refuses the bad cell; the row parser names its line
+        body = f"{self.ROWS[0]}\n{{}}\n{self.ROWS[2]}\n"
+        assert _tick_columns(body.format(self.ROWS[1]), 3) is not None
+        assert _tick_columns(body.format(row), 3) is None
+        p = tmp_path / "ticks.csv"
+        p.write_text("timestamp,bid,ask\n" + body.format(row))
+        assert cli.main(["prepare", "--ticks", str(p), "--out-intervals", str(tmp_path / "iv.csv")]) == 2
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+        assert not (tmp_path / "iv.csv").exists()
+
     # (name, file text) of valid files in forms other than the one isoformat() writes
     ODD_FILES = {
         "space separator": "timestamp,bid,ask\n2024-03-04 10:00:00,99.99,100.01\n2024-03-04 10:05:00,99.98,100.02\n",

@@ -104,11 +104,6 @@ class TestModelParams:
         with pytest.raises(ModelError, match="alpha"):
             ModelParams(ModelOrders(2, 1, 1), 1.0, 0.1, (0.1,), (0.1,), (0.1,))
 
-    def test_json_round_trip(self):
-        doc = MODEL_I.to_json()
-        again = ModelParams.from_json(doc)
-        assert again == MODEL_I
-
     def test_dict_round_trip(self):
         d = MODEL_I.to_dict()
         assert d["orders"] == [1, 1, 1]
@@ -119,8 +114,6 @@ class TestModelParams:
 
         with pytest.raises(DataError, match="malformed"):
             ModelParams.from_dict({"orders": [1, 1, 1], "k": 1.0})
-        with pytest.raises(DataError, match="invalid model JSON"):
-            ModelParams.from_json("{not json")
 
 
 class TestVarianceScales:
@@ -235,8 +228,25 @@ class TestTheoreticalMoments:
         tm = theoretical_moments(m)
         assert tm.mean_h is not None
         assert tm.mean_h2 is None and tm.var_r is None
-        with pytest.raises(ModelError, match="nonstationary"):
+        with pytest.raises(ModelError, match=f"^second moments do not exist: c2 = {tm.c2:.6g} >= 1$"):
             theoretical_acov(m, 1)
+
+    def test_higher_order_has_mean_moments_only(self):
+        # a (2,1,1) model is mean stationary with weight sum 0.556; c1
+        # holds that sum, and no closed-form second moments exist
+        m = ModelParams(ModelOrders(2, 1, 1), 1.5, 0.05, (0.05, 0.02), (0.2,), (0.2,))
+        ok, s = mean_stationarity(m)
+        assert ok and s == pytest.approx(0.07 * ABS_NORMAL_MEAN + 0.2 * 1.5 + 0.2, rel=1e-15)
+        tm = theoretical_moments(m)
+        assert tm.c1 == s and tm.mean_h == 0.05 / (1.0 - s)
+        assert tm.mean_r.center == 0.0 and tm.mean_r.radius == 1.5 * tm.mean_h
+        assert tm.c2 is None and tm.mean_h2 is None and tm.var_r is None
+        message = r"^closed-form autocovariances need a first-order model, got orders \(2,1,1\)$"
+        for lag in (0, 1):
+            with pytest.raises(ModelError, match=message):
+                theoretical_acov(m, lag)
+        with pytest.raises(ModelError, match=message):
+            theoretical_acf(m, 3)
 
 
 class TestAutocovariance:
