@@ -23,7 +23,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .estimate import FittedModel, fit_mle
+from .estimate import CONVERGED, FittedModel, fit_mle
 from .evaluate import (
     BENCHMARK_DESIGNS,
     _report_rows,
@@ -96,18 +96,28 @@ def _write_text(path, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-# the flags that name a file a command writes
+# the flags that name a file a command writes, and those that name one it reads
 _OUTPUTS = ("out", "out_intervals", "out_bars", "h_out", "summary_out")
+_INPUTS = ("data", "ticks", "bars", "model", "config")
 
 
 def _check_outputs(args) -> None:
-    """Refuse an output path whose directory is missing or not writable
-    before any work, with the message a failed write gives; creates
+    """Refuse, before any work, an output path that names the same file as
+    an input or another output, or whose directory is missing or not
+    writable, the latter with the message a failed write gives; creates
     nothing. The writers still report whatever fails later."""
-    for dest in _OUTPUTS:
+    named: dict = {}  # real path -> the first flag that names it
+    for dest in _INPUTS + _OUTPUTS:
         path = getattr(args, dest, None)
         if path is None:
             continue
+        real = os.path.realpath(path)
+        first = named.setdefault(real, dest)
+        if dest in _INPUTS:
+            continue
+        if first != dest:
+            flags = (f"--{d.replace('_', '-')}" for d in (first, dest))
+            raise DataError(f"{' and '.join(flags)} name the same file {real}")
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             code = errno.ENOENT
@@ -375,7 +385,7 @@ def cmd_backtest(args) -> int:
     for i, (key, label) in enumerate((("intgarch", "interval-model"), ("garch", "baseline"))):
         refits = [reason for _, reason, _ in info[f"{key}_stop_reasons"]]
         for kind, stops in (("refits", refits), ("in-sample fits", [r for r, _ in insample[i:i + 1]])):
-            reasons = Counter(reason for reason in stops if reason != "gradient tolerance")
+            reasons = Counter(reason for reason in stops if reason != CONVERGED)
             split = ", ".join(f"{reason}: {n}" for reason, n in sorted(reasons.items()))
             counts[f"unconverged {label} {kind}"] = f"{reasons.total()} ({split})" if reasons else 0
     for label, count in counts.items():

@@ -48,6 +48,7 @@ with the baseline, takes the gamma rows and columns.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,8 @@ _STATIONARITY_MARGIN = 1e-10
 _MAX_STEPS = 200
 _GRADIENT_TOL = 1e-6
 _MAX_HALVINGS = 30
+# the one stop reason that means converged: every projected score below _GRADIENT_TOL
+CONVERGED = "gradient tolerance"
 
 MIN_OBS_PER_PARAM = 10
 # init_theta's start point: mu as a fraction of h-bar, each group's weight
@@ -90,21 +93,19 @@ class FittedModel:
     covariance (and hessian) are over the free scale parameters in
     `free_names` order. k comes from the moment stage and has no
     likelihood-based standard error. stop_reason is why the optimizer
-    stopped: "gradient tolerance" (converged), "no uphill step" or
-    "iteration cap"; it is None for documents written without it.
-    iterations counts Newton steps. loglik_trace holds the log-likelihood
-    at the start point and after each accepted step; it is () for
-    documents written without it.
+    stopped: CONVERGED, "no uphill step" or "iteration cap" (None for a
+    document written without it and with its converged flag false), and
+    converged is stop_reason == CONVERGED. iterations counts Newton steps.
+    loglik_trace holds the log-likelihood at the start point and after
+    each accepted step; () for documents written without it.
     """
 
     params: ModelParams
     loglik: float
-    converged: bool
     stop_reason: str | None
     iterations: int
     gradient_max: float
     boundary: tuple
-    free_names: tuple
     std_errors: dict
     n_obs: int
     init_mode: InitMode
@@ -112,6 +113,14 @@ class FittedModel:
     covariance: np.ndarray | None = field(default=None, repr=False)
     hessian: np.ndarray | None = field(default=None, repr=False)
     loglik_trace: tuple = field(default=(), repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == CONVERGED
+
+    @property
+    def free_names(self) -> tuple:
+        return tuple(n for n in self.params.param_names() if n not in self.boundary)
 
     def to_dict(self) -> dict:
         return {
@@ -131,18 +140,16 @@ class FittedModel:
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
         try:
-            params = ModelParams.from_dict(d["model"])
+            stop_reason = d.get("stop_reason")
+            if d["converged"] and stop_reason is None:  # written before stop reasons were kept
+                stop_reason = CONVERGED
             return cls(
-                params=params,
+                params=ModelParams.from_dict(d["model"]),
                 loglik=float(d["loglik"]),
-                converged=bool(d["converged"]),
-                stop_reason=d.get("stop_reason"),
+                stop_reason=stop_reason,
                 iterations=int(d["iterations"]),
                 gradient_max=float(d["gradient_max"]),
                 boundary=tuple(d["boundary"]),
-                free_names=tuple(
-                    n for n in params.param_names() if n not in set(d["boundary"])
-                ),
                 std_errors={k: float(v) for k, v in d["std_errors"].items()},
                 n_obs=int(d["n_obs"]),
                 init_mode=InitMode(d["init_mode"]),
@@ -372,6 +379,8 @@ def score_and_hessian(
 # ---------------------------------------------------------------------------
 # projected-Newton optimizer
 
+NewtonRun = namedtuple("NewtonRun", "theta value kkt hess stop_reason iterations trace evaluation")
+
 
 def _first_rung(hess: np.ndarray, grad: np.ndarray, unit: float) -> int:
     """The first j >= 1 at which d_j, solving (hess - rho_j I) d_j = -grad
@@ -402,7 +411,7 @@ def _projected_newton(
     lower: np.ndarray,
     feasible,
     face=None,
-) -> tuple:
+) -> NewtonRun:
     """Maximize objective(theta) subject to theta >= lower, feasible(theta)
     and, given face = (c, b) with c >= 0 and c.lower < b, c.theta <= b.
 
@@ -424,12 +433,12 @@ def _projected_newton(
     for every model: at most _MAX_STEPS steps of at most _MAX_HALVINGS
     halvings, stopping once |kkt| < _GRADIENT_TOL.
 
-    Returns (theta, value, kkt, hess, stop_reason, iterations, trace,
-    evaluation): kkt is the gradient at theta less the face's multiplier
-    times c, with the held coordinates zeroed, hess the Hessian there,
-    iterations the number of Newton steps, stop_reason "gradient
-    tolerance" (the only converged one), "no uphill step" or "iteration
-    cap", and evaluation the objective's at theta.
+    Returns a NewtonRun: kkt is the gradient at theta less the face's
+    multiplier times c, with the held coordinates zeroed, hess the Hessian
+    there, stop_reason CONVERGED ("gradient tolerance", the only converged
+    one), "no uphill step" or "iteration cap", iterations the number of
+    Newton steps, trace the value at the start and after each accepted
+    step, and evaluation the objective's at theta.
     """
     theta = np.array(theta0, dtype=float)
     normal, level = face or (np.zeros(theta.size), np.inf)
@@ -451,10 +460,9 @@ def _projected_newton(
                 break
         some_held = held.any()
         kkt = np.where(held, 0.0, grad - mult * normal) if some_held or mult else grad
-        if np.abs(kkt).max() < _GRADIENT_TOL:
-            return theta, value, kkt, hess, "gradient tolerance", iterations, trace, evaluation
-        if iterations == _MAX_STEPS:
-            return theta, value, kkt, hess, "iteration cap", iterations, trace, evaluation
+        stop = CONVERGED if np.abs(kkt).max() < _GRADIENT_TOL else "iteration cap"
+        if stop == CONVERGED or iterations == _MAX_STEPS:
+            return NewtonRun(theta, value, kkt, hess, stop, iterations, trace, evaluation)
         iterations += 1
         free = ~held
         gf, hf = (grad[free], hess[np.ix_(free, free)]) if some_held else (grad, hess)
@@ -499,10 +507,10 @@ def _projected_newton(
                     improved = True
                 break
         if not improved:
-            return theta, value, kkt, hess, "no uphill step", iterations, trace, evaluation
+            return NewtonRun(theta, value, kkt, hess, "no uphill step", iterations, trace, evaluation)
 
 
-def _warm_then_cold(newton, cold_starts, warm=None, persistence=None) -> tuple:
+def _warm_then_cold(newton, cold_starts, warm=None, persistence=None) -> NewtonRun:
     """One fit's projected-Newton runs: from `warm` when given, and from
     each of `cold_starts` only if that run does not converge.
 
@@ -510,8 +518,8 @@ def _warm_then_cold(newton, cold_starts, warm=None, persistence=None) -> tuple:
     that raises NumericalError counts as unconverged. Among the runs, one
     more than 1e-9 * (1 + |first run's value|) below the best is dropped;
     of the rest a converged run wins, then the lower persistence(theta)
-    where given, then the earlier run. Returns the winner's
-    _projected_newton tuple with iterations summed over every run.
+    where given, then the earlier run. Returns the winner's NewtonRun
+    with iterations summed over every run.
     """
     runs = []
     if warm is not None:
@@ -519,12 +527,12 @@ def _warm_then_cold(newton, cold_starts, warm=None, persistence=None) -> tuple:
             runs.append(newton(warm))
         except NumericalError:
             pass
-    if not runs or runs[0][4] != "gradient tolerance":
+    if not runs or runs[0].stop_reason != CONVERGED:
         runs += [newton(x0) for x0 in cold_starts]
-    floor = max(r[1] for r in runs) - 1e-9 * (1.0 + abs(runs[0][1]))
+    floor = max(r.value for r in runs) - 1e-9 * (1.0 + abs(runs[0].value))
     best = min(runs, key=lambda r: (
-        r[1] < floor, r[4] != "gradient tolerance", persistence(r[0]) if persistence else 0))
-    return best[:5] + (sum(r[5] for r in runs),) + best[6:]
+        r.value < floor, r.stop_reason != CONVERGED, persistence(r.theta) if persistence else 0))
+    return best._replace(iterations=sum(r.iterations for r in runs))
 
 
 def fit_mle(
@@ -567,16 +575,13 @@ def fit_mle(
     lower = np.zeros(orders.n_params)
     lower[0] = -np.inf  # mu > 0 is part of the feasibility check
 
-    theta, ll, kkt, hess, stop_reason, iterations, trace, (h_path, *_) = _warm_then_cold(
-        lambda th0: _projected_newton(objective, derivs, th0, lower, feasible),
-        [cold.theta],
-        warm,
-    )
-    params = cold.with_theta(theta)
+    run = _warm_then_cold(
+        lambda th0: _projected_newton(objective, derivs, th0, lower, feasible), [cold.theta], warm)
+    params = cold.with_theta(run.theta)
     names = np.array(params.param_names())
-    free = theta > lower
+    free = run.theta > lower
 
-    hess_free = hess[np.ix_(free, free)]
+    hess_free = run.hess[np.ix_(free, free)]
     covariance = None
     std_errors: dict = {}
     neg = -hess_free
@@ -594,20 +599,18 @@ def fit_mle(
 
     return FittedModel(
         params=params,
-        loglik=ll,
-        converged=stop_reason == "gradient tolerance",
-        stop_reason=stop_reason,
-        iterations=iterations,
-        gradient_max=float(np.max(np.abs(kkt))),
+        loglik=run.value,
+        stop_reason=run.stop_reason,
+        iterations=run.iterations,
+        gradient_max=float(np.max(np.abs(run.kkt))),
         boundary=tuple(str(n) for n in names[~free]),
-        free_names=tuple(str(n) for n in names[free]),
         std_errors=std_errors,
         n_obs=len(series),
         init_mode=init_mode,
-        h_path=h_path,
+        h_path=run.evaluation[0],
         covariance=covariance,
         hessian=hess_free,
-        loglik_trace=tuple(trace),
+        loglik_trace=tuple(run.trace),
     )
 
 

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimate import _projected_newton, _recursion_derivs, _warm_then_cold, fit_mle
+from .estimate import CONVERGED, _projected_newton, _recursion_derivs, _warm_then_cold, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
 from .forecast import _horizons, rolling_forecast
 from .intervals import IntervalSeries
@@ -115,15 +115,18 @@ class Garch11Params:
 @dataclass(frozen=True)
 class Garch11Fit:
     """Quasi-MLE result for the baseline; stop_reason and converged as in
-    FittedModel: converged means stop_reason is "gradient tolerance"."""
+    FittedModel: converged is stop_reason == CONVERGED."""
 
     params: Garch11Params
     loglik: float
-    converged: bool
     stop_reason: str
     iterations: int
     n_obs: int
     sigma2_path: np.ndarray = field(repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == CONVERGED
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +271,7 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
     cold starts run only if that run does not converge; the same rule
     picks among all runs, and iterations counts the steps of every run.
     sigma2_path is the winner's, as its last evaluation left it.
-    converged means the stop reason is "gradient tolerance", so the KKT
+    converged means the stop reason is CONVERGED, so the KKT
     conditions hold, cap included; an unconverged fit is not raised.
     """
     r = np.asarray(returns, dtype=float)
@@ -289,7 +292,7 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
             warm = None
 
     objective, derivs = _garch_likelihood(r * r, v)
-    theta, value, _, _, stop_reason, iterations, _, s2 = _warm_then_cold(
+    run = _warm_then_cold(
         lambda x0: _projected_newton(
             objective, derivs, x0, lower, lambda th: True, face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP)
         ),
@@ -300,13 +303,12 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
 
     # the bounds and the face keep these parameters constructible
     return Garch11Fit(
-        params=Garch11Params(*(float(x) for x in theta)),
-        loglik=value - 0.5 * r.size * math.log(2.0 * math.pi),
-        converged=stop_reason == "gradient tolerance",
-        stop_reason=stop_reason,
-        iterations=iterations,
+        params=Garch11Params(*(float(x) for x in run.theta)),
+        loglik=run.value - 0.5 * r.size * math.log(2.0 * math.pi),
+        stop_reason=run.stop_reason,
+        iterations=run.iterations,
         n_obs=int(r.size),
-        sigma2_path=s2,
+        sigma2_path=run.evaluation,
     )
 
 

@@ -271,6 +271,8 @@ def component_acf(values: Sequence[float] | np.ndarray, max_lag: int) -> np.ndar
 
 def summarize(series: IntervalSeries, max_lag: int = 0) -> SummaryMoments:
     """Mean, variance, and autocovariances (divisor n-1 throughout)."""
+    if max_lag < 0:
+        raise DataError("max_lag must be >= 0")
     n = len(series)
     if n < 2:
         raise DataError("insufficient data: summary needs at least 2 observations")

@@ -279,24 +279,15 @@ def mean_stationarity(params: ModelParams) -> tuple:
     return s < 1.0, s
 
 
-def _first_order_coefs(params: ModelParams) -> tuple:
-    """(alpha1, beta1, gamma1) for models reducible to first order."""
+def _first_order(params: ModelParams) -> tuple:
+    """(alpha1, beta1, gamma1, c1, c2) of a first-order model, c1 and c2 the
+    first two moments of x_t = alpha1 |eps_t| + beta1 eta_t + gamma1."""
     o = params.orders
     if o.p != 1 or o.q != 1 or o.w > 1:
         raise ModelError("closed-form second moments available only for first-order models")
-    gamma1 = params.gamma[0] if o.w == 1 else 0.0
-    return params.alpha[0], params.beta[0], gamma1
-
-
-def _c1(params: ModelParams) -> float:
-    a1, b1, g1 = _first_order_coefs(params)
-    return a1 * ABS_NORMAL_MEAN + b1 * params.k + g1
-
-
-def _c2(params: ModelParams) -> float:
-    a1, b1, g1 = _first_order_coefs(params)
-    k = params.k
-    return (
+    a1, b1, g1, k = params.alpha[0], params.beta[0], params.gamma[0] if o.w == 1 else 0.0, params.k
+    c1 = a1 * ABS_NORMAL_MEAN + b1 * k + g1
+    c2 = (
         a1 * a1
         + b1 * b1 * (k + k * k)
         + g1 * g1
@@ -304,6 +295,7 @@ def _c2(params: ModelParams) -> float:
         + 2.0 * a1 * g1 * ABS_NORMAL_MEAN
         + 2.0 * b1 * g1 * k
     )
+    return a1, b1, g1, c1, c2
 
 
 def weak_stationarity(params: ModelParams) -> tuple:
@@ -314,8 +306,7 @@ def weak_stationarity(params: ModelParams) -> tuple:
     c2 < 1. Raises ModelError for higher-order models, where no closed
     form is available.
     """
-    c1 = _c1(params)
-    c2 = _c2(params)
+    _, _, _, c1, c2 = _first_order(params)
     return c2 < 1.0, c1, c2
 
 
@@ -326,7 +317,7 @@ def strict_stationarity_check(params: ModelParams) -> bool:
     exponent below 0. Conservative: returns False when c1 >= 1 even
     though E[log x_t] < 0 may still hold.
     """
-    return _c1(params) < 1.0
+    return _first_order(params)[3] < 1.0
 
 
 @dataclass(frozen=True)
@@ -362,8 +353,7 @@ def theoretical_moments(params: ModelParams) -> TheoreticalMoments:
     mean_r = Interval(0.0, params.k * mean_h)
     o = params.orders
     if o.p == 1 and o.q == 1 and o.w <= 1:
-        c1 = _c1(params)
-        c2 = _c2(params)
+        _, _, _, c1, c2 = _first_order(params)
         if c2 < 1.0:
             mean_h2 = params.mu**2 * (c1 + 1.0) / ((c2 - 1.0) * (c1 - 1.0))
             k = params.k
@@ -375,10 +365,8 @@ def theoretical_moments(params: ModelParams) -> TheoreticalMoments:
 
 def _mean_h_hs_eta(params: ModelParams, s: int) -> float:
     """E(h_t h_{t+s} eta_t) for s >= 1 under weak stationarity."""
-    a1, b1, g1 = _first_order_coefs(params)
+    a1, b1, g1, c1, c2 = _first_order(params)
     k = params.k
-    c1 = _c1(params)
-    c2 = _c2(params)
     mu = params.mu
     bracket = a1 * ABS_NORMAL_MEAN + b1 * (1.0 + k) + g1
     return (

@@ -354,11 +354,11 @@ class TestFit:
 
     def test_nonconvergence_exits_four(self, fit_dir, tmp_path, monkeypatch, capsys):
         fitted = FittedModel.from_dict(json.loads((fit_dir / "fit.json").read_text()))
-        stub = dataclasses.replace(fitted, converged=False)
+        stub = dataclasses.replace(fitted, stop_reason="iteration cap")
         monkeypatch.setattr(cli, "fit_mle", lambda *a, **k: stub)
         out = tmp_path / "nc.json"
         assert run("fit", "--data", str(fit_dir / "train.csv"), "--out", str(out)) == 4
-        assert "did not converge" in capsys.readouterr().err
+        assert "fit did not converge: iteration cap\n" in capsys.readouterr().err
         assert out.exists()  # the fit is still written for inspection
 
     def test_missing_data_file(self, tmp_path, capsys):
@@ -573,6 +573,30 @@ class TestOutputErrors:
         assert f"cannot write {target}" in capsys.readouterr().err
         assert not first.exists()
 
+    @pytest.mark.parametrize("command, first, spelled, second", [
+        ("fit", "--data", "same", "--out"),
+        ("prepare", "--ticks", "same", "--out-intervals"),
+        ("simulate", "--out", "same", "--h-out"),
+        ("fit", "--out", "same", "--summary-out"),
+        ("fit", "--out", "./same", "--summary-out"),
+    ])
+    def test_output_naming_an_input_or_another_output_exits_two(
+            self, fit_dir, command, first, spelled, second, tmp_path, monkeypatch, capsys):
+        # "same" holds an input, or a file an output would overwrite: its
+        # bytes stay as they were, whichever spelling names it
+        ticks = "".join(f"2024-03-0{d}T{9 + m // 60:02d}:{m % 60:02d}:00,99.99,100.01\n"
+                        for d in (4, 5) for m in range(30, 400, 30))
+        before = ("timestamp,bid,ask\n" + ticks).encode() if command == "prepare" else (
+            fit_dir / "train.csv").read_bytes()
+        (tmp_path / "same").write_bytes(before)
+        monkeypatch.chdir(tmp_path)
+        given = {"fit": ["--data", str(fit_dir / "train.csv")], "prepare": ["--grid-minutes", "30"],
+                 "simulate": ["--model", str(fit_dir / "model.json"), "--T", "50", "--seed", "1"]}[command]
+        assert run(command, *given, first, spelled, second, "same") == 2
+        message = f"{first} and {second} name the same file {tmp_path.resolve() / 'same'}"
+        assert message in capsys.readouterr().err
+        assert (tmp_path / "same").read_bytes() == before
+
     def test_bad_start_date_exits_two(self, workdir, tmp_path, capsys):
         assert run("simulate", "--model", str(workdir / "model.json"), "--T", "50",
                    "--start-date", "2020-13-01", "--out", str(tmp_path / "s.csv")) == 2
@@ -649,7 +673,7 @@ class TestBacktest:
         monkeypatch.setattr(
             evaluate, "fit_garch11",
             lambda r, start=None: dataclasses.replace(
-                real(r, start=start), converged=False, stop_reason="iteration cap"),
+                real(r, start=start), stop_reason="iteration cap"),
         )
         assert run("backtest", "--bars", str(bars_csv), "--train", "100",
                    "--horizons", "1", "--refit-every", "16") == 0
@@ -662,7 +686,7 @@ class TestBacktest:
         monkeypatch.setattr(
             forecast_module, "fit_mle",
             lambda *args, **kw: dataclasses.replace(
-                real(*args, **kw), converged=False,
+                real(*args, **kw),
                 stop_reason="no uphill step" if len(args[0]) == 116 else "iteration cap"),
         )
         assert run("backtest", "--bars", str(bars_csv), "--train", "100",
@@ -680,12 +704,12 @@ class TestBacktest:
         def garch(r, start=None):
             fit = real_garch(r, start=start)
             return fit if len(r) < 139 else dataclasses.replace(
-                fit, converged=False, stop_reason="no uphill step")
+                fit, stop_reason="no uphill step")
 
         monkeypatch.setattr(
             evaluate, "fit_mle",
             lambda *args, **kw: dataclasses.replace(
-                real_fit(*args, **kw), converged=False, stop_reason="iteration cap"),
+                real_fit(*args, **kw), stop_reason="iteration cap"),
         )
         monkeypatch.setattr(evaluate, "fit_garch11", garch)
         argv = ["backtest", "--bars", str(bars_csv), "--train", "100", "--horizons", "1",

@@ -26,7 +26,7 @@ from intgarch import (
     simulate,
 )
 from intgarch import estimate
-from intgarch.estimate import _likelihood, _projected_newton
+from intgarch.estimate import CONVERGED, _likelihood, _projected_newton
 
 MODEL_I = ModelParams.first_order(k=1.8147, mu=0.0906, alpha1=0.0318, beta1=0.374, gamma1=0.1265)
 ORDERS_111 = ModelOrders(1, 1, 1)
@@ -416,15 +416,15 @@ class TestProjectedNewton:
         # coordinate starts at its bound with a positive score; the second
         # is pushed onto its bound and held there against an outward score
         c = np.array([1.0, -1.0])
-        theta, value, kkt, _, stop, _, _, _ = _projected_newton(
+        run = _projected_newton(
             lambda x: (-float(np.sum((x - c) ** 2)), None),
             lambda x, _: (-2.0 * (x - c), -2.0 * np.eye(2)),
             np.array([0.0, 0.5]), np.zeros(2), lambda x: True,
         )
-        np.testing.assert_allclose(theta, [1.0, 0.0], atol=1e-12)
-        assert value == pytest.approx(-1.0, abs=1e-12)
-        assert kkt[1] == 0.0
-        assert stop == "gradient tolerance"
+        np.testing.assert_allclose(run.theta, [1.0, 0.0], atol=1e-12)
+        assert run.value == pytest.approx(-1.0, abs=1e-12)
+        assert run.kkt[1] == 0.0
+        assert run.stop_reason == CONVERGED
 
     def test_fit_started_at_zero_coefficient_leaves_it(self, sample):
         # alpha1 = 0 with an inward score at the start: the scale model
@@ -444,11 +444,11 @@ class TestProjectedNewton:
             return score_and_hessian(m.with_theta(th), sample)
 
         feasible = _likelihood(k, sample.centers, sample.radii, ORDERS_111, InitMode.MEAN_H)[2]
-        theta, value, kkt, _, stop, _, _, _ = _projected_newton(objective, derivs, start, lower, feasible)
-        assert stop == "gradient tolerance"
-        assert theta[1] > 0
-        assert np.max(np.abs(kkt)) < 1e-6
-        assert value == pytest.approx(fit_mle(sample, ORDERS_111).loglik, rel=1e-10)
+        run = _projected_newton(objective, derivs, start, lower, feasible)
+        assert run.stop_reason == CONVERGED
+        assert run.theta[1] > 0
+        assert np.max(np.abs(run.kkt)) < 1e-6
+        assert run.value == pytest.approx(fit_mle(sample, ORDERS_111).loglik, rel=1e-10)
 
     @staticmethod
     def _on_face(target, start):
@@ -458,13 +458,13 @@ class TestProjectedNewton:
         def grad(x):
             return -2.0 * (x - target)
 
-        theta, _, kkt, _, stop, _, _, _ = _projected_newton(
+        run = _projected_newton(
             lambda x: (-float(np.sum((x - target) ** 2)), None),
             lambda x, _: (grad(x), -2.0 * np.eye(2)),
             np.array(start), np.zeros(2), lambda x: True,
             face=(np.ones(2), 1.0),
         )
-        return theta, grad(theta), kkt, stop
+        return run.theta, grad(run.theta), run.kkt, run.stop_reason
 
     def test_ends_on_face_with_positive_multiplier(self):
         theta, grad, kkt, stop = self._on_face((2.0, 2.0), (0.1, 0.2))
@@ -495,12 +495,12 @@ class TestProjectedNewton:
         # maximize x.(1, 1) + x'Hx/2 from start, recording every linear system
         real, systems = np.linalg.solve, []
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.copy()) or real(a, b))
-        _, _, _, _, stop, iterations, _, _ = _projected_newton(
+        run = _projected_newton(
             lambda x: (float(x.sum() + 0.5 * x @ hess @ x), None),
             lambda x, _: (1.0 + hess @ x, hess),
             np.array(start), np.full(2, -np.inf), lambda x: True,
         )
-        return systems, stop, iterations
+        return systems, run.stop_reason, run.iterations
 
     def test_one_solve_per_concave_step(self, monkeypatch):
         systems, stop, iterations = self._solves(monkeypatch, -np.diag([1.0, 4.0]), [0.3, 0.2])
@@ -602,12 +602,12 @@ class TestProjectedNewton:
     def test_no_uphill_step(self):
         # a flat objective with a nonzero "score" offers no improvement
         theta0 = np.array([0.5])
-        *_, stop, _, _, _ = _projected_newton(
+        run = _projected_newton(
             lambda x: (0.0 if x[0] == 0.5 else -1.0, None),
             lambda x, _: (np.array([1.0]), np.array([[-1.0]])),
             theta0, np.zeros(1), lambda x: True,
         )
-        assert stop == "no uphill step"
+        assert run.stop_reason == "no uphill step"
 
 
 class TestFittedModelSerialization:
@@ -627,9 +627,14 @@ class TestFittedModelSerialization:
         assert FittedModel.from_dict(doc).stop_reason == "gradient tolerance"
 
     def test_document_without_stop_reason_loads(self, fitted):
+        # documents written before stop reasons were kept: the flag came
+        # from the same projected-score test, so it decides the reason
         doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
         del doc["stop_reason"]
-        assert FittedModel.from_dict(doc).stop_reason is None
+        for flag, read in ((True, CONVERGED), (False, None)):
+            doc["converged"] = flag
+            again = FittedModel.from_dict(doc)
+            assert (again.stop_reason, again.converged) == (read, flag)
 
     def test_loglik_trace_round_trips(self, fitted):
         doc = json.loads(json.dumps(fitted.to_dict(), indent=2))
@@ -661,7 +666,7 @@ class TestAsymptoticCovariance:
     def test_not_converged_raises(self, fitted):
         import dataclasses
 
-        bad = dataclasses.replace(fitted, converged=False)
+        bad = dataclasses.replace(fitted, stop_reason="iteration cap")
         with pytest.raises(ConvergenceError):
             asymptotic_covariance(bad)
 

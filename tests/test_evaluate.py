@@ -4,6 +4,7 @@ import csv
 import importlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,9 +385,9 @@ class TestFittingContract:
         monkeypatch.setattr(evaluate, "_projected_newton", recorded)
         series, _ = simulate(SimConfig(MODEL_I, length=n, seed=seed, burn_in=200))
         fit = fit_garch11(series.centers)
-        assert sorted(s[4] for s in starts) == ["gradient tolerance", "no uphill step"]
+        assert sorted(s.stop_reason for s in starts) == ["gradient tolerance", "no uphill step"]
         assert fit.converged
-        best = max(s[1] for s in starts)
+        best = max(s.value for s in starts)
         assert fit.loglik + 0.5 * n * math.log(2.0 * math.pi) >= best - 1e-9 * (1.0 + abs(best))
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
@@ -457,6 +458,14 @@ class TestFittingContract:
             series, _ = simulate(SimConfig(MODEL_I, length=300, seed=seed, burn_in=200))
             fit = fit_mle(series, MODEL_I.orders)
             assert fit.converged == (fit.stop_reason == "gradient tolerance"), seed
+
+    def test_a_stop_reason_alone_decides_converged(self):
+        # converged is read from the stop reason, so no fit can carry a
+        # flag that disagrees with it
+        series, _ = simulate(SimConfig(MODEL_I, length=300, seed=5, burn_in=200))
+        for fit in (fit_mle(series, MODEL_I.orders), fit_garch11(series.centers)):
+            assert fit.converged
+            assert replace(fit, stop_reason="iteration cap").converged is False
 
 
 # ---------------------------------------------------------------------------
@@ -899,15 +908,15 @@ class TestWarmStarts:
         assert np.array_equal(warm.sigma2_path, cold.sigma2_path)
 
     def test_warm_run_that_raises_falls_back_to_the_cold_starts(self):
-        warm_then_cold = importlib.import_module("intgarch.estimate")._warm_then_cold
+        estimate = importlib.import_module("intgarch.estimate")
 
         def newton(theta0):
             if theta0 == "warm":
                 raise NumericalError("numerical overflow in the score or Hessian")
-            return theta0, -1.0, None, None, "gradient tolerance", 3, [-1.0]
+            return estimate.NewtonRun(theta0, -1.0, None, None, estimate.CONVERGED, 3, [-1.0], None)
 
-        assert warm_then_cold(newton, ["cold"], "warm") == (
-            "cold", -1.0, None, None, "gradient tolerance", 3, [-1.0])
+        assert estimate._warm_then_cold(newton, ["cold"], "warm") == estimate.NewtonRun(
+            "cold", -1.0, None, None, estimate.CONVERGED, 3, [-1.0], None)
 
     def test_start_of_other_orders_rejected(self):
         sample, _ = simulate(SimConfig(MODEL_I, length=300, seed=5))

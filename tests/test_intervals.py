@@ -314,3 +314,10 @@ class TestSummarize:
     def test_short_series_raises(self):
         with pytest.raises(DataError, match="insufficient"):
             summarize(IntervalSeries([1.0], [0.1]))
+
+    @pytest.mark.parametrize("max_lag", [-1, -2])
+    def test_negative_max_lag_raises(self, max_lag):
+        # as sample_acf: a DataError, not an IndexError or numpy's ValueError
+        s = IntervalSeries([0.0, 1.0, 0.0, 1.0], [0.1, 0.2, 0.1, 0.2])
+        with pytest.raises(DataError, match="max_lag"):
+            summarize(s, max_lag)
