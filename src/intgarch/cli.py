@@ -366,7 +366,7 @@ def cmd_backtest(args) -> int:
     )
     meta = _meta(
         args,
-        ["bars", "orders", "horizons", "refit_every", "insample", "asset"],
+        ["bars", "orders", "horizons", "refit_every", "init", "insample", "asset"],
         train_size=train_size,
         n=n,
         baseline_returns=returns_kind,
@@ -380,6 +380,7 @@ def cmd_backtest(args) -> int:
                   "constant forecasts or realized values", file=sys.stderr)
     stages = Counter(stage for _, stage, _ in info["skipped_refits"])
     counts = {"failed interval-model refits": stages["refit"],
+              "failed baseline refits": len(info["garch_failed_refits"]),
               "overflowed interval-model forecasts": stages["forecast"]}
     insample = info.get("insample_stop_reasons", ())
     for i, (key, label) in enumerate((("intgarch", "interval-model"), ("garch", "baseline"))):
@@ -536,9 +537,14 @@ def _load_config_file(path) -> dict:
     return out
 
 
+# the words a config file may give an on/off flag, in any case
+_ON_OFF = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+           **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
 def _apply_config(parser, commands, argv, args):
     """Merge --config values under the explicit flags and reparse. Each
-    string value takes its flag's type, choices or true/false reading."""
+    string value takes its flag's type, choices or on/off reading."""
     sp, _ = commands[args.command]
     actions = {action.dest: action for action in sp._actions if action.dest != "help"}
     defaults: dict = {}
@@ -547,7 +553,9 @@ def _apply_config(parser, commands, argv, args):
         if action is None:
             raise DataError(f"unknown config key {key!r} for command {args.command!r}")
         if action.nargs == 0:  # an on/off flag
-            value = value.lower() in ("1", "true", "yes")
+            if value.lower() not in _ON_OFF:
+                raise DataError(f"config key {key!r}: {value!r} is not one of {list(_ON_OFF)}")
+            value = _ON_OFF[value.lower()]
         elif action.type is not None:
             try:
                 value = action.type(value)

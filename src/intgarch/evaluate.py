@@ -12,12 +12,12 @@ forecasts as the true variance would (Patton 2011). A negative proxy is
 rejected. mz_r2 is the R^2 of the regression of rv on an intercept and
 sigma2, and takes any finite values.
 
-compare() aligns per-model forecast series on dates, computes the three
-metrics, and marks the winner per metric. run_backtest() is the CLI's
-walk-forward of interval-model forecasts against a GARCH(1,1) baseline
-on scalar returns, fit with its persistence a + b <= 0.999 as a face by
-the interval model's projected Newton, under the same settings and the
-same rule for converged.
+compare() scores per-model forecast series against the realized values
+they target, given in the same order, and marks the winner per metric.
+run_backtest() is the CLI's walk-forward of interval-model forecasts
+against a GARCH(1,1) baseline on scalar returns, fit with its
+persistence a + b <= 0.999 as a face by the interval model's projected
+Newton, under the same settings and the same rule for converged.
 simulation_study() runs the estimator over the four benchmark designs and
 tabulates recovery statistics.
 """
@@ -147,17 +147,23 @@ def _check_pair(rv, sigma2) -> tuple:
     return v, s2
 
 
+def _r2_undefined(v: np.ndarray, s2: np.ndarray) -> str | None:
+    """Why R^2 is undefined on a checked pair, or None."""
+    if np.ptp(s2) == 0:
+        return "constant forecasts"
+    return "constant realized values" if np.ptp(v) == 0 else None
+
+
 def _scores(v: np.ndarray, s2: np.ndarray, metrics) -> dict:
     """The named metrics of a checked pair, R^2 first; QLIKE or HMSE gives both."""
     out = {}
     if "r2" in metrics:
         if v.size < 3:
             raise DataError("insufficient data: the regression needs at least 3 observations")
-        if np.ptp(s2) == 0:
-            raise DataError("R² undefined: constant forecasts")
+        why = _r2_undefined(v, s2)
+        if why is not None:
+            raise DataError(f"R² undefined: {why}")
         ss_tot = float(np.sum((v - v.mean()) ** 2))
-        if ss_tot == 0:
-            raise DataError("R² undefined: constant realized values")
         x = np.column_stack((np.ones_like(s2), s2))
         coef, _, _, _ = np.linalg.lstsq(x, v, rcond=None)
         resid = v - x @ coef
@@ -316,18 +322,17 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
 # Comparison harness
 
 
-def compare(forecasts: Mapping, rv, asset: str = "") -> list:
-    """Score per-model forecast series against a realized proxy.
+def compare(forecasts: Mapping, rv: Mapping, asset: str = "") -> list:
+    """Score per-model forecast series against the realized values they target.
 
     Parameters
     ----------
     forecasts : mapping
-        model name -> {horizon -> (dates, sigma2 sequence)}. Horizon 0
-        denotes the in-sample fitted path. Dates may be any hashable
-        labels (calendar dates, integer indexes) but must agree across
-        models at each horizon.
-    rv : (dates, values) pair
-        Master realized-variance series the forecast dates are looked up in.
+        model name -> {horizon -> sigma2 sequence}; horizon 0 is the
+        in-sample fitted path.
+    rv : mapping
+        horizon -> realized variances: entry i is the target of every
+        model's entry i at that horizon.
     asset : str
         Label copied into the reports.
 
@@ -336,43 +341,14 @@ def compare(forecasts: Mapping, rv, asset: str = "") -> list:
     win nothing. A model whose forecasts or realized values are constant
     at a horizon gets R2 = NaN there, and no model wins R2 at that horizon.
     """
-    rv_dates, rv_values = rv
-    rv_values = np.asarray(rv_values, dtype=float)
-    if len(rv_dates) != rv_values.size:
-        raise DataError("rv dates and values differ in length")
-    rv_map = {}
-    for d_key, val in zip(rv_dates, rv_values):
-        if d_key in rv_map:
-            raise DataError(f"duplicate realized-variance date {d_key}")
-        rv_map[d_key] = val
-
-    horizons = sorted({h for per_model in forecasts.values() for h in per_model})
     reports: list = []
-    for h in horizons:
-        names = sorted(m for m, per_model in forecasts.items() if h in per_model)
-        ref_name = names[0]
-        ref_dates = tuple(forecasts[ref_name][h][0])
+    for h in sorted({h for per_model in forecasts.values() for h in per_model}):
+        if h not in rv:
+            raise DataError(f"horizon {h}: no realized variances")
         group: list = []
-        for name in names:
-            dates, s2 = forecasts[name][h]
-            dates = tuple(dates)
-            if dates != ref_dates:
-                for d_a, d_b in zip(dates, ref_dates):
-                    if d_a != d_b:
-                        raise DataError(
-                            f"horizon {h}: forecast dates differ between "
-                            f"{ref_name} and {name} at {d_b} vs {d_a}"
-                        )
-                raise DataError(
-                    f"horizon {h}: {name} has {len(dates)} forecasts, "
-                    f"{ref_name} has {len(ref_dates)}"
-                )
-            missing = [d_key for d_key in dates if d_key not in rv_map]
-            if missing:
-                raise DataError(f"no realized variance for {missing[0]}")
-            v = np.array([rv_map[d_key] for d_key in dates])
-            v, s2 = _check_pair(v, s2)
-            constant = np.ptp(s2) == 0 or np.ptp(v) == 0
+        for name in sorted(m for m, per_model in forecasts.items() if h in per_model):
+            v, s2 = _check_pair(rv[h], forecasts[name][h])
+            constant = _r2_undefined(v, s2) is not None
             metrics = {"r2": math.nan, **_scores(v, s2, METRICS[1:] if constant else METRICS)}
             group.append(EvalReport(asset=asset, model=name, horizon=h, n=int(v.size), **metrics))
         for metric, loss in _LOSSES.items():
@@ -417,16 +393,18 @@ def run_backtest(
 ) -> tuple:
     """Walk-forward comparison of the interval model against GARCH(1,1).
 
-    rv must align 1:1 with series (entry t is the realized variance for
-    period t). scalar_returns feeds the baseline; interval centers are the
-    fallback when no closing returns exist. Both models forecast from the
-    same origins: the interval model refits on the schedule, and the
-    baseline refits on the same growing sample exactly where it did. Each
-    refit of either model after its first starts from that model's last
-    fit (the `start` of fit_mle and fit_garch11); the in-sample fits of
-    include_insample start cold. The baseline forecasts from a refit's own
-    sigma2_path, and rebuilds the path with garch11_path only at origins
-    that reuse a fit.
+    rv must align 1:1 with series (entry t, finite and >= 0, is the realized
+    variance for period t), and the forecast from origin t for horizon h
+    is scored against rv[t + h]. scalar_returns, finite, feeds the
+    baseline; interval centers are the fallback when no closing returns
+    exist. Both arrays are checked before the first fit. Both models
+    forecast from the same origins: the interval model refits on the
+    schedule, and the baseline refits on the same growing sample exactly
+    where it did. Each refit of either model after its first starts from
+    that model's last fit (the `start` of fit_mle and fit_garch11); the
+    in-sample fits of include_insample start cold. The baseline forecasts
+    from a refit's own sigma2_path, and rebuilds the path with
+    garch11_path only at origins that reuse a fit.
 
     Returns (reports, info). info holds rolling_forecast's skipped origins
     as its (origin, stage, message) triples (skipped_refits), failed
@@ -441,6 +419,9 @@ def run_backtest(
     rv_arr = np.asarray(rv, dtype=float)
     if rv_arr.shape != (n,):
         raise DataError(f"rv must have one entry per observation ({n}), got {rv_arr.shape}")
+    bad = np.flatnonzero(~(np.isfinite(rv_arr) & (rv_arr >= 0)))
+    if bad.size:
+        raise DataError(f"rv must be finite and >= 0: entry {bad[0]} is {rv_arr[bad[0]]}")
     if train_size is None or not 0 < train_size < n:
         raise DataError("train_size must split the series: 0 < train_size < length")
     horizons = _horizons(horizons)
@@ -455,7 +436,9 @@ def run_backtest(
     )
     if returns.shape != (n,):
         raise DataError(f"scalar_returns must have length {n}, got {returns.shape}")
-    labels = list(series.dates) if series.dates is not None else list(range(n))
+    bad = np.flatnonzero(~np.isfinite(returns))
+    if bad.size:
+        raise DataError(f"scalar_returns must be finite: entry {bad[0]} is {returns[bad[0]]}")
 
     results, skipped = rolling_forecast(
         series, orders, horizons, train_size, refit_every=refit_every, init_mode=init_mode
@@ -466,7 +449,8 @@ def run_backtest(
     info: dict = {"skipped_refits": skipped, "garch_failed_refits": [],
                   "intgarch_stop_reasons": [], "garch_stop_reasons": []}
     garch_fit: Garch11Fit | None = None
-    forecasts: dict = {name: {h: ([], []) for h in horizons} for name in ("intgarch", "garch11")}
+    forecasts: dict = {name: {h: [] for h in horizons} for name in ("intgarch", "garch11")}
+    targets: dict = {h: [] for h in horizons}
     for res in results:
         t = res.origin_index
         if res.refit_stop_reason is not None:
@@ -485,20 +469,20 @@ def run_backtest(
         g_fc = garch11_forecast(garch_fit.params, returns[: t + 1], horizons[-1], path)
         for h in horizons:
             if t + h < n:
-                for name, fc in (("intgarch", res.sigma2), ("garch11", g_fc)):
-                    forecasts[name][h][0].append(labels[t + h])
-                    forecasts[name][h][1].append(fc[h - 1])
+                forecasts["intgarch"][h].append(res.sigma2[h - 1])
+                forecasts["garch11"][h].append(g_fc[h - 1])
+                targets[h].append(rv_arr[t + h])
 
     if include_insample:
         full = fit_mle(series, orders, init_mode)
         g_full = fit_garch11(returns)
-        forecasts["intgarch"][0] = (labels, volatility(full.params, full.h_path))
-        forecasts["garch11"][0] = (labels, g_full.sigma2_path)
+        forecasts["intgarch"][0] = volatility(full.params, full.h_path)
+        forecasts["garch11"][0] = g_full.sigma2_path
+        targets[0] = rv_arr
         info["insample_stop_reasons"] = ((full.stop_reason, full.iterations),
                                          (g_full.stop_reason, g_full.iterations))
 
-    reports = compare(forecasts, (labels, rv_arr), asset=asset)
-    return reports, info
+    return compare(forecasts, targets, asset=asset), info
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def sample_variance(series: IntervalSeries) -> float:
     """
     if len(series) < 2:
         raise DataError("insufficient data: variance needs at least 2 observations")
-    return float(series.centers.var(ddof=1) + series.radii.var(ddof=1))
+    return sample_covariance(series, series)
 
 
 def sample_covariance(a: IntervalSeries, b: IntervalSeries) -> float:
@@ -219,28 +219,29 @@ def sample_covariance(a: IntervalSeries, b: IntervalSeries) -> float:
         raise DataError("series lengths differ")
     if len(a) < 2:
         raise DataError("insufficient data: covariance needs at least 2 observations")
-    cc = np.cov(a.centers, b.centers, ddof=1)[0, 1]
-    rr = np.cov(a.radii, b.radii, ddof=1)[0, 1]
-    return float(cc + rr)
+    cc = _lagged_sums(a.centers, b.centers, 0)[0]
+    rr = _lagged_sums(a.radii, b.radii, 0)[0]
+    return float((cc + rr) / (len(a) - 1))
 
 
 def sample_correlation(a: IntervalSeries, b: IntervalSeries) -> float:
-    """Sample correlation: covariance normalized by the two variances."""
+    """Sample correlation: covariance normalized by the two variances,
+    clamped to [-1, 1] against rounding."""
     va = sample_variance(a)
     vb = sample_variance(b)
     if va <= 0 or vb <= 0:
         raise DataError("degenerate series")
-    return sample_covariance(a, b) / float(np.sqrt(va * vb))
+    return min(1.0, max(-1.0, sample_covariance(a, b) / float(np.sqrt(va * vb))))
 
 
-def _lagged_sums(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """sum_t (x_t - xbar)(x_{t+s} - xbar) for s = 0..max_lag; every
-    autocovariance here is one of these over its divisor."""
+def _lagged_sums(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum_t (x_t - xbar)(y_{t+s} - ybar) for s = 0..max_lag; every
+    second moment here is one of these over its divisor."""
     n = x.shape[0]
-    xc = x - x.mean()
+    xc, yc = x - x.mean(), y - y.mean()
     out = np.empty(max_lag + 1)
     for s in range(max_lag + 1):
-        out[s] = np.dot(xc[: n - s], xc[s:])
+        out[s] = np.dot(xc[: n - s], yc[s:])
     return out
 
 
@@ -257,7 +258,8 @@ def sample_acf(series: IntervalSeries, max_lag: int) -> np.ndarray:
     n = len(series)
     if n <= max_lag + 1:
         raise DataError("insufficient data: series length must exceed max_lag + 1")
-    num = _lagged_sums(series.centers, max_lag) / n + _lagged_sums(series.radii, max_lag) / n
+    c, r = series.centers, series.radii
+    num = _lagged_sums(c, c, max_lag) / n + _lagged_sums(r, r, max_lag) / n
     if num[0] <= 0:
         raise DataError("degenerate series")
     return num / num[0]
@@ -278,5 +280,6 @@ def summarize(series: IntervalSeries, max_lag: int = 0) -> SummaryMoments:
         raise DataError("insufficient data: summary needs at least 2 observations")
     if n <= max_lag:
         raise DataError("insufficient data: series length must exceed max_lag")
-    acov = (_lagged_sums(series.centers, max_lag) + _lagged_sums(series.radii, max_lag)) / (n - 1)
+    c, r = series.centers, series.radii
+    acov = (_lagged_sums(c, c, max_lag) + _lagged_sums(r, r, max_lag)) / (n - 1)
     return SummaryMoments(aumann_mean(series), float(acov[0]), acov)

@@ -179,6 +179,31 @@ class TestConfigFile:
         assert "not mean stationary" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "line, code",
+        [("require-stationary = on", 2), ("require_stationary = ON", 2), ("require-stationary = off", 0),
+         ("require-stationary = No", 0), ('{"require_stationary": "on"}', 2)],
+    )
+    def test_on_off_words(self, workdir, tmp_path, capsys, line, code):
+        bad = ModelParams(ModelOrders(1, 1, 1), 1.8147, 0.0906, (0.5,), (0.6,), (0.4,))
+        (tmp_path / "bad.json").write_text(json.dumps(bad.to_dict(), indent=2))
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        assert run("simulate", "--config", str(cfg), "--model", str(tmp_path / "bad.json"), "--T", "50",
+                   "--out", str(tmp_path / "s.csv")) == code
+        assert ("not mean stationary" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("line, key", [("require_stationary = maybe", "require_stationary"),
+                                           ('{"require-stationary": 2}', "require-stationary")])
+    def test_other_on_off_words_exit_two_naming_the_key(self, workdir, tmp_path, capsys, line, key):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        assert run("simulate", "--config", str(cfg), "--model", str(workdir / "model.json"), "--T", "50",
+                   "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"config key {key!r}: " in err and "is not one of ['1', 'true', 'yes', 'on'" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize(
         "command, doc, key",
         [
             ("fit", {"orders": [1, 1, 1]}, "orders"),
@@ -306,7 +331,7 @@ class TestTableBytes:
         )
         meta = meta_text(
             command="backtest", version=__version__, bars=str(bars_csv), orders="1,1,1",
-            horizons="1,2", refit_every=64, insample=False, asset="data",
+            horizons="1,2", refit_every=64, init="mean", insample=False, asset="data",
             train_size=100, n=139, baseline_returns="interval centers (no intraday closes in input)",
             skipped_refits=0,
         )
@@ -750,6 +775,28 @@ class TestBacktest:
         assert "overflowed interval-model forecasts: 2\n" in err
         assert "skipped refits" not in err
         assert "# skipped_refits = 3" in out.read_text()
+
+    def test_failed_baseline_refits_counted(self, bars_csv, tmp_path, monkeypatch, capsys):
+        from intgarch import evaluate
+
+        real, calls = evaluate.fit_garch11, []
+
+        def fit(r, start=None):
+            calls.append(len(r))
+            if len(calls) == 2:
+                raise ConvergenceError("forced failure")
+            return real(r, start=start)
+
+        monkeypatch.setattr(evaluate, "fit_garch11", fit)
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(bars_csv), "--train", "100", "--horizons", "1",
+                   "--refit-every", "16", "--init", "zero", "--out", str(out)) == 0
+        # origins 99..138 refit at 99, 115 and 131; the baseline refit at 115 fails
+        assert calls == [100, 116, 132]
+        err = capsys.readouterr().err
+        assert "failed baseline refits: 1\n" in err
+        assert "interval-model" not in err
+        assert "# init = zero\n" in out.read_text()
 
     def test_fractional_train_split(self, bars_csv, tmp_path, capsys):
         out = tmp_path / "bt.csv"

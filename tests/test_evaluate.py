@@ -152,6 +152,13 @@ class TestMzR2:
         with pytest.raises(DataError, match="constant realized"):
             mz_r2([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_constant_realized_whose_mean_rounds(self):
+        # the mean of three (or seven) 0.1s is not 0.1, so the squared
+        # deviations sum to about 6e-34, not 0; the values are still constant
+        for n in (3, 7):
+            with pytest.raises(DataError, match="R² undefined: constant realized values"):
+                mz_r2([0.1] * n, np.arange(1.0, n + 1))
+
     def test_constant_forecasts(self):
         with pytest.raises(DataError, match="constant forecasts"):
             mz_r2([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
@@ -506,12 +513,11 @@ class TestRvProxy:
 
 
 class TestCompare:
-    DATES = [0, 1, 2, 3]
     RV = [1.0, 1.21, 0.81, 1.44]
 
     def test_identical_models_tie_everywhere(self):
-        fc = {1: (self.DATES, [1.0, 1.2, 0.8, 1.4])}
-        reports = compare({"m1": dict(fc), "m2": dict(fc)}, (self.DATES, self.RV))
+        fc = {1: [1.0, 1.2, 0.8, 1.4]}
+        reports = compare({"m1": dict(fc), "m2": dict(fc)}, {1: self.RV})
         assert len(reports) == 2
         assert all(r.wins == () for r in reports)
         assert reports[0].r2 == reports[1].r2
@@ -519,11 +525,9 @@ class TestCompare:
         assert reports[0].hmse == reports[1].hmse
 
     def test_clear_winner_sweeps_metrics(self):
-        good = {1: (self.DATES, list(self.RV))}
-        off = {1: (self.DATES, [1.2, 1.0, 1.3, 0.9])}
-        reports = {
-            r.model: r for r in compare({"good": good, "off": off}, (self.DATES, self.RV), asset="x")
-        }
+        good = {1: list(self.RV)}
+        off = {1: [1.2, 1.0, 1.3, 0.9]}
+        reports = {r.model: r for r in compare({"good": good, "off": off}, {1: self.RV}, asset="x")}
         assert reports["good"].wins == ("r2", "qlike", "hmse")
         assert reports["off"].wins == ()
         assert reports["good"].asset == "x"
@@ -531,13 +535,10 @@ class TestCompare:
         assert reports["good"].n == 4
 
     def test_constant_forecasts_leave_r2_undefined(self):
-        good = {1: (self.DATES, list(self.RV))}
-        off = {1: (self.DATES, [1.2, 1.0, 1.3, 0.9])}
-        flat = {1: (self.DATES, [1.1] * 4)}
-        reports = {
-            r.model: r
-            for r in compare({"good": good, "off": off, "flat": flat}, (self.DATES, self.RV))
-        }
+        good = {1: list(self.RV)}
+        off = {1: [1.2, 1.0, 1.3, 0.9]}
+        flat = {1: [1.1] * 4}
+        reports = {r.model: r for r in compare({"good": good, "off": off, "flat": flat}, {1: self.RV})}
         assert math.isnan(reports["flat"].r2)
         assert reports["flat"].qlike == pytest.approx(qlike(self.RV, [1.1] * 4), rel=1e-15)
         assert reports["good"].r2 == pytest.approx(1.0)
@@ -546,39 +547,28 @@ class TestCompare:
         assert all("r2" not in r.wins for r in reports.values())
 
     def test_constant_realized_values_leave_r2_undefined(self):
-        fc = {1: (self.DATES, [1.0, 1.2, 0.8, 1.4])}
-        reports = compare({"m": fc}, (self.DATES, [1.0] * 4))
+        fc = {1: [1.0, 1.2, 0.8, 1.4]}
+        reports = compare({"m": fc}, {1: [1.0] * 4})
         assert math.isnan(reports[0].r2)
         assert reports[0].qlike == pytest.approx(qlike([1.0] * 4, [1.0, 1.2, 0.8, 1.4]), rel=1e-15)
 
     def test_hmse_by_hand(self):
-        fc = {"m": {1: ([0, 1, 2], [1.25, 1.1, 0.9])}}
+        fc = {"m": {1: [1.25, 1.1, 0.9]}}
         # ratios 0.8, 1.1 and 0.9 of the realized variances 1.0, 1.21, 0.81
         r_dev = np.array([1.0 / 1.25 - 1.0, 1.21 / 1.1 - 1.0, 0.81 / 0.9 - 1.0])
-        assert compare(fc, (self.DATES, self.RV))[0].hmse == pytest.approx(r_dev.mean(), rel=1e-12)
+        assert compare(fc, {1: self.RV[:3]})[0].hmse == pytest.approx(r_dev.mean(), rel=1e-12)
         assert r_dev.mean() == pytest.approx(-0.2 / 3.0)
 
-    def test_date_mismatch_names_first_difference(self):
-        a = {1: ([0, 1, 2], [1.0, 1.1, 0.9])}
-        b = {1: ([0, 1, 3], [1.0, 1.1, 0.9])}
-        with pytest.raises(DataError, match="dates differ between a and b at 2 vs 3"):
-            compare({"a": a, "b": b}, (self.DATES, self.RV))
+    def test_unequal_lengths(self):
+        a = {1: [1.0, 1.1, 0.9]}
+        b = {1: [1.0, 1.1, 0.9, 1.2]}
+        with pytest.raises(DataError, match=r"equal-length 1-d sequences, got \(4,\) and \(3,\)"):
+            compare({"a": a, "b": b}, {1: self.RV})
 
-    def test_count_mismatch(self):
-        a = {1: ([0, 1, 2], [1.0, 1.1, 0.9])}
-        b = {1: ([0, 1, 2, 3], [1.0, 1.1, 0.9, 1.2])}
-        with pytest.raises(DataError, match="b has 4 forecasts, a has 3"):
-            compare({"a": a, "b": b}, (self.DATES, self.RV))
-
-    def test_missing_realized_date(self):
-        fc = {"a": {1: ([0, 1, 9], [1.0, 1.1, 0.9])}}
-        with pytest.raises(DataError, match="no realized variance for 9"):
-            compare(fc, (self.DATES, self.RV))
-
-    def test_duplicate_realized_date(self):
-        fc = {"a": {1: ([0, 1, 2], [1.0, 1.1, 0.9])}}
-        with pytest.raises(DataError, match="duplicate realized-variance date"):
-            compare(fc, ([0, 0, 2, 3], self.RV))
+    def test_horizon_without_realized_values(self):
+        fc = {"a": {1: [1.0, 1.1, 0.9, 1.2]}, "b": {2: [1.0, 1.1, 0.9]}}
+        with pytest.raises(DataError, match="horizon 2: no realized variances"):
+            compare(fc, {1: self.RV})
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +646,24 @@ class TestRunBacktest:
         with pytest.raises(DataError, match=r"one entry per observation \(160\)"):
             run_backtest(series, rv[:-1], train_size=120)
 
+    @pytest.mark.parametrize("bad", [np.nan, -1e-4, np.inf])
+    def test_rv_checked_before_the_first_fit(self, backtest_inputs, monkeypatch, bad):
+        series, rv = backtest_inputs
+        rv = rv.copy()
+        rv[157] = bad
+        monkeypatch.setattr(FORECAST_MODULE, "fit_mle", None)  # a fit would fail on the call
+        with pytest.raises(DataError, match=f"rv must be finite and >= 0: entry 157 is {bad}"):
+            run_backtest(series, rv, train_size=120)
+
+    def test_scalar_returns_checked_before_the_first_fit(self, backtest_inputs, monkeypatch):
+        # a NaN past the last refit, which the fits never see
+        series, rv = backtest_inputs
+        returns = series.centers.copy()
+        returns[157] = np.nan
+        monkeypatch.setattr(FORECAST_MODULE, "fit_mle", None)
+        with pytest.raises(DataError, match="scalar_returns must be finite: entry 157 is nan"):
+            run_backtest(series, rv, train_size=120, refit_every=40, scalar_returns=returns)
+
     def test_train_size_bounds(self, backtest_inputs):
         series, rv = backtest_inputs
         for bad in (0, 160):
@@ -732,7 +740,6 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
     the refit schedule itself, and a second loop collects each horizon.
     The baseline is fit through EVALUATE_MODULE, where tests patch it."""
     n = len(series)
-    labels = list(range(n))
     results, skipped = rolling_forecast(
         series, ModelOrders(1, 1, 1), horizons, train_size, refit_every=refit_every
     )
@@ -755,24 +762,27 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
         path = garch11_path(garch_fit.params, returns[: t + 1])
         garch_fc[t] = garch11_forecast(garch_fit.params, returns[: t + 1], horizons[-1], path)
 
+    rv = np.asarray(rv, dtype=float)
     forecasts: dict = {"intgarch": {}, "garch11": {}}
+    targets: dict = {}
     for h in horizons:
-        dates_h, int_s2, g_s2 = [], [], []
+        rv_h, int_s2, g_s2 = [], [], []
         for res in results:
             t = res.origin_index
             if t + h >= n:
                 continue
-            dates_h.append(labels[t + h])
+            rv_h.append(rv[t + h])
             int_s2.append(res.sigma2[h - 1])
             g_s2.append(garch_fc[t][h - 1])
-        forecasts["intgarch"][h] = (dates_h, int_s2)
-        forecasts["garch11"][h] = (dates_h, g_s2)
+        forecasts["intgarch"][h] = int_s2
+        forecasts["garch11"][h] = g_s2
+        targets[h] = rv_h
     info = {
         "skipped_refits": skipped,
         "garch_failed_refits": garch_failures,
         "garch_stop_reasons": garch_stop_reasons,
     }
-    return compare(forecasts, (labels, np.asarray(rv, dtype=float))), info
+    return compare(forecasts, targets), info
 
 
 @pytest.fixture(scope="module")
