@@ -337,10 +337,8 @@ def cmd_backtest(args) -> int:
         raise DataError("insufficient data: need at least 3 days")
     series = interval_returns(days)
     rv = np.array([d.rv for d in days[1:]])
-    have_closes = all(d.log_prices is not None for d in days)
-    if have_closes:
-        closes = np.array([d.log_prices[-1] for d in days])
-        returns = np.diff(closes)
+    if all(d.close_log is not None for d in days):
+        returns = np.diff([d.close_log for d in days])
         returns_kind = "close-to-close"
     else:
         returns = None  # run_backtest falls back to interval centers

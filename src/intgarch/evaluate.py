@@ -19,7 +19,8 @@ against a GARCH(1,1) baseline on scalar returns, fit with its
 persistence a + b <= 0.999 as a face by the interval model's projected
 Newton, under the same settings and the same rule for converged.
 simulation_study() runs the estimator over the four benchmark designs and
-tabulates recovery statistics.
+tabulates recovery statistics, each fit starting at its design's
+parameters and falling back to the cold start as a walk-forward refit does.
 """
 
 from __future__ import annotations
@@ -512,10 +513,11 @@ class StudyCell:
 
 
 def _study_rep(args) -> tuple:
-    """One replication: simulate, fit, return estimates and model SEs."""
+    """One replication: simulate, fit from the design's parameters as
+    fit_mle's `start`, return estimates and model SEs."""
     name, params, length, seq = args
     series, _ = simulate(SimConfig(params=params, length=length, seed=seq))
-    fitted = fit_mle(series, params.orders)
+    fitted = fit_mle(series, params.orders, start=params)
     est = np.concatenate(([fitted.params.k], fitted.params.theta))
     names = fitted.params.param_names()
     ses = np.full(1 + len(names), np.nan)
@@ -535,12 +537,17 @@ def simulation_study(
     """Estimator recovery study over the benchmark designs.
 
     Each replication simulates a fresh path (its own spawned substream)
-    and refits the generating orders. Cells aggregate every replication
-    whose fit completed, converged or not; the moment estimator of k has
-    no model-based SE, so its mean_model_se is None. jobs > 1 runs the
-    replications in worker processes, at most one per task and per core.
+    and refits the generating orders from the design's parameters, then
+    from the cold start init_theta only if that run does not converge
+    (fit_mle's `start`). Cells aggregate every completed fit; n_converged
+    counts the converged ones, and k's moment estimator has no model SE
+    (mean_model_se None). designs=None runs all four, and an empty mapping
+    is a DataError. jobs > 1 runs the replications in worker processes,
+    at most one per task and per core.
     """
     designs = dict(designs) if designs is not None else dict(BENCHMARK_DESIGNS)
+    if not designs:
+        raise DataError("no designs given")
     if replications < 2:
         raise DataError("replications must be >= 2")
     if length < 100:

@@ -204,6 +204,8 @@ class DayBars:
 
     log_prices is None for compact records loaded without the intraday
     path (range-only fallback); min_log/max_log/rv then stand alone.
+    close_log is the day's last grid log price: log_prices[-1] when they
+    are given, else the compact record's own, or None if it has none.
     """
 
     date: _dt.date
@@ -211,6 +213,7 @@ class DayBars:
     min_log: float
     max_log: float
     rv: float
+    close_log: float | None = None
 
     def __post_init__(self) -> None:
         if self.min_log > self.max_log:
@@ -226,6 +229,12 @@ class DayBars:
                 raise DataError(f"{self.date}: min_log does not match log_prices")
             if not math.isclose(max(lp), self.max_log, rel_tol=0, abs_tol=1e-12):
                 raise DataError(f"{self.date}: max_log does not match log_prices")
+            close = self.close_log
+            if close is not None and not math.isclose(lp[-1], close, rel_tol=0, abs_tol=1e-12):
+                raise DataError(f"{self.date}: close_log does not match log_prices")
+            object.__setattr__(self, "close_log", lp[-1])
+        elif self.close_log is not None and not self.min_log <= self.close_log <= self.max_log:
+            raise DataError(f"{self.date}: close_log outside [min_log, max_log]")
 
 
 @dataclass(frozen=True)
@@ -540,8 +549,9 @@ def _tick_columns(body: str, width: int) -> TickColumns | None:
     return ticks
 
 
-def _bar_row(date: str, min_log: str, max_log: str, rv: str) -> DayBars:
-    return DayBars(_dt.date.fromisoformat(date), None, _finite(min_log), _finite(max_log), _finite(rv))
+def _bar_row(date: str, min_log: str, max_log: str, rv: str, close_log: str | None = None) -> DayBars:
+    return DayBars(_dt.date.fromisoformat(date), None, _finite(min_log), _finite(max_log), _finite(rv),
+                   None if close_log is None else _finite(close_log))
 
 
 def _price_row(date: str, time: str, price: str) -> tuple:
@@ -551,12 +561,14 @@ def _price_row(date: str, time: str, price: str) -> tuple:
     return d, tm, math.log(px)
 
 
+_BAR_COLUMNS = ("date", "min_log", "max_log", "rv", "close_log")  # the compact bars layout
 # accepted header -> (schema, parser of one row's cells)
 _LAYOUTS = {
     ("date", "low", "high"): ("intervals", _interval_row),
     ("timestamp", "bid", "ask"): ("ticks", _tick_row),
     ("timestamp", "bid", "ask", "price"): ("ticks", _tick_row),
-    ("date", "min_log", "max_log", "rv"): ("daily_bars", _bar_row),
+    _BAR_COLUMNS[:4]: ("daily_bars", _bar_row),
+    _BAR_COLUMNS: ("daily_bars", _bar_row),
     ("date", "time", "price"): ("daily_bars", _price_row),
 }
 
@@ -604,10 +616,10 @@ def load_csv(path, schema: str):
     """Load a typed table.
 
     schema 'ticks' -> TickColumns (auto-sorted with a warning if
-    unsorted); 'daily_bars' -> list of DayBars (compact range rows or
-    date,time,price long format); 'intervals' -> IntervalSeries.
-    Malformed rows, non-finite numbers included, raise DataError naming
-    the line.
+    unsorted); 'daily_bars' -> list of DayBars (compact rows, close_log
+    optional, or date,time,price long format); 'intervals' ->
+    IntervalSeries. Malformed rows, non-finite numbers included, raise
+    DataError naming the line.
     """
     headers = [cols for cols, (s, _) in _LAYOUTS.items() if s == schema]
     if not headers:
@@ -699,8 +711,11 @@ def save_intervals_csv(series: IntervalSeries, path, meta: dict | None = None) -
 
 
 def save_bars_csv(days: Sequence[DayBars], path, meta: dict | None = None) -> None:
-    """Write compact date,min_log,max_log,rv rows."""
-    _write_csv(path, meta, "date,min_log,max_log,rv", ((d.date, d.min_log, d.max_log, d.rv) for d in days))
+    """Write compact date,min_log,max_log,rv,close_log rows, without the
+    close_log column when a day has no close (a range-only record)."""
+    width = 5 if all(d.close_log is not None for d in days) else 4
+    rows = ((d.date, d.min_log, d.max_log, d.rv, d.close_log)[:width] for d in days)
+    _write_csv(path, meta, ",".join(_BAR_COLUMNS[:width]), rows)
 
 
 def save_ticks_csv(ticks: Sequence[QuoteTick], path, meta: dict | None = None) -> None:

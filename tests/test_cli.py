@@ -25,6 +25,7 @@ from intgarch import (
     forecast,
     interval_returns,
     mean_stationarity,
+    reports_to_csv,
     run_backtest,
     sample_acf,
     simulate,
@@ -34,6 +35,7 @@ from intgarch import (
 from intgarch import cli
 from intgarch.marketdata import (
     QuoteTick,
+    day_bars_from_range,
     load_csv,
     make_day_bars,
     save_bars_csv,
@@ -511,7 +513,7 @@ class TestPrepare:
         assert "dropped by rules 1-4: 0, 1, 0, 0" in out
         assert len(data_rows(iv)) == 1 + 2  # header + one return per day pair
         bar_rows = data_rows(bars)
-        assert bar_rows[0] == "date,min_log,max_log,rv"
+        assert bar_rows[0] == "date,min_log,max_log,rv,close_log"
         assert len(bar_rows) == 1 + 3
         assert "# ticks_clean = 237" in bars.read_text()
         for rule, n in [(1, 0), (2, 1), (3, 0), (4, 0)]:
@@ -629,9 +631,8 @@ class TestOutputErrors:
         assert not (tmp_path / "s.csv").exists()
 
 
-@pytest.fixture(scope="module")
-def bars_csv(tmp_path_factory):
-    d = tmp_path_factory.mktemp("bars")
+def walk_days():
+    """140 days of 20 grid log prices, a random walk of 1% per step."""
     rng = np.random.default_rng(5)
     days, level = [], 4.6
     for i in range(140):
@@ -639,8 +640,23 @@ def bars_csv(tmp_path_factory):
         path = level + np.cumsum(rng.normal(scale=0.01, size=20))
         days.append(make_day_bars(date, path))
         level = float(path[-1])
-    path = d / "bars.csv"
-    save_bars_csv(days, path)
+    return days
+
+
+@pytest.fixture(scope="module")
+def bars_csv(tmp_path_factory):
+    """walk_days as compact bars without closes (date,min_log,max_log,rv):
+    the baseline falls back to interval centers."""
+    path = tmp_path_factory.mktemp("bars") / "bars.csv"
+    save_bars_csv([day_bars_from_range(d.date, d.min_log, d.max_log, d.rv) for d in walk_days()], path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def closes_csv(tmp_path_factory):
+    """walk_days as compact bars with each day's close_log."""
+    path = tmp_path_factory.mktemp("closes") / "bars.csv"
+    save_bars_csv(walk_days(), path)
     return path
 
 
@@ -690,6 +706,35 @@ class TestBacktest:
         rows = list(csv.DictReader(io.StringIO("\n".join(data_rows(out)))))
         assert {r["model"] for r in rows} == {"intgarch", "garch11"}
         assert all(r["n"] == "39" for r in rows)  # 139 - 100 - 1 + 1
+
+    def test_compact_closes_give_close_to_close_returns(self, closes_csv, tmp_path, capsys):
+        out = tmp_path / "bt.csv"
+        assert run("backtest", "--bars", str(closes_csv), "--train", "100", "--horizons", "1,2",
+                   "--refit-every", "64", "--format", "csv", "--out", str(out)) == 0
+        assert "bars carry no intraday prices" not in capsys.readouterr().err
+        days = walk_days()
+        reports, _ = run_backtest(interval_returns(days), [d.rv for d in days[1:]], train_size=100,
+                                  horizons=[1, 2], refit_every=64, asset="data",
+                                  scalar_returns=np.diff([d.log_prices[-1] for d in days]))
+        meta, body = split_meta(out.read_text())
+        assert "# baseline_returns = close-to-close\n" in meta
+        assert body == reports_to_csv(reports)
+
+    def test_prepare_then_backtest_gives_close_to_close_returns(self, tmp_path, capsys):
+        # the quick start's tick file: 120 weekdays of 160 quotes 150 s apart
+        rng = np.random.default_rng(0)
+        days = [d for d in (dt.date(2024, 1, 1) + dt.timedelta(i) for i in range(200)) if d.weekday() < 5][:120]
+        mid = 100.0 * np.exp(np.cumsum(rng.normal(scale=0.001, size=(120, 160))))
+        ticks = tmp_path / "ticks.csv"
+        save_ticks_csv([QuoteTick(dt.datetime.combine(day, dt.time(9, 30)) + dt.timedelta(seconds=150 * j),
+                                  bid=float(mid[i * 160 + j] - 0.01), ask=float(mid[i * 160 + j] + 0.01))
+                        for i, day in enumerate(days) for j in range(160)], ticks)
+        bars, iv = tmp_path / "bars.csv", tmp_path / "returns.csv"
+        assert run("prepare", "--ticks", str(ticks), "--out-intervals", str(iv), "--out-bars", str(bars)) == 0
+        assert run("backtest", "--bars", str(bars), "--train", "0.8", "--horizons", "1,2,5", "--insample",
+                   "--out", str(tmp_path / "bt.csv")) == 0
+        assert "bars carry no intraday prices" not in capsys.readouterr().err
+        assert "# baseline_returns = close-to-close\n" in (tmp_path / "bt.csv").read_text()
 
     def test_unconverged_baseline_refits_counted(self, bars_csv, monkeypatch, capsys):
         from intgarch import evaluate
@@ -860,6 +905,14 @@ class TestTable1:
     def test_unknown_design(self, capsys):
         assert run("table1", "--designs", "V", "--reps", "2", "--T", "300") == 2
         assert "unknown designs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("designs", [",", " , ", ""])
+    def test_no_designs_exit_two(self, designs, tmp_path, capsys):
+        out = tmp_path / "t1.csv"
+        assert run("table1", "--designs", designs, "--reps", "2", "--T", "100", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "no designs given" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_two(self, jobs, capsys):

@@ -1036,6 +1036,38 @@ class TestSimulationStudy:
         with pytest.raises(DataError, match="seed must be a nonnegative integer, got -3"):
             simulation_study(replications=2, length=100, seed=-3)
 
+    def test_no_designs(self):
+        with pytest.raises(DataError, match="no designs given"):
+            simulation_study({}, replications=2, length=100)
+
+
+class TestStudyStart:
+    """Each replication's fit starts at its design's parameters and falls
+    back to the cold start; it must reach the cold fit's optimum."""
+
+    def test_design_start_reaches_the_cold_optimum(self, monkeypatch):
+        made: list = []
+
+        def recorded(series, *args, **kwargs):
+            made.append((series, fit_mle(series, *args, **kwargs)))
+            return made[-1][1]
+
+        monkeypatch.setattr(EVALUATE_MODULE, "fit_mle", recorded)
+        root = np.random.SeedSequence(20261020)
+        for dseq, (name, params) in zip(root.spawn(4), BENCHMARK_DESIGNS.items()):
+            for child in dseq.spawn(10):
+                _, est, _, conv = EVALUATE_MODULE._study_rep((name, params, 1000, child))
+                series, fit = made[-1]
+                assert np.array_equal(est, np.concatenate(([fit.params.k], fit.params.theta)))
+                assert conv == fit.converged
+                cold = fit_mle(series, params.orders)
+                assert abs(fit.loglik - cold.loglik) <= 1e-9 * (1.0 + abs(cold.loglik)), name
+                assert np.max(np.abs(fit.params.theta - cold.params.theta)) <= 1e-6, name
+                assert fit.params.k == cold.params.k
+                assert fit.boundary == cold.boundary, name
+                assert fit.converged or not cold.converged, name
+        assert len(made) == 40
+
 
 # ---------------------------------------------------------------------------
 # rendering

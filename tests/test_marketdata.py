@@ -487,6 +487,15 @@ class TestDayBars:
         with pytest.raises(DataError):
             DayBars(T0.date(), (0.0, 0.01), min_log=0.005, max_log=0.01, rv=1e-4)
 
+    def test_close_is_the_last_grid_log_price(self):
+        assert make_day_bars(T0.date(), [0.0, 0.01, -0.005]).close_log == -0.005
+        assert day_bars_from_range(T0.date(), 1.0, 1.3).close_log is None
+        assert DayBars(T0.date(), None, 1.0, 1.3, 0.02, close_log=1.3).close_log == 1.3
+        with pytest.raises(DataError, match="close_log does not match log_prices"):
+            DayBars(T0.date(), (0.0, 0.01), 0.0, 0.01, 1e-4, close_log=0.0)
+        with pytest.raises(DataError, match=r"close_log outside \[min_log, max_log\]"):
+            DayBars(T0.date(), None, 1.0, 1.3, 0.02, close_log=1.31)
+
     def test_from_range_default_rv(self):
         d = day_bars_from_range(T0.date(), min_log=1.0, max_log=1.3)
         assert d.log_prices is None
@@ -633,6 +642,23 @@ class TestCsvRoundTrips:
             (d.date, d.min_log, d.max_log, d.rv) for d in days
         ]
 
+    def test_bars_with_closes_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(12)
+        days = [make_day_bars(T0.date() + dt.timedelta(days=i), 4.6 + rng.normal(size=8).cumsum() / 100)
+                for i in range(10)]
+        p = tmp_path / "bars.csv"
+        save_bars_csv(days, p)
+        assert p.read_text().splitlines()[0] == "date,min_log,max_log,rv,close_log"
+        again = load_csv(p, "daily_bars")
+        assert all(d.log_prices is None for d in again)
+        assert [(d.date, d.min_log, d.max_log, d.rv, d.close_log) for d in again] == [
+            (d.date, d.min_log, d.max_log, d.rv, d.log_prices[-1]) for d in days
+        ]
+        # one range-only day leaves the whole file without the column
+        save_bars_csv([*days, day_bars_from_range(T0.date() + dt.timedelta(days=10), 4.5, 4.7)], p)
+        assert p.read_text().splitlines()[0] == "date,min_log,max_log,rv"
+        assert all(d.close_log is None for d in load_csv(p, "daily_bars"))
+
     def test_ticks_round_trip(self, tmp_path):
         ticks = [tick(0, bid=10.0, ask=10.5), tick(5, bid=10.1, ask=10.6, price=10.3)]
         p = tmp_path / "ticks.csv"
@@ -735,9 +761,11 @@ class TestCsvErrors:
         [
             ("intervals", "date,low,high", "2024-03-04,0.1,0.5", "2024-03-05,nan,0.5"),
             ("daily_bars", "date,min_log,max_log,rv", "2024-03-04,4.5,4.6,0.001", "2024-03-05,4.5,4.6,inf"),
+            ("daily_bars", "date,min_log,max_log,rv,close_log", "2024-03-04,4.5,4.6,0.001,4.55",
+             "2024-03-05,4.5,4.6,0.001,nan"),
             ("daily_bars", "date,time,price", "2024-03-04,09:30:00,100.0", "2024-03-04,09:35:00,inf"),
         ],
-        ids=["intervals", "bars", "long-format"],
+        ids=["intervals", "bars", "bars-with-closes", "long-format"],
     )
     def test_non_finite_number_names_line(self, tmp_path, schema, header, first, bad):
         # ticks: test_bad_tick_value_names_line
