@@ -23,7 +23,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__
-from .estimate import CONVERGED, FittedModel, fit_mle
+from .estimate import FittedModel, fit_mle
 from .evaluate import (
     BENCHMARK_DESIGNS,
     _report_rows,
@@ -380,11 +380,10 @@ def cmd_backtest(args) -> int:
     counts = {"failed interval-model refits": stages["refit"],
               "failed baseline refits": len(info["garch_failed_refits"]),
               "overflowed interval-model forecasts": stages["forecast"]}
-    insample = info.get("insample_stop_reasons", ())
-    for i, (key, label) in enumerate((("intgarch", "interval-model"), ("garch", "baseline"))):
-        refits = [reason for _, reason, _ in info[f"{key}_stop_reasons"]]
-        for kind, stops in (("refits", refits), ("in-sample fits", [r for r, _ in insample[i:i + 1]])):
-            reasons = Counter(reason for reason in stops if reason != CONVERGED)
+    for name, label in (("intgarch", "interval-model"), ("garch11", "baseline")):
+        for kind, runs in (("refits", [run for _, run in info["refits"][name]]),
+                           ("in-sample fits", [info["insample"][name]] if "insample" in info else [])):
+            reasons = Counter(run.stop_reason for run in runs if not run.converged)
             split = ", ".join(f"{reason}: {n}" for reason, n in sorted(reasons.items()))
             counts[f"unconverged {label} {kind}"] = f"{reasons.total()} ({split})" if reasons else 0
     for label, count in counts.items():
@@ -398,9 +397,10 @@ def cmd_table1(args) -> int:
     names = [x.strip() for x in args.designs.split(",") if x.strip()]
     unknown = [x for x in names if x not in BENCHMARK_DESIGNS]
     if unknown:
-        raise DataError(
-            f"unknown designs {unknown}; available: {', '.join(BENCHMARK_DESIGNS)}"
-        )
+        raise DataError(f"unknown designs {unknown}; available: {', '.join(BENCHMARK_DESIGNS)}")
+    repeated = [x for i, x in enumerate(names) if x in names[:i]]
+    if repeated:
+        raise DataError(f"--designs names {', '.join(dict.fromkeys(repeated))} more than once")
     designs = {name: BENCHMARK_DESIGNS[name] for name in names}
     cells = simulation_study(
         designs,

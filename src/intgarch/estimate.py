@@ -49,7 +49,7 @@ with the baseline, takes the gamma rows and columns.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .intervals import IntervalSeries
 from .process import ABS_NORMAL_MEAN, InitMode, ModelOrders, ModelParams, recurse
 
 __all__ = [
+    "FitRun",
     "FittedModel",
     "estimate_k",
     "init_theta",
@@ -84,27 +85,49 @@ _START_MU_FRACTION = 0.4
 _START_COEF_BUDGET = 0.2
 
 
+@dataclass(frozen=True, kw_only=True)
+class FitRun:
+    """How a fit's projected Newton ended; both models' fits are one, and a
+    walk-forward refit keeps it alone (run). stop_reason is CONVERGED, "no
+    uphill step" or "iteration cap" (None for a document written without it
+    and with its converged flag false). iterations counts the steps of all
+    the fit's runs (_warm_then_cold); gradient_max, the largest projected
+    score, and loglik_trace, the objective at the start and after each
+    accepted step (() for documents without it), are the winner's."""
+
+    stop_reason: str | None
+    iterations: int
+    gradient_max: float
+    loglik_trace: tuple = field(default=(), repr=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == CONVERGED
+
+    @property
+    def run(self) -> "FitRun":
+        """These facts alone, without a fit's parameters and arrays."""
+        return FitRun(**{f.name: getattr(self, f.name) for f in fields(FitRun)})
+
+    @classmethod
+    def _from_newton(cls, run: NewtonRun, **rest):
+        return cls(stop_reason=run.stop_reason, iterations=run.iterations,
+                   gradient_max=float(np.max(np.abs(run.kkt))), loglik_trace=tuple(run.trace), **rest)
+
+
 @dataclass(frozen=True)
-class FittedModel:
-    """Result of a two-stage fit.
+class FittedModel(FitRun):
+    """Result of a two-stage fit, with how its Newton ended (FitRun).
 
     std_errors holds asymptotic standard errors keyed by parameter name;
     names in `boundary` ended at exactly 0 and carry no standard error.
     covariance (and hessian) are over the free scale parameters in
     `free_names` order. k comes from the moment stage and has no
-    likelihood-based standard error. stop_reason is why the optimizer
-    stopped: CONVERGED, "no uphill step" or "iteration cap" (None for a
-    document written without it and with its converged flag false), and
-    converged is stop_reason == CONVERGED. iterations counts Newton steps.
-    loglik_trace holds the log-likelihood at the start point and after
-    each accepted step; () for documents written without it.
+    likelihood-based standard error.
     """
 
     params: ModelParams
     loglik: float
-    stop_reason: str | None
-    iterations: int
-    gradient_max: float
     boundary: tuple
     std_errors: dict
     n_obs: int
@@ -112,11 +135,6 @@ class FittedModel:
     h_path: np.ndarray | None = field(default=None, repr=False)
     covariance: np.ndarray | None = field(default=None, repr=False)
     hessian: np.ndarray | None = field(default=None, repr=False)
-    loglik_trace: tuple = field(default=(), repr=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == CONVERGED
 
     @property
     def free_names(self) -> tuple:
@@ -551,9 +569,8 @@ def fit_mle(
     parameters in a walk-forward) is given and its scale parameters are
     feasible under this sample's k: then Newton runs from those first, and
     from init_theta only if that run does not converge, the better run
-    winning (see _warm_then_cold); iterations counts the steps of both,
-    and loglik_trace and h_path are the winner's, as its last evaluation
-    left them. A coefficient that reaches 0 is held there only while its
+    winning (see _warm_then_cold); h_path is the winner's, as its last
+    evaluation left it. A coefficient that reaches 0 is held there only while its
     score points outward, so a converged fit meets the bound-constrained
     optimality (KKT) conditions in every coefficient. Coefficients that end
     at exactly 0 are listed in `boundary`. Standard errors come from the
@@ -597,12 +614,10 @@ def fit_mle(
         se = np.sqrt(np.diag(covariance))
         std_errors = {str(n): float(s) for n, s in zip(names[free], se)}
 
-    return FittedModel(
+    return FittedModel._from_newton(
+        run,
         params=params,
         loglik=run.value,
-        stop_reason=run.stop_reason,
-        iterations=run.iterations,
-        gradient_max=float(np.max(np.abs(run.kkt))),
         boundary=tuple(str(n) for n in names[~free]),
         std_errors=std_errors,
         n_obs=len(series),
@@ -610,7 +625,6 @@ def fit_mle(
         h_path=run.evaluation[0],
         covariance=covariance,
         hessian=hess_free,
-        loglik_trace=tuple(run.trace),
     )
 
 

@@ -33,11 +33,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .estimate import CONVERGED, _projected_newton, _recursion_derivs, _warm_then_cold, fit_mle
+from .estimate import FitRun, _projected_newton, _recursion_derivs, _warm_then_cold, fit_mle
 from .exceptions import DataError, IntGarchError, ModelError
 from .forecast import _horizons, rolling_forecast
 from .intervals import IntervalSeries
-from .marketdata import _csv_lines
 from .process import InitMode, ModelOrders, ModelParams, recurse, volatility
 from .simulate import SimConfig, simulate
 
@@ -58,9 +57,7 @@ __all__ = [
     "StudyCell",
     "simulation_study",
     "render_reports",
-    "reports_to_csv",
     "render_study",
-    "study_to_csv",
 ]
 
 _GARCH_CAP = 0.999  # the fit's persistence ceiling, a + b <= _GARCH_CAP
@@ -114,20 +111,15 @@ class Garch11Params:
 
 
 @dataclass(frozen=True)
-class Garch11Fit:
-    """Quasi-MLE result for the baseline; stop_reason and converged as in
-    FittedModel: converged is stop_reason == CONVERGED."""
+class Garch11Fit(FitRun):
+    """Quasi-MLE result for the baseline, with how its Newton ended
+    (FitRun). Its objective is loglik less the constant -n/2 log(2 pi), so
+    loglik_trace[-1] == loglik + n/2 log(2 pi)."""
 
     params: Garch11Params
     loglik: float
-    stop_reason: str
-    iterations: int
     n_obs: int
     sigma2_path: np.ndarray = field(repr=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.stop_reason == CONVERGED
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +268,9 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
     the previous refit's parameters in a walk-forward), raised to the
     bounds and with a + b <= 0.999, Newton runs from it first, and the
     cold starts run only if that run does not converge; the same rule
-    picks among all runs, and iterations counts the steps of every run.
-    sigma2_path is the winner's, as its last evaluation left it.
-    converged means the stop reason is CONVERGED, so the KKT
-    conditions hold, cap included; an unconverged fit is not raised.
+    picks among all runs. sigma2_path is the winner's, as its last
+    evaluation left it. A converged fit meets the KKT conditions, cap
+    included; an unconverged fit is not raised.
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
@@ -309,11 +300,10 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
     )
 
     # the bounds and the face keep these parameters constructible
-    return Garch11Fit(
+    return Garch11Fit._from_newton(
+        run,
         params=Garch11Params(*(float(x) for x in run.theta)),
         loglik=run.value - 0.5 * r.size * math.log(2.0 * math.pi),
-        stop_reason=run.stop_reason,
-        iterations=run.iterations,
         n_obs=int(r.size),
         sigma2_path=run.evaluation,
     )
@@ -410,10 +400,9 @@ def run_backtest(
     Returns (reports, info). info holds rolling_forecast's skipped origins
     as its (origin, stage, message) triples (skipped_refits), failed
     baseline refits as (origin, message) pairs (garch_failed_refits), and
-    each completed refit of each model as an (origin, stop_reason,
-    iterations) triple (intgarch_stop_reasons, garch_stop_reasons); with
-    include_insample, the in-sample fits of the interval model and the
-    baseline as (stop_reason, iterations) pairs (insample_stop_reasons).
+    each completed refit's FitRun as an (origin, FitRun) pair, per report
+    model name (refits["intgarch"], refits["garch11"]); with
+    include_insample, each model's in-sample FitRun (insample[name]).
     """
     orders = orders or ModelOrders(1, 1, 1)
     n = len(series)
@@ -448,19 +437,19 @@ def run_backtest(
         raise DataError("all refits failed; nothing to evaluate")
 
     info: dict = {"skipped_refits": skipped, "garch_failed_refits": [],
-                  "intgarch_stop_reasons": [], "garch_stop_reasons": []}
+                  "refits": {"intgarch": [], "garch11": []}}
     garch_fit: Garch11Fit | None = None
     forecasts: dict = {name: {h: [] for h in horizons} for name in ("intgarch", "garch11")}
     targets: dict = {h: [] for h in horizons}
     for res in results:
         t = res.origin_index
-        if res.refit_stop_reason is not None:
-            info["intgarch_stop_reasons"].append((t, res.refit_stop_reason, res.refit_iterations))
+        if res.refit is not None:
+            info["refits"]["intgarch"].append((t, res.refit))
             try:
                 garch_fit = fit_garch11(
                     returns[: t + 1], start=None if garch_fit is None else garch_fit.params
                 )
-                info["garch_stop_reasons"].append((t, garch_fit.stop_reason, garch_fit.iterations))
+                info["refits"]["garch11"].append((t, garch_fit.run))
             except IntGarchError as exc:
                 if garch_fit is None:
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
@@ -480,8 +469,7 @@ def run_backtest(
         forecasts["intgarch"][0] = volatility(full.params, full.h_path)
         forecasts["garch11"][0] = g_full.sigma2_path
         targets[0] = rv_arr
-        info["insample_stop_reasons"] = ((full.stop_reason, full.iterations),
-                                         (g_full.stop_reason, g_full.iterations))
+        info["insample"] = {"intgarch": full.run, "garch11": g_full.run}
 
     return compare(forecasts, targets, asset=asset), info
 
@@ -634,11 +622,6 @@ def _report_rows(reports: Sequence[EvalReport]) -> tuple:
     return "asset,model,horizon,metric,value,n,winner", rows
 
 
-def reports_to_csv(reports: Sequence[EvalReport]) -> str:
-    """Long-format CSV: one row per asset x model x horizon x metric."""
-    return "".join(line + "\n" for line in _csv_lines(*_report_rows(reports)))
-
-
 def render_study(cells: Sequence[StudyCell]) -> str:
     """Aligned text table of the simulation study."""
     return _text_table(
@@ -654,7 +637,3 @@ def render_study(cells: Sequence[StudyCell]) -> str:
 def _study_rows(cells: Sequence[StudyCell]) -> tuple:
     """(header, rows) of the study table: one row of StudyCell fields per cell."""
     return ",".join(f.name for f in fields(StudyCell)), [astuple(c) for c in cells]
-
-
-def study_to_csv(cells: Sequence[StudyCell]) -> str:
-    return "".join(line + "\n" for line in _csv_lines(*_study_rows(cells)))

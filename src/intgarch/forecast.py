@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimate import MIN_OBS_PER_PARAM, FittedModel, fit_mle, loglik_eval
+from .estimate import MIN_OBS_PER_PARAM, FitRun, FittedModel, fit_mle, loglik_eval
 from .exceptions import DataError, IntGarchError, NumericalError
 from .intervals import IntervalSeries
 from .process import InitMode, ModelOrders, ModelParams, mu_weights, recurse, volatility
@@ -33,19 +33,16 @@ __all__ = ["ForecastResult", "forecast", "rolling_forecast"]
 @dataclass(frozen=True)
 class ForecastResult:
     """Forecasts from one origin: h_hat[j-1] and sigma2[j-1] are the
-    j-step-ahead scale and volatility. refit_stop_reason and
-    refit_iterations are the stop reason and Newton steps of the fit
-    rolling_forecast made at this origin (converged means "gradient
-    tolerance"), None where it reused earlier parameters and in every
-    result of forecast()."""
+    j-step-ahead scale and volatility. refit is the FitRun of the fit
+    rolling_forecast made at this origin, None where it reused earlier
+    parameters and in every result of forecast()."""
 
     origin_index: int
     horizon: int
     h_hat: np.ndarray = field(repr=False)
     sigma2: np.ndarray = field(repr=False)
     origin_date: _dt.date | None = None
-    refit_stop_reason: str | None = None
-    refit_iterations: int | None = None
+    refit: FitRun | None = None
 
 
 def _horizons(horizons) -> list:
@@ -153,8 +150,7 @@ def rolling_forecast(
     an h path or forecast that overflows, skips that origin (recorded in
     the second return value with its stage, "refit" or "forecast"), and
     later origins keep the last fit and evaluate its path anew. Each
-    result's refit_stop_reason and refit_iterations describe the refit at
-    its origin, None where none was.
+    result's refit is as ForecastResult says.
 
     Returns
     -------
@@ -196,6 +192,5 @@ def rolling_forecast(
         except IntGarchError as exc:
             skipped.append((t, stage, str(exc)))
             continue
-        results.append(replace(res, refit_stop_reason=fitted.stop_reason,
-                               refit_iterations=fitted.iterations) if refit else res)
+        results.append(replace(res, refit=fitted.run) if refit else res)
     return results, skipped

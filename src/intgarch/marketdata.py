@@ -573,11 +573,19 @@ _LAYOUTS = {
 }
 
 
-def _csv_rows(lines, first: int = 1):
-    """(line number, stripped cells) of each csv row read from lines, the
-    first numbered first; comment and blank lines are skipped."""
-    return ((lineno, [c.strip() for c in row]) for lineno, row in enumerate(csv.reader(lines), start=first)
-            if row and not row[0].startswith("#"))
+def _csv_rows(lines, path, first: int = 1):
+    """(line number, stripped cells) of each csv row read from lines, named
+    by the line it starts on, the first line being line first; comment and
+    blank lines are skipped. A row csv cannot read (say, an unmatched quote
+    past the field size limit) raises a DataError naming path and line."""
+    reader, lineno = csv.reader(lines), first
+    try:
+        for row in reader:
+            if row and not row[0].startswith("#"):
+                yield lineno, [c.strip() for c in row]
+            lineno = first + reader.line_num
+    except csv.Error as exc:
+        raise DataError(f"{path} line {lineno}: {exc}") from exc
 
 
 def _not_utf8(path) -> DataError:
@@ -596,11 +604,11 @@ def _not_utf8(path) -> DataError:
     return DataError(f"{path}: not UTF-8 text")
 
 
-def _parse_rows(body: str, first: int, parse, width: int) -> list:
+def _parse_rows(body: str, path, first: int, parse, width: int) -> list:
     """parse(*cells) of each csv row of body, whose first line is line
-    first; a bad row raises a DataError naming its line."""
+    first of path; a bad row raises a DataError naming its line."""
     records = []
-    for lineno, row in _csv_rows(io.StringIO(body, newline=""), first):
+    for lineno, row in _csv_rows(io.StringIO(body, newline=""), path, first):
         try:
             if len(row) != width:
                 raise DataError(f"expected {width} columns, got {len(row)}")
@@ -627,7 +635,7 @@ def load_csv(path, schema: str):
         raise DataError(f"unknown schema {schema!r}; expected one of {schemas}")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            header_line, header = next(_csv_rows(fh), (0, None))
+            header_line, header = next(_csv_rows(fh, path), (0, None))
             body = fh.read()  # the text after the header row
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -646,12 +654,12 @@ def load_csv(path, schema: str):
     if schema == "ticks":
         ticks = _tick_columns(body, len(cols))
         if ticks is None:
-            ticks = TickColumns.of(_parse_rows(body, header_line + 1, parse, len(cols)))
+            ticks = TickColumns.of(_parse_rows(body, path, header_line + 1, parse, len(cols)))
         in_order = ticks.sorted()
         if in_order is not ticks:
             warnings.warn("tick timestamps unsorted; sorting")
         return in_order
-    records = _parse_rows(body, header_line + 1, parse, len(cols))
+    records = _parse_rows(body, path, header_line + 1, parse, len(cols))
     if schema == "intervals":
         dates, lows, highs = zip(*records)
         return IntervalSeries.from_bounds(lows, highs, dates=dates)

@@ -44,7 +44,6 @@ __all__ = [
     "ModelParams",
     "TheoreticalMoments",
     "recurse",
-    "conditional_variance",
     "volatility",
     "mean_stationarity",
     "weak_stationarity",
@@ -190,11 +189,6 @@ class ModelParams:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"malformed model document: {exc}") from exc
-
-
-def conditional_variance(params: ModelParams, h: float) -> float:
-    """Conditional variance of the interval return: h^2 * (1 + k)."""
-    return h * h * (1.0 + params.k)
 
 
 def volatility(params: ModelParams, h: float | np.ndarray) -> float | np.ndarray:

@@ -25,7 +25,6 @@ from intgarch import (
     forecast,
     interval_returns,
     mean_stationarity,
-    reports_to_csv,
     run_backtest,
     sample_acf,
     simulate,
@@ -33,8 +32,10 @@ from intgarch import (
     theoretical_acf,
 )
 from intgarch import cli
+from intgarch.evaluate import _report_rows
 from intgarch.marketdata import (
     QuoteTick,
+    _csv_lines,
     day_bars_from_range,
     load_csv,
     make_day_bars,
@@ -718,7 +719,7 @@ class TestBacktest:
                                   scalar_returns=np.diff([d.log_prices[-1] for d in days]))
         meta, body = split_meta(out.read_text())
         assert "# baseline_returns = close-to-close\n" in meta
-        assert body == reports_to_csv(reports)
+        assert body == "".join(line + "\n" for line in _csv_lines(*_report_rows(reports)))
 
     def test_prepare_then_backtest_gives_close_to_close_returns(self, tmp_path, capsys):
         # the quick start's tick file: 120 weekdays of 160 quotes 150 s apart
@@ -890,6 +891,47 @@ class TestBacktest:
             assert all(len(row) == 7 and row[0] == "a,b" for row in rows)
 
 
+class TestUnreadableCsv:
+    """A row csv cannot read exits 2 naming the file and the line the row
+    starts on, as does a bad row after a quoted line break, for the
+    interval, tick and bar readers of the CLI."""
+
+    # an unmatched quote, then more text than csv's 128 KiB field limit
+    RUN_ON = '"' + "x" * 140_000 + "\n"
+
+    def run_on(self, tmp_path, reader, text):
+        bad, out = tmp_path / "bad.csv", str(tmp_path / "out")
+        bad.write_text(text)
+        argv = {"intervals": ["fit", "--data", str(bad), "--out", out],
+                "ticks": ["prepare", "--ticks", str(bad), "--out-intervals", out],
+                "bars": ["backtest", "--bars", str(bad), "--train", "100", "--out", out]}[reader]
+        return bad, run(*argv)
+
+    @pytest.mark.parametrize("reader, text, line", [
+        ("intervals", "date,low,high\n2020-01-01,-1.0,1.0\n2020-01-02," + RUN_ON, 3),
+        ("intervals", "# a comment\n" + RUN_ON, 2),  # in the header
+        ("ticks", "timestamp,bid,ask\n2024-03-04T10:00:00,99.99,100.01\n2024-03-04T10:01:00," + RUN_ON, 3),
+        ("bars", "date,min_log,max_log,rv\n" + RUN_ON, 2),
+    ], ids=["intervals", "header", "ticks", "bars"])
+    def test_field_past_the_limit(self, tmp_path, capsys, reader, text, line):
+        bad, code = self.run_on(tmp_path, reader, text)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert f"{bad} line {line}: field larger than field limit" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reader, text", [
+        ("intervals", 'date,low,high\n"2020-01-01\n",-1.0,1.0\n2020-01-02,1.0\n'),
+        ("ticks", 'timestamp,bid,ask\n"2024-03-04T10:00:00\n",99.99,100.01\n2024-03-04T10:01:00,99.99\n'),
+    ], ids=["intervals", "ticks"])
+    def test_row_after_a_quoted_line_break(self, tmp_path, capsys, reader, text):
+        # the quoted first cell spans lines 2-3, and the short row is line 4
+        _, code = self.run_on(tmp_path, reader, text)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: line 4: expected 3 columns, got 2" in err and "Traceback" not in err
+
+
 class TestTable1:
     def test_single_design_csv(self, tmp_path, capsys):
         out = tmp_path / "t1.csv"
@@ -912,6 +954,13 @@ class TestTable1:
         assert run("table1", "--designs", designs, "--reps", "2", "--T", "100", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "no designs given" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_repeated_design_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "t1.csv"
+        assert run("table1", "--designs", "III,I,III", "--reps", "2", "--T", "100", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "--designs names III more than once" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

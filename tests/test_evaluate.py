@@ -2,7 +2,6 @@
 
 import csv
 import importlib
-import io
 import math
 from dataclasses import replace
 
@@ -32,16 +31,16 @@ from intgarch import (
     qlike,
     render_reports,
     render_study,
-    reports_to_csv,
     rolling_forecast,
     run_backtest,
     rv_proxy,
     simulate,
     simulation_study,
-    study_to_csv,
     weak_stationarity,
 )
-from intgarch.evaluate import _garch_variance
+from intgarch.estimate import FitRun
+from intgarch.evaluate import _garch_variance, _report_rows, _study_rows
+from intgarch.marketdata import _csv_lines
 
 MODEL_I = BENCHMARK_DESIGNS["I"]
 
@@ -329,6 +328,19 @@ class TestFitGarch11:
         assert fit.loglik == pytest.approx(by_hand, rel=1e-12)
         np.testing.assert_allclose(s2, garch11_path(fit.params, r), rtol=1e-12)
 
+    def test_run_record(self):
+        # the baseline keeps its winning run's facts as the interval model
+        # does; its objective, and so its trace, is loglik less -n/2 log(2 pi)
+        for seed in range(40, 52):
+            series, _ = simulate(SimConfig(MODEL_I, length=300, seed=seed, burn_in=200))
+            r = series.centers
+            fit = fit_garch11(r)
+            assert isinstance(fit, FitRun) and type(fit.gradient_max) is float
+            assert np.all(np.diff(fit.loglik_trace) >= 0), seed
+            assert fit.loglik_trace[-1] - 0.5 * r.size * math.log(2.0 * math.pi) == fit.loglik, seed
+            if fit.converged:
+                assert fit.gradient_max < 1e-6, seed
+
     def test_loglik_at_cap_has_no_penalty(self):
         # this fit ends on the persistence cap a + b <= 0.999, where the
         # likelihood still rises along a and b equally: a KKT point of the
@@ -597,18 +609,18 @@ class TestRunBacktest:
         for r in reports:
             assert 0.0 <= r.r2 <= 1.0
             assert set(r.wins) <= {"r2", "qlike", "hmse"}
-        assert set(info) == {"skipped_refits", "garch_failed_refits",
-                             "garch_stop_reasons", "intgarch_stop_reasons"}
+        assert set(info) == {"skipped_refits", "garch_failed_refits", "refits"}
         assert info["skipped_refits"] == []
         assert info["garch_failed_refits"] == []
-        # one (origin, stop_reason, iterations) triple per refit of each
-        # model: origins 119..159, each stop reason one of the optimizer's
-        for model in ("garch", "intgarch"):
-            reasons = info[f"{model}_stop_reasons"]
-            assert [t for t, _, _ in reasons] == [119, 139, 159]
-            assert all(reason in ("gradient tolerance", "no uphill step", "iteration cap")
-                       for _, reason, _ in reasons)
-            assert all(type(n) is int and n >= 0 for _, _, n in reasons)
+        # one (origin, FitRun) pair per refit of each model, keyed by its
+        # report name: origins 119..159, each stop reason one of the optimizer's
+        assert set(info["refits"]) == {"garch11", "intgarch"}
+        for runs in info["refits"].values():
+            assert [t for t, _ in runs] == [119, 139, 159]
+            assert all(type(run) is FitRun for _, run in runs)
+            assert all(run.stop_reason in ("gradient tolerance", "no uphill step", "iteration cap")
+                       for _, run in runs)
+            assert all(type(run.iterations) is int and run.iterations >= 0 for _, run in runs)
 
     def test_insample_reports(self, backtest_inputs):
         series, rv = backtest_inputs
@@ -619,12 +631,10 @@ class TestRunBacktest:
         assert by_h[("intgarch", 0)].n == 160
         assert by_h[("garch11", 0)].n == 160
         assert by_h[("intgarch", 1)].n == 40
-        # one (stop_reason, iterations) pair for the interval model, then
-        # one for the baseline
-        pairs = info["insample_stop_reasons"]
-        assert len(pairs) == 2
-        assert all(reason in ("gradient tolerance", "no uphill step", "iteration cap")
-                   and type(n) is int and n >= 0 for reason, n in pairs)
+        # each model's in-sample fit, as the record of a fit made alone
+        assert info["insample"] == {"intgarch": fit_mle(series, ModelOrders(1, 1, 1)).run,
+                                    "garch11": fit_garch11(series.centers).run}
+        assert all(type(run) is FitRun for run in info["insample"].values())
 
     def test_single_fit_when_refit_period_exceeds_window(self, backtest_inputs):
         series, rv = backtest_inputs
@@ -745,7 +755,7 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
     )
     horizons = sorted(set(int(h) for h in horizons))
     garch_failures: list = []
-    garch_stop_reasons: list = []
+    garch_refits: list = []
     garch_fit = None
     garch_fc: dict = {}
     for res in results:
@@ -754,7 +764,7 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
         if scheduled or garch_fit is None:
             try:
                 garch_fit = EVALUATE_MODULE.fit_garch11(returns[: t + 1])
-                garch_stop_reasons.append((t, garch_fit.stop_reason, garch_fit.iterations))
+                garch_refits.append((t, garch_fit.run))
             except IntGarchError as exc:
                 if garch_fit is None:
                     raise DataError(f"baseline fit failed on the training window: {exc}") from exc
@@ -780,7 +790,7 @@ def reference_backtest(series, rv, train_size, horizons, refit_every, returns):
     info = {
         "skipped_refits": skipped,
         "garch_failed_refits": garch_failures,
-        "garch_stop_reasons": garch_stop_reasons,
+        "refits": {"garch11": garch_refits},
     }
     return compare(forecasts, targets), info
 
@@ -816,7 +826,7 @@ class TestWalkForwardReference:
             if ("intgarch", t) not in fits:
                 fits["intgarch", t] = real_fit_mle(sample, orders, init_mode)
             fit = fits["intgarch", t]
-            interval_refits.append((t, fit.stop_reason, fit.iterations))
+            interval_refits.append((t, fit.run))
             return fit
 
         def fit_garch11(sample, start=None):
@@ -831,7 +841,7 @@ class TestWalkForwardReference:
         monkeypatch.setattr(EVALUATE_MODULE, "fit_garch11", fit_garch11)
         reports, info = run_backtest(series, rv, train_size=150, horizons=(1, 2, 5),
                                      refit_every=refit_every, scalar_returns=returns)
-        assert info.pop("intgarch_stop_reasons") == interval_refits
+        assert info["refits"].pop("intgarch") == interval_refits
         want_reports, want_info = reference_backtest(series, rv, 150, (1, 2, 5), refit_every, returns)
         assert repr(reports) == repr(want_reports)
         assert repr(info) == repr(want_info)
@@ -1088,7 +1098,7 @@ class TestRendering:
         ]
 
     def test_reports_csv_round_trip(self):
-        rows = list(csv.DictReader(io.StringIO(reports_to_csv(self.REPORTS))))
+        rows = list(csv.DictReader(_csv_lines(*_report_rows(self.REPORTS))))
         assert len(rows) == 6  # 2 models x 3 metrics
         won = [r for r in rows if r["winner"] == "1"]
         assert [(r["model"], r["metric"]) for r in won] == [("intgarch", "r2")]
@@ -1106,7 +1116,7 @@ class TestRendering:
         assert any("2/2" in ln for ln in lines[1:])
 
     def test_study_csv_round_trip(self, small_study):
-        rows = list(csv.DictReader(io.StringIO(study_to_csv(small_study))))
+        rows = list(csv.DictReader(_csv_lines(*_study_rows(small_study))))
         assert len(rows) == 18
         k_rows = [r for r in rows if r["param"] == "k"]
         assert all(r["mean_model_se"] == "" for r in k_rows)

@@ -4,6 +4,7 @@ import datetime as dt
 import importlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from intgarch import (
     theoretical_moments,
     weak_stationarity,
 )
+from intgarch.estimate import FitRun
 
 MODEL_I = ModelParams.first_order(k=1.8147, mu=0.0906, alpha1=0.0318, beta1=0.374, gamma1=0.1265)
 ORDERS_111 = ModelOrders(1, 1, 1)
@@ -394,6 +396,29 @@ class TestRollingForecast:
         # the refits at 206, 213, ... fail too; every other origin's forecast
         assert {t for t, stage, _ in skipped if stage == "refit"} == set(range(206, 256, 7))
         assert "overflow in the forecast from origin 202" in skipped[0][2]
+
+    def test_refit_records_each_refit_alone(self, series, monkeypatch):
+        # refit is set exactly at the origins that refit, skipped 206 aside,
+        # and holds that fit's run facts, with none of its arrays
+        module = importlib.import_module("intgarch.forecast")
+        real_fit, fits = module.fit_mle, {}
+
+        def fit(sample, *args, **kw):
+            if len(sample) == 207:
+                raise DataError("refit failed")
+            fits[len(sample) - 1] = fitted = real_fit(sample, *args, **kw)
+            return fitted
+
+        monkeypatch.setattr(module, "fit_mle", fit)
+        results, _ = rolling_forecast(series, ORDERS_111, horizons=[1], train_size=200, refit_every=7)
+        refits = {r.origin_index: r.refit for r in results if r.refit is not None}
+        assert sorted(refits) == sorted(fits) == [t for t in range(199, 260, 7) if t != 206]
+        for t, run in refits.items():
+            assert type(run) is FitRun
+            assert [getattr(run, f.name) for f in fields(FitRun)] == [
+                fits[t].stop_reason, fits[t].iterations, fits[t].gradient_max, fits[t].loglik_trace]
+            assert run.converged == fits[t].converged
+            assert not any(isinstance(getattr(run, f.name), np.ndarray) for f in fields(run))
 
     def test_horizons_validated(self, series):
         with pytest.raises(DataError, match="horizons"):

@@ -11,7 +11,6 @@ from intgarch import (
     ModelError,
     ModelOrders,
     ModelParams,
-    conditional_variance,
     mean_stationarity,
     strict_stationarity_check,
     theoretical_acf,
@@ -117,10 +116,6 @@ class TestModelParams:
 
 
 class TestVarianceScales:
-    def test_conditional_variance(self):
-        # h^2 (1 + k)
-        assert conditional_variance(MODEL_I, 0.5) == pytest.approx(0.25 * 2.8147)
-
     def test_volatility(self):
         # (1 + k/3) h^2
         assert volatility(MODEL_I, 0.5) == pytest.approx(0.25 * (1 + 1.8147 / 3))
@@ -128,11 +123,6 @@ class TestVarianceScales:
     def test_volatility_vectorized(self):
         h = np.array([0.5, 1.0, 2.0])
         np.testing.assert_allclose(volatility(MODEL_I, h), (1 + 1.8147 / 3) * h**2)
-
-    def test_ordering(self):
-        # conditional variance exceeds reported volatility whenever k > 0
-        # (1 + k vs 1 + k/3)
-        assert conditional_variance(MODEL_I, 1.3) > volatility(MODEL_I, 1.3)
 
 
 class TestStationarity:
