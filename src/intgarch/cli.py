@@ -39,8 +39,9 @@ from .intervals import IntervalSeries, sample_acf
 from .marketdata import (
     SessionSpec,
     _csv_lines,
-    _not_utf8,
+    _reading,
     _write_csv,
+    _write_lines,
     clean_quotes,
     interval_returns,
     load_csv,
@@ -88,14 +89,6 @@ def _parse_iso(kind, text: str):
         raise DataError(f"unparsable {kind.__name__} {text!r}") from exc
 
 
-def _write_text(path, text: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-
-
 # the flags that name a file a command writes, and those that name one it reads
 _OUTPUTS = ("out", "out_intervals", "out_bars", "h_out", "summary_out")
 _INPUTS = ("data", "ticks", "bars", "model", "config")
@@ -130,23 +123,16 @@ def _check_outputs(args) -> None:
 
 def _load_model_json(path) -> tuple:
     """(ModelParams, FittedModel or None) from a model document."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    if "model" in doc:
-        fitted = FittedModel.from_dict(doc)
-        return fitted.params, fitted
-    if "orders" in doc:
-        return ModelParams.from_dict(doc), None
-    raise DataError(f"{path}: neither a parameter nor a fit document")
+    with _reading(path), open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise DataError("expected a JSON object")
+        if "model" in doc:
+            fitted = FittedModel.from_dict(doc)
+            return fitted.params, fitted
+        if "orders" in doc:
+            return ModelParams.from_dict(doc), None
+        raise DataError("neither a parameter nor a fit document")
 
 
 def _resolve_seed(seed) -> int:
@@ -244,11 +230,11 @@ def cmd_fit(args) -> int:
     fitted = fit_mle(series, orders, InitMode(args.init))
     doc = fitted.to_dict()
     doc["run_config"] = _meta(args, ["data", "orders", "init"])
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_lines(args.out, [json.dumps(doc, indent=2)])
     summary = _fit_summary(fitted)
     print(summary)
     if args.summary_out:
-        _write_text(args.summary_out, summary + "\n")
+        _write_lines(args.summary_out, [summary])
     if not fitted.converged:
         print(f"fit did not converge: {fitted.stop_reason}", file=sys.stderr)
         return 4
@@ -506,21 +492,13 @@ def build_parser() -> tuple:
 
 
 def _load_config_file(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     if text.lstrip().startswith("{"):  # text from "{" that parses is a JSON object
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+        doc = json.loads(text)
         for key, value in doc.items():
             if value is None or isinstance(value, (list, dict)):
-                raise DataError(f"{path}: config key {key!r} must be a string, number or boolean")
+                raise DataError(f"config key {key!r} must be a string, number or boolean")
         # as strings, JSON values take the same conversion as key=value lines
         return {str(k): str(v) for k, v in doc.items()}
     out: dict = {}
@@ -529,7 +507,7 @@ def _load_config_file(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DataError(f"{path} line {lineno}: expected key=value")
+            raise DataError(f"line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -546,22 +524,23 @@ def _apply_config(parser, commands, argv, args):
     sp, _ = commands[args.command]
     actions = {action.dest: action for action in sp._actions if action.dest != "help"}
     defaults: dict = {}
-    for key, value in _load_config_file(args.config).items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise DataError(f"unknown config key {key!r} for command {args.command!r}")
-        if action.nargs == 0:  # an on/off flag
-            if value.lower() not in _ON_OFF:
-                raise DataError(f"config key {key!r}: {value!r} is not one of {list(_ON_OFF)}")
-            value = _ON_OFF[value.lower()]
-        elif action.type is not None:
-            try:
-                value = action.type(value)
-            except ValueError as exc:
-                raise DataError(f"config key {key!r}: {exc}") from exc
-        if action.choices and value not in action.choices:
-            raise DataError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-        defaults[action.dest] = value
+    with _reading(args.config):
+        for key, value in _load_config_file(args.config).items():
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
+                raise DataError(f"unknown config key {key!r} for command {args.command!r}")
+            if action.nargs == 0:  # an on/off flag
+                if value.lower() not in _ON_OFF:
+                    raise DataError(f"config key {key!r}: {value!r} is not one of {list(_ON_OFF)}")
+                value = _ON_OFF[value.lower()]
+            elif action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError as exc:
+                    raise DataError(f"config key {key!r}: {exc}") from exc
+            if action.choices and value not in action.choices:
+                raise DataError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+            defaults[action.dest] = value
     sp.set_defaults(**defaults)
     return parser.parse_args(argv)
 

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _GARCH_CAP = 0.999  # the fit's persistence ceiling, a + b <= _GARCH_CAP
+_GARCH_MIN_OBS = 50  # the fewest returns the baseline fits
 METRICS = ("r2", "qlike", "hmse")
 # each metric's loss in METRICS order: the lowest wins
 _LOSSES = {"r2": lambda r: -r.r2, "qlike": lambda r: r.qlike, "hmse": lambda r: abs(r.hmse)}
@@ -275,8 +276,8 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
         raise DataError("returns must be a 1-d sequence")
-    if r.size < 50:
-        raise DataError(f"insufficient data: need at least 50 observations, got {r.size}")
+    if r.size < _GARCH_MIN_OBS:
+        raise DataError(f"insufficient data: need at least {_GARCH_MIN_OBS} observations, got {r.size}")
     if not np.all(np.isfinite(r)):
         raise DataError("returns must be finite")
     v = float(np.var(r))
@@ -385,17 +386,18 @@ def run_backtest(
     """Walk-forward comparison of the interval model against GARCH(1,1).
 
     rv must align 1:1 with series (entry t, finite and >= 0, is the realized
-    variance for period t), and the forecast from origin t for horizon h
-    is scored against rv[t + h]. scalar_returns, finite, feeds the
-    baseline; interval centers are the fallback when no closing returns
-    exist. Both arrays are checked before the first fit. Both models
-    forecast from the same origins: the interval model refits on the
-    schedule, and the baseline refits on the same growing sample exactly
-    where it did. Each refit of either model after its first starts from
-    that model's last fit (the `start` of fit_mle and fit_garch11); the
-    in-sample fits of include_insample start cold. The baseline forecasts
-    from a refit's own sigma2_path, and rebuilds the path with
-    garch11_path only at origins that reuse a fit.
+    variance for period t), and the forecast from origin t for horizon h is
+    scored against rv[t + h]. scalar_returns, finite, feeds the baseline;
+    interval centers are the fallback when no closing returns exist. Both
+    arrays, and train_size against the baseline's minimum sample, are
+    checked before the first fit. Both models forecast from the same
+    origins: the interval model refits on the schedule, and the baseline
+    refits on the same growing sample exactly where it did. Each refit of
+    either model after its first starts from that model's last fit (the
+    `start` of fit_mle and fit_garch11); the in-sample fits of
+    include_insample start cold. The baseline forecasts from a refit's own
+    sigma2_path, and rebuilds the path with garch11_path only at origins
+    that reuse a fit.
 
     Returns (reports, info). info holds rolling_forecast's skipped origins
     as its (origin, stage, message) triples (skipped_refits), failed
@@ -414,6 +416,8 @@ def run_backtest(
         raise DataError(f"rv must be finite and >= 0: entry {bad[0]} is {rv_arr[bad[0]]}")
     if train_size is None or not 0 < train_size < n:
         raise DataError("train_size must split the series: 0 < train_size < length")
+    if train_size < _GARCH_MIN_OBS:
+        raise DataError(f"train_size {train_size}: the baseline needs at least {_GARCH_MIN_OBS} observations")
     horizons = _horizons(horizons)
     for h in horizons:
         if n - train_size - h + 1 < 3:

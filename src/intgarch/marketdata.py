@@ -36,19 +36,23 @@ differences) and its min/max, from which the daily interval return is
 CSV input goes through one table mapping each accepted header to a parser
 of one row (_LAYOUTS). One loop checks each row's width, runs its parser
 and turns any bad cell, non-finite numbers included, into a DataError
-naming the line. A tick file's body is read as whole columns instead
-when every row is proven to give what the row parser gives (_tick_columns);
-any other tick file goes through the row loop, which loads its rows or
-names the first bad line. One writer serves every table, the command-line
-ones too: `# key = value` run lines, the header, one line of cells per row.
-"""
+naming the line, as it does a dated row out of date order. A tick file's
+body is read as whole columns instead when every row is proven to give
+what the row parser gives (_tick_columns). One context (_reading) names
+the file in every input error, the CLI's documents and config included.
+One writer serves every table, the CLI's too: `# key = value` run lines,
+the header, one line of cells per row."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as _dt
 import io
+import itertools
+import json
 import math
+import re
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -573,11 +577,11 @@ _LAYOUTS = {
 }
 
 
-def _csv_rows(lines, path, first: int = 1):
+def _csv_rows(lines, first: int = 1):
     """(line number, stripped cells) of each csv row read from lines, named
     by the line it starts on, the first line being line first; comment and
-    blank lines are skipped. A row csv cannot read (say, an unmatched quote
-    past the field size limit) raises a DataError naming path and line."""
+    blank lines are skipped. A row csv rejects (say, an unmatched quote
+    past the field size limit) raises a DataError naming its line."""
     reader, lineno = csv.reader(lines), first
     try:
         for row in reader:
@@ -585,97 +589,116 @@ def _csv_rows(lines, path, first: int = 1):
                 yield lineno, [c.strip() for c in row]
             lineno = first + reader.line_num
     except csv.Error as exc:
-        raise DataError(f"{path} line {lineno}: {exc}") from exc
+        raise DataError(f"line {lineno}: {exc}") from exc
 
 
 def _not_utf8(path) -> DataError:
-    """The error for a file that does not decode as UTF-8, naming the line
-    of its first bad byte. A text file decodes in chunks, so the decoder's
-    offset is not a file offset: the file is read again, as bytes."""
+    """The error for a file that is not UTF-8, naming the line of its first
+    bad byte. A text file decodes in chunks, so the file is read again as
+    bytes, where each byte that is not UTF-8 decodes to a lone surrogate."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8", "surrogateescape")
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad is None:
+        return DataError("not UTF-8 text")
+    line = text.count("\n", 0, bad.start()) + 1
+    return DataError(f"line {line}: not UTF-8 text (byte 0x{ord(bad.group()) - 0xdc00:02x})")
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Name path in each input error raised inside the block: an OSError,
+    text that is not UTF-8, invalid JSON, and every DataError, which reads
+    "<path> line N: ..." when it names a line and "<path>: ..." otherwise."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        data.decode("utf-8")
+        try:
+            yield
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
     except OSError as exc:
-        return DataError(f"cannot read {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return DataError(f"{path} line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})")
-    return DataError(f"{path}: not UTF-8 text")
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{path}{' ' if str(exc).startswith('line ') else ': '}{exc}") from exc
 
 
-def _parse_rows(body: str, path, first: int, parse, width: int) -> list:
-    """parse(*cells) of each csv row of body, whose first line is line
-    first of path; a bad row raises a DataError naming its line."""
-    records = []
-    for lineno, row in _csv_rows(io.StringIO(body, newline=""), path, first):
+def _parse_rows(body: str, first: int, parse, width: int) -> tuple:
+    """(line numbers, parse(*cells)) of the csv rows of body, whose first
+    line is line first; a bad row raises a DataError naming its line."""
+    lines, records = [], []
+    for lineno, row in _csv_rows(io.StringIO(body, newline=""), first):
         try:
             if len(row) != width:
                 raise DataError(f"expected {width} columns, got {len(row)}")
             records.append(parse(*row))
         except ValueError as exc:  # DataError included
             raise DataError(f"line {lineno}: {exc}") from exc
+        lines.append(lineno)
     if not records:
         raise DataError("no data rows")
-    return records
+    return lines, records
+
+
+def _in_date_order(dates, lines) -> None:
+    """Refuse dates that do not strictly increase, naming the first row out of order."""
+    for line, a, b in zip(lines[1:], dates, dates[1:]):
+        if not a < b:
+            raise DataError(f"line {line}: dates must be strictly increasing, got {a} before {b}")
 
 
 def load_csv(path, schema: str):
     """Load a typed table.
 
     schema 'ticks' -> TickColumns (auto-sorted with a warning if
-    unsorted); 'daily_bars' -> list of DayBars (compact rows, close_log
-    optional, or date,time,price long format); 'intervals' ->
-    IntervalSeries. Malformed rows, non-finite numbers included, raise
-    DataError naming the line.
+    unsorted); 'daily_bars' -> list of DayBars (compact rows in date
+    order, close_log optional, or date,time,price long format);
+    'intervals' -> IntervalSeries in date order. Every error names the
+    file, and a bad row, non-finite numbers included, also its line.
     """
     headers = [cols for cols, (s, _) in _LAYOUTS.items() if s == schema]
     if not headers:
         schemas = ", ".join(dict.fromkeys(s for s, _ in _LAYOUTS.values()))
         raise DataError(f"unknown schema {schema!r}; expected one of {schemas}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header_line, header = next(_csv_rows(fh, path), (0, None))
-            body = fh.read()  # the text after the header row
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
-    if header is None:
-        raise DataError("no data rows")
-    cols = tuple(c.lower() for c in header)
-    if cols not in headers:
-        raise DataError(
-            f"line {header_line}: unknown columns {header!r}; expected "
-            + " or ".join(",".join(h) for h in headers)
-        )
-    parse = _LAYOUTS[cols][1]
-
-    if schema == "ticks":
-        ticks = _tick_columns(body, len(cols))
-        if ticks is None:
-            ticks = TickColumns.of(_parse_rows(body, path, header_line + 1, parse, len(cols)))
-        in_order = ticks.sorted()
-        if in_order is not ticks:
-            warnings.warn("tick timestamps unsorted; sorting")
-        return in_order
-    records = _parse_rows(body, path, header_line + 1, parse, len(cols))
-    if schema == "intervals":
-        dates, lows, highs = zip(*records)
-        return IntervalSeries.from_bounds(lows, highs, dates=dates)
-    if parse is _bar_row:
-        return records
-    # date,time,price: each date's log prices in time order make one day
-    by_day: dict = {}
-    for date, time, log_price in records:
-        by_day.setdefault(date, []).append((time, log_price))
-    days = []
-    for date in sorted(by_day):
-        points = sorted(by_day[date], key=itemgetter(0))
-        if len(points) < 2:
-            raise DataError(f"{date}: insufficient intraday observations")
-        days.append(make_day_bars(date, [p for _, p in points]))
-    return days
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
+        header_line, header = next(_csv_rows(fh), (0, None))
+        body = fh.read()  # the text after the header row
+        if header is None:
+            raise DataError("no data rows")
+        cols = tuple(c.lower() for c in header)
+        if cols not in headers:
+            raise DataError(
+                f"line {header_line}: unknown columns {header!r}; expected "
+                + " or ".join(",".join(h) for h in headers)
+            )
+        parse = _LAYOUTS[cols][1]
+        if schema == "ticks":
+            ticks = _tick_columns(body, len(cols))
+            if ticks is None:
+                ticks = TickColumns.of(_parse_rows(body, header_line + 1, parse, len(cols))[1])
+            in_order = ticks.sorted()
+            if in_order is not ticks:
+                warnings.warn("tick timestamps unsorted; sorting")
+            return in_order
+        lines, records = _parse_rows(body, header_line + 1, parse, len(cols))
+        if schema == "intervals":
+            dates, lows, highs = zip(*records)
+            _in_date_order(dates, lines)
+            return IntervalSeries.from_bounds(lows, highs, dates=dates)
+        if parse is _bar_row:
+            _in_date_order([d.date for d in records], lines)
+            return records
+        # date,time,price: each date's log prices in time order make one day
+        by_day: dict = {}
+        for line, (date, time, log_price) in zip(lines, records):
+            by_day.setdefault(date, []).append((time, log_price, line))
+        days = []
+        for date in sorted(by_day):
+            points = sorted(by_day[date], key=itemgetter(0))
+            if len(points) < 2:
+                raise DataError(f"line {points[0][2]}: {date}: insufficient intraday observations")
+            days.append(make_day_bars(date, [p for _, p, _ in points]))
+        return days
 
 
 def _cell(value) -> str:
@@ -701,14 +724,18 @@ def _csv_lines(header: str, rows):
         yield ",".join(map(_cell, row))
 
 
-def _write_csv(path, meta: dict | None, header: str, rows) -> None:
-    """Write meta as `# key = value` comment lines, then the table."""
+def _write_lines(path, lines) -> None:
+    """Write each string of lines to path as a line; a failure names the file."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.writelines(f"# {k} = {v}\n" for k, v in (meta or {}).items())
-            fh.writelines(line + "\n" for line in _csv_lines(header, rows))
+            fh.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path, meta: dict | None, header: str, rows) -> None:
+    """Write meta as `# key = value` comment lines, then the table."""
+    _write_lines(path, itertools.chain((f"# {k} = {v}" for k, v in (meta or {}).items()), _csv_lines(header, rows)))
 
 
 def save_intervals_csv(series: IntervalSeries, path, meta: dict | None = None) -> None:

@@ -261,6 +261,13 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert f"{bad} line {line}: not UTF-8 text (byte 0xff)" in err and "Traceback" not in err
 
+    def test_a_cut_sequence_is_named_by_its_first_byte(self, tmp_path, capsys):
+        # a two-byte sequence cut short by a line break
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"date,low,high\n# caf\xc3\n2020-01-01,-1.0,1.0\n")
+        assert run("fit", "--data", str(bad), "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == f"error: {bad} line 2: not UTF-8 text (byte 0xc3)\n"
+
 
 class TestTableBytes:
     """Every table the CLI writes is its `# key = value` run lines, then
@@ -926,10 +933,10 @@ class TestUnreadableCsv:
     ], ids=["intervals", "ticks"])
     def test_row_after_a_quoted_line_break(self, tmp_path, capsys, reader, text):
         # the quoted first cell spans lines 2-3, and the short row is line 4
-        _, code = self.run_on(tmp_path, reader, text)
+        bad, code = self.run_on(tmp_path, reader, text)
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: line 4: expected 3 columns, got 2" in err and "Traceback" not in err
+        assert f"error: {bad} line 4: expected 3 columns, got 2" in err and "Traceback" not in err
 
 
 class TestTable1:
@@ -1031,7 +1038,9 @@ class TestBadInput:
         ('{"orders": [1, 1, 1],', "{}: invalid JSON"),
         ("[1, 1, 1]", "{}: expected a JSON object"),
         ('{"k": 1.5}', "{}: neither a parameter nor a fit document"),
-    ], ids=["missing", "invalid", "not-an-object", "neither"])
+        ('{"model": {}}', "{}: malformed fit document: 'converged'"),
+        ('{"orders": [1, 1]}', "{}: malformed model document: "),
+    ], ids=["missing", "invalid", "not-an-object", "neither", "malformed-fit", "malformed-parameters"])
     def test_bad_model_document(self, tmp_path, capsys, text, message):
         model = tmp_path / "model.json"
         if text is not None:
@@ -1041,17 +1050,17 @@ class TestBadInput:
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("text, message", [
-        (None, "cannot read config"),
-        ('{"T": 50,', "invalid JSON"),
-        ("T = 50\nseed 4\n", "line 2: expected key=value"),
-        ("[1]", "line 1: expected key=value"),
-        ("T = 50\nbogus = 1\n", "unknown config key 'bogus' for command 'simulate'"),
+        (None, "cannot read {}: "),
+        ('{"T": 50,', "{}: invalid JSON"),
+        ("T = 50\nseed 4\n", "{} line 2: expected key=value"),
+        ("[1]", "{} line 1: expected key=value"),
+        ("T = 50\nbogus = 1\n", "{}: unknown config key 'bogus' for command 'simulate'"),
     ], ids=["missing", "invalid-json", "no-equals", "json-array", "unknown-key"])
     def test_bad_config_file(self, workdir, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.txt"
         if text is not None:
             cfg.write_text(text)
-        self.exits_two(capsys, self.simulate_argv(workdir, tmp_path, "--config", str(cfg)), message)
+        self.exits_two(capsys, self.simulate_argv(workdir, tmp_path, "--config", str(cfg)), message.format(cfg))
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("command", ["fit", "forecast"])
@@ -1076,3 +1085,22 @@ class TestBadInput:
                        for i in range(2)], bars)
         self.exits_two(capsys, ["backtest", "--bars", str(bars), "--train", "1"],
                        "insufficient data: need at least 3 days")
+
+    def test_intervals_out_of_order_name_their_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("date,low,high\n2024-01-03,-1.0,1.0\n2024-01-02,-1.0,1.0\n")
+        self.exits_two(capsys, ["fit", "--data", str(data), "--out", str(tmp_path / "f.json")],
+                       f"error: {data} line 3: dates must be strictly increasing, got 2024-01-03 before 2024-01-02\n")
+
+    @pytest.mark.parametrize("layout", ["compact", "long"])
+    def test_bar_rows_out_of_order_or_alone_name_their_line(self, tmp_path, capsys, layout):
+        bars = tmp_path / "bars.csv"
+        if layout == "compact":  # a repeated day
+            bars.write_text("date,min_log,max_log,rv\n2024-01-02,4.5,4.6,0.001\n2024-01-03,4.5,4.6,0.001\n"
+                            "2024-01-03,4.5,4.6,0.001\n")
+            message = "line 4: dates must be strictly increasing, got 2024-01-03 before 2024-01-03"
+        else:  # a day of one row
+            bars.write_text("date,time,price\n2024-01-02,10:00,100.0\n2024-01-02,11:00,101.0\n"
+                            "2024-01-03,10:00,100.0\n")
+            message = "line 4: 2024-01-03: insufficient intraday observations"
+        self.exits_two(capsys, ["backtest", "--bars", str(bars), "--train", "1"], f"error: {bars} {message}\n")

@@ -733,6 +733,23 @@ class TestRunBacktest:
         with pytest.raises(DataError, match="scalar_returns must have length 160"):
             run_backtest(series, rv, train_size=120, scalar_returns=np.ones(3))
 
+    @pytest.mark.parametrize("train_size", [2, 45, 49])
+    def test_train_size_below_the_baseline_minimum_is_refused_before_the_first_fit(
+            self, backtest_inputs, monkeypatch, train_size):
+        series, rv = backtest_inputs
+        fits = []
+        monkeypatch.setattr(FORECAST_MODULE, "fit_mle", lambda *a, **k: fits.append("fit_mle"))
+        monkeypatch.setattr(EVALUATE_MODULE, "fit_garch11", lambda *a, **k: fits.append("fit_garch11"))
+        with pytest.raises(DataError, match=f"train_size {train_size}: the baseline needs at least 50 observations"):
+            run_backtest(series, rv, train_size=train_size, horizons=(1,), refit_every=1)
+        assert fits == []
+
+    def test_train_size_at_the_baseline_minimum_runs(self, backtest_inputs):
+        series, rv = backtest_inputs
+        reports, info = run_backtest(series, rv, train_size=50, horizons=(1,), refit_every=200)
+        assert [r.n for r in reports] == [110, 110]
+        assert [t for t, _ in info["refits"]["garch11"]] == [49]
+
     def test_degenerate_baseline_returns(self, backtest_inputs):
         series, rv = backtest_inputs
         flat = np.r_[np.zeros(120), np.random.default_rng(0).normal(size=40)]

@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import math
+import random
 import re
 import sys
 import warnings
@@ -33,8 +34,11 @@ from intgarch.marketdata import (
     RULE4_HALF_WINDOW,
     RULE4_MAD_MULTIPLE,
     RULE4_MIN_NEIGHBORS,
+    TickColumns,
+    _parse_rows,
     _rule4_deviations,
     _tick_columns,
+    _tick_row,
 )
 
 T0 = dt.datetime(2024, 3, 4, 9, 30)
@@ -774,6 +778,44 @@ class TestCsvErrors:
         with pytest.raises(DataError, match="line 3: "):
             load_csv(p, schema)
 
+    @pytest.mark.parametrize("schema, header, cells", [
+        ("intervals", "date,low,high", "0.1,0.5"),
+        ("daily_bars", "date,min_log,max_log,rv", "4.5,4.6,0.001"),
+        ("daily_bars", "date,min_log,max_log,rv,close_log", "4.5,4.6,0.001,4.55"),
+    ], ids=["intervals", "bars", "bars-with-closes"])
+    @pytest.mark.parametrize("dates, line, earlier, later", [
+        (["2024-01-02", "2024-01-03", "2024-01-02"], 5, "2024-01-03", "2024-01-02"),  # backwards
+        (["2024-01-02", "2024-01-02", "2024-01-03"], 3, "2024-01-02", "2024-01-02"),  # repeated
+    ], ids=["backwards", "repeated"])
+    def test_dates_out_of_order_name_their_line(self, tmp_path, schema, header, cells, dates, line, earlier, later):
+        p = tmp_path / "bad.csv"
+        rows = [f"{d},{cells}" for d in dates]
+        p.write_text(f"{header}\n{rows[0]}\n{rows[1]}\n# a note\n{rows[2]}\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, schema)
+        assert str(exc.value) == f"{p} line {line}: dates must be strictly increasing, got {earlier} before {later}"
+
+    def test_long_format_one_row_day_names_its_line(self, tmp_path):
+        p = tmp_path / "long.csv"
+        p.write_text("date,time,price\n2024-03-04,09:30:00,100.0\n2024-03-05,09:30:00,100.0\n"
+                     "2024-03-04,09:35:00,101.0\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(p, "daily_bars")
+        assert str(exc.value) == f"{p} line 3: 2024-03-05: insufficient intraday observations"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "{}: no data rows"),
+        ("# only a note\ndate,low,high\n", "{}: no data rows"),
+        ("# a note\ndate,low\n2024-01-02,0.1\n",
+         "{} line 2: unknown columns ['date', 'low']; expected date,low,high"),
+    ], ids=["empty", "header-only", "unknown-header"])
+    def test_file_errors_name_the_file(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_csv(p, "intervals")
+        assert str(exc.value) == message.format(p)
+
 
 # ---------------------------------------------------------------------------
 # The four-branch loader and the per-layout writers as they were before the
@@ -1046,7 +1088,7 @@ class TestTickParserEdges:
         with pytest.raises(DataError, match="line 3: "):
             load_csv(p, "ticks")
         assert cli.main(["prepare", "--ticks", str(p), "--out-intervals", str(tmp_path / "iv.csv")]) == 2
-        assert "error: line 3: " in capsys.readouterr().err
+        assert f"error: {p} line 3: " in capsys.readouterr().err
         assert not (tmp_path / "iv.csv").exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -1062,7 +1104,7 @@ class TestTickParserEdges:
         p = tmp_path / "ticks.csv"
         p.write_text("timestamp,bid,ask\n" + body.format(row))
         assert cli.main(["prepare", "--ticks", str(p), "--out-intervals", str(tmp_path / "iv.csv")]) == 2
-        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+        assert capsys.readouterr().err == f"error: {p} line 3: {message}\n"
         assert not (tmp_path / "iv.csv").exists()
 
     # (name, file text) of valid files in forms other than the one isoformat() writes
@@ -1144,6 +1186,70 @@ class TestTickParserEdges:
             assert _tick_columns(body, 4) == reference_load_csv(p, "ticks")
         p.write_text("timestamp,bid,ask\n" + "\n".join(self.ROWS) + "\n")
         assert _tick_columns(p.read_text().split("\n", 1)[1], 3) == reference_load_csv(p, "ticks")
+
+
+class TestTickReadersAgree:
+    """The column step either declines a tick file's body or gives the
+    columns the row loop gives (_parse_rows, then TickColumns.of), NaN
+    matching NaN, on seeded bodies near the forms it accepts."""
+
+    BODIES = 3000
+    STAMPS = ["2024-03-04T10:00:00", "2024-03-04T10:00:00.250", "2024-03-04T10:00:00.000001",
+              "2024-03-04 10:00:00", "2024-03-04", "NaT", "today", "2024-03-04T10:05:00Z",
+              "2024-03-04T10:05:00+01:00", "0000-03-04T10:05:00", "0001-01-01T00:00:00",
+              "9999-12-31T23:59:59.999999", " 2024-03-04T10:00:00", "2024-03-04T10:00:00.1234567",
+              "20240304T100000", '"2024-03-04T10:00:00"', "2024-03-04T10:00", "2024-3-04T10:00:00"]
+    NUMBERS = ["99.99", "100.01", "1e2", " 100 ", "", "", "nan", "inf", "-inf", "-1", "0", "0.0", "1e400",
+               "1e-400", "5e-324", "1_000", "0x10", "\u0661\u0660\u0660", "+5", ".5", "5.", "1e", "abc",
+               '"99.99"', "1,5", "100\r"]
+
+    def stamp(self, rng):
+        """A listed timestamp, or the isoformat of a random time with one
+        digit changed, which keeps its form but may leave the calendar."""
+        if rng.random() < 0.1:
+            return rng.choice(self.STAMPS)
+        t = dt.datetime(2024, 3, 4, 9, 30) + dt.timedelta(seconds=rng.randrange(30_000),
+                                                          microseconds=rng.choice([0, 250_000, rng.randrange(10**6)]))
+        text = t.isoformat()
+        if rng.random() < 0.2:
+            at = rng.choice([i for i, c in enumerate(text) if c.isdigit()])
+            text = text[:at] + str(rng.randrange(10)) + text[at + 1:]
+        return text
+
+    def number(self, rng):
+        return rng.choice(self.NUMBERS) if rng.random() < 0.08 else repr(rng.uniform(0.01, 200.0))
+
+    def body(self, rng, width):
+        rows = []
+        for _ in range(rng.randrange(1, 6)):
+            if rng.random() < 0.03:
+                rows.append(rng.choice(["# a note", "", "#,,", ","]))
+                continue
+            cells = [self.stamp(rng)] + [self.number(rng) for _ in range(width - 1)]
+            if width == 4 and rng.random() < 0.3:  # a price-only row
+                cells[1:3] = ["", ""]
+            rows.append(",".join(cells))
+        return rng.choice(["\n", "\r\n"] if rng.random() < 0.05 else ["\n"]).join(rows) + rng.choice(["\n", ""])
+
+    def test_the_column_step_declines_or_agrees(self):
+        rng = random.Random(21)
+        accepted = 0
+        for i in range(self.BODIES):
+            width = rng.choice([3, 4])
+            body = self.body(rng, width)
+            fast = _tick_columns(body, width)
+            try:
+                slow = TickColumns.of(_parse_rows(body, 2, _tick_row, width)[1])
+            except DataError:
+                slow = None
+            if fast is None:
+                continue
+            accepted += 1
+            assert slow is not None, (i, body)
+            for a, b in zip(fast._columns(), slow._columns()):
+                np.testing.assert_array_equal(a, b, err_msg=repr((i, body)))
+        # both branches are exercised
+        assert 0.2 * self.BODIES < accepted < 0.8 * self.BODIES, accepted
 
 
 class TestWriterBytes:
