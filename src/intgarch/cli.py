@@ -227,7 +227,8 @@ def _fit_summary(fitted: FittedModel) -> str:
 def cmd_fit(args) -> int:
     series = load_csv(args.data, "intervals")
     orders = _parse_orders(args.orders)
-    fitted = fit_mle(series, orders, InitMode(args.init))
+    with _reading(args.data):  # too short or degenerate a series names the file
+        fitted = fit_mle(series, orders, InitMode(args.init))
     doc = fitted.to_dict()
     doc["run_config"] = _meta(args, ["data", "orders", "init"])
     _write_lines(args.out, [json.dumps(doc, indent=2)])
@@ -292,8 +293,9 @@ def cmd_prepare(args) -> int:
         grid_minutes=args.grid_minutes,
     )
     days = resample_to_grid(cleaned, session)
-    if len(days) < 2:
-        raise DataError("insufficient data: need at least 2 usable days")
+    with _reading(args.ticks):
+        if len(days) < 2:
+            raise DataError("insufficient data: need at least 2 usable days")
     series = interval_returns(days)
     meta = _meta(
         args,
@@ -319,9 +321,10 @@ def cmd_backtest(args) -> int:
     if not np.isfinite(args.train):
         raise DataError(f"--train must be finite, got {args.train}")
     days = load_csv(args.bars, "daily_bars")
-    if len(days) < 3:
-        raise DataError("insufficient data: need at least 3 days")
-    series = interval_returns(days)
+    with _reading(args.bars):  # as does a pair of days whose return overflows
+        if len(days) < 3:
+            raise DataError("insufficient data: need at least 3 days")
+        series = interval_returns(days)
     rv = np.array([d.rv for d in days[1:]])
     if all(d.close_log is not None for d in days):
         returns = np.diff([d.close_log for d in days])

@@ -32,6 +32,15 @@ __all__ = [
 ]
 
 
+def _in_date_order(dates: Sequence, lines: Sequence[int] | None = None) -> None:
+    """Refuse dates that do not strictly increase, naming the first one out
+    of order, and its line when lines gives each date's line number."""
+    for i, (a, b) in enumerate(zip(dates, dates[1:]), start=1):
+        if not a < b:
+            where = "" if lines is None else f"line {lines[i]}: "
+            raise DataError(f"{where}dates must be strictly increasing, got {a} before {b}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed real interval in (center, radius) coordinates.
@@ -102,9 +111,7 @@ class IntervalSeries:
             dates = tuple(dates)
             if len(dates) != len(c):
                 raise DataError("dates length does not match series length")
-            for a, b in zip(dates, dates[1:]):
-                if not a < b:
-                    raise DataError(f"dates must be strictly increasing, got {a} before {b}")
+            _in_date_order(dates)
         self._dates = dates
 
     @classmethod
@@ -128,7 +135,8 @@ class IntervalSeries:
         if np.any(lo > up):
             bad = int(np.argmax(lo > up))
             raise DataError(f"lower bound exceeds upper bound at position {bad}")
-        return cls((lo + up) / 2.0, (up - lo) / 2.0, dates)
+        with np.errstate(over="ignore", invalid="ignore"):  # __init__ refuses what overflows
+            return cls((lo + up) / 2.0, (up - lo) / 2.0, dates)
 
     @property
     def centers(self) -> np.ndarray:

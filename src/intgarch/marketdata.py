@@ -27,9 +27,13 @@ and interior ticks share one pass and one median formula. Every median
 equals np.median's, bit for bit.
 
 Cleaned ticks are sampled onto an intra-session grid by carrying the last
-observation forward, found by np.searchsorted on the sorted keys. A day's
-grid log prices give its realized variance (sum of squared consecutive
-differences) and its min/max, from which the daily interval return is
+observation forward, found by np.searchsorted on the sorted keys. A day
+reaches the model as one DayBars record, the same whether it comes from
+the grid or from a bars file: its date, its range [min_log, max_log], its
+realized variance rv (sum of squared consecutive grid log-price
+differences) and its close_log (the last grid log price, or None for a
+range-only day). The grid itself is not kept. Consecutive ranges give the
+daily interval return
 
     r_t = [min_log(t) - max_log(t-1), max_log(t) - min_log(t-1)].
 
@@ -62,7 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import DataError
-from .intervals import IntervalSeries
+from .intervals import IntervalSeries, _in_date_order
 
 __all__ = [
     "QuoteTick",
@@ -204,16 +208,12 @@ class TickColumns(Sequence):
 
 @dataclass(frozen=True)
 class DayBars:
-    """One day's grid log prices with their range and realized variance.
-
-    log_prices is None for compact records loaded without the intraday
-    path (range-only fallback); min_log/max_log/rv then stand alone.
-    close_log is the day's last grid log price: log_prices[-1] when they
-    are given, else the compact record's own, or None if it has none.
-    """
+    """One trading day as the model reads it: its date, the range
+    [min_log, max_log] of its log prices, their realized variance rv, and
+    close_log, the day's last log price, or None when the source gives
+    only the range. make_day_bars reduces a day's grid log prices to one."""
 
     date: _dt.date
-    log_prices: tuple | None
     min_log: float
     max_log: float
     rv: float
@@ -224,20 +224,7 @@ class DayBars:
             raise DataError(f"{self.date}: min_log exceeds max_log")
         if self.rv < 0:
             raise DataError(f"{self.date}: negative realized variance")
-        if self.log_prices is not None:
-            lp = tuple(float(x) for x in self.log_prices)
-            object.__setattr__(self, "log_prices", lp)
-            if not lp:
-                raise DataError(f"{self.date}: empty log-price grid")
-            if not math.isclose(min(lp), self.min_log, rel_tol=0, abs_tol=1e-12):
-                raise DataError(f"{self.date}: min_log does not match log_prices")
-            if not math.isclose(max(lp), self.max_log, rel_tol=0, abs_tol=1e-12):
-                raise DataError(f"{self.date}: max_log does not match log_prices")
-            close = self.close_log
-            if close is not None and not math.isclose(lp[-1], close, rel_tol=0, abs_tol=1e-12):
-                raise DataError(f"{self.date}: close_log does not match log_prices")
-            object.__setattr__(self, "close_log", lp[-1])
-        elif self.close_log is not None and not self.min_log <= self.close_log <= self.max_log:
+        if self.close_log is not None and not self.min_log <= self.close_log <= self.max_log:
             raise DataError(f"{self.date}: close_log outside [min_log, max_log]")
 
 
@@ -411,40 +398,27 @@ def resample_to_grid(ticks: Sequence, session: SessionSpec | None = None) -> lis
 
 
 def make_day_bars(date: _dt.date, log_prices: Sequence[float]) -> DayBars:
-    """Assemble a DayBars from a day's grid log prices."""
-    lp = tuple(float(x) for x in log_prices)
-    if len(lp) < 2:
-        raise DataError("insufficient intraday observations")
-    return DayBars(
-        date=date,
-        log_prices=lp,
-        min_log=min(lp),
-        max_log=max(lp),
-        rv=realized_variance(lp),
-    )
+    """The DayBars of a day's grid log prices: their min, max, realized
+    variance and last value, the close."""
+    lp = [float(x) for x in log_prices]
+    rv = realized_variance(lp)
+    return DayBars(date, min(lp), max(lp), rv, lp[-1])
 
 
-def day_bars_from_range(
-    date: _dt.date, min_log: float, max_log: float, rv: float | None = None
-) -> DayBars:
+def day_bars_from_range(date: _dt.date, min_log: float, max_log: float, rv: float | None = None) -> DayBars:
     """Range-only fallback when no intraday path exists (e.g. published
-    daily high/low). The interval-return construction treats the two-point
-    set {min_log, max_log} as the day's price set. rv defaults to the
-    coarse two-point value (max_log - min_log)^2."""
+    daily high/low): a DayBars with no close. rv defaults to the coarse
+    two-point value (max_log - min_log)^2."""
     if rv is None:
         rv = (max_log - min_log) ** 2
-    return DayBars(date=date, log_prices=None, min_log=min_log, max_log=max_log, rv=rv)
+    return DayBars(date, min_log, max_log, rv)
 
 
-def realized_variance(day) -> float:
-    """Sum of squared consecutive log-price differences within one day.
-
-    Accepts a DayBars or a plain sequence of log prices. No overnight term.
-    """
-    lp = day.log_prices if isinstance(day, DayBars) else day
-    if lp is None or len(lp) < 2:
+def realized_variance(log_prices: Sequence[float]) -> float:
+    """Sum of squared consecutive differences of one day's log prices; no overnight term."""
+    if len(log_prices) < 2:
         raise DataError("insufficient intraday observations")
-    d = np.diff(np.asarray(lp, dtype=float))
+    d = np.diff(np.asarray(log_prices, dtype=float))
     return float(d @ d)
 
 
@@ -456,12 +430,11 @@ def interval_returns(days: Sequence[DayBars]) -> IntervalSeries:
     """
     if len(days) < 2:
         raise DataError("insufficient data: need at least 2 days")
-    for a, b in zip(days, days[1:]):
-        if not a.date < b.date:
-            raise DataError(f"days must be strictly increasing in date, got {a.date} before {b.date}")
+    dates = [d.date for d in days]
+    _in_date_order(dates)
     lowers = np.array([t.min_log - s.max_log for s, t in zip(days, days[1:])])
     uppers = np.array([t.max_log - s.min_log for s, t in zip(days, days[1:])])
-    return IntervalSeries.from_bounds(lowers, uppers, dates=[d.date for d in days[1:]])
+    return IntervalSeries.from_bounds(lowers, uppers, dates=dates[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +452,8 @@ def _interval_row(date: str, low: str, high: str) -> tuple:
     d, lo, hi = _dt.date.fromisoformat(date), _finite(low), _finite(high)
     if hi < lo:
         raise DataError("high < low")
+    if not (math.isfinite(hi - lo) and math.isfinite(hi + lo)):
+        raise DataError(f"low {low} and high {high}: their width or sum overflows")
     return d, lo, hi
 
 
@@ -553,9 +528,9 @@ def _tick_columns(body: str, width: int) -> TickColumns | None:
     return ticks
 
 
-def _bar_row(date: str, min_log: str, max_log: str, rv: str, close_log: str | None = None) -> DayBars:
-    return DayBars(_dt.date.fromisoformat(date), None, _finite(min_log), _finite(max_log), _finite(rv),
-                   None if close_log is None else _finite(close_log))
+def _bar_row(date: str, *values: str) -> DayBars:
+    """date,min_log,max_log,rv[,close_log]: the file's close, if it gives one."""
+    return DayBars(_dt.date.fromisoformat(date), *map(_finite, values))
 
 
 def _price_row(date: str, time: str, price: str) -> tuple:
@@ -638,13 +613,6 @@ def _parse_rows(body: str, first: int, parse, width: int) -> tuple:
     if not records:
         raise DataError("no data rows")
     return lines, records
-
-
-def _in_date_order(dates, lines) -> None:
-    """Refuse dates that do not strictly increase, naming the first row out of order."""
-    for line, a, b in zip(lines[1:], dates, dates[1:]):
-        if not a < b:
-            raise DataError(f"line {line}: dates must be strictly increasing, got {a} before {b}")
 
 
 def load_csv(path, schema: str):

@@ -36,9 +36,11 @@ from intgarch.evaluate import _report_rows
 from intgarch.marketdata import (
     QuoteTick,
     _csv_lines,
+    clean_quotes,
     day_bars_from_range,
     load_csv,
     make_day_bars,
+    resample_to_grid,
     save_bars_csv,
     save_intervals_csv,
     save_ticks_csv,
@@ -639,16 +641,19 @@ class TestOutputErrors:
         assert not (tmp_path / "s.csv").exists()
 
 
-def walk_days():
-    """140 days of 20 grid log prices, a random walk of 1% per step."""
+def walk_paths():
+    """140 (date, 20 grid log prices) pairs, a random walk of 1% per step."""
     rng = np.random.default_rng(5)
-    days, level = [], 4.6
+    paths, level = [], 4.6
     for i in range(140):
-        date = dt.date(2023, 1, 2) + dt.timedelta(days=i)
         path = level + np.cumsum(rng.normal(scale=0.01, size=20))
-        days.append(make_day_bars(date, path))
+        paths.append((dt.date(2023, 1, 2) + dt.timedelta(days=i), path))
         level = float(path[-1])
-    return days
+    return paths
+
+
+def walk_days():
+    return [make_day_bars(date, path) for date, path in walk_paths()]
 
 
 @pytest.fixture(scope="module")
@@ -721,9 +726,11 @@ class TestBacktest:
                    "--refit-every", "64", "--format", "csv", "--out", str(out)) == 0
         assert "bars carry no intraday prices" not in capsys.readouterr().err
         days = walk_days()
+        assert load_csv(closes_csv, "daily_bars") == days
+        # the baseline's returns are the differences of each day's last grid log price
         reports, _ = run_backtest(interval_returns(days), [d.rv for d in days[1:]], train_size=100,
                                   horizons=[1, 2], refit_every=64, asset="data",
-                                  scalar_returns=np.diff([d.log_prices[-1] for d in days]))
+                                  scalar_returns=np.diff([path[-1] for _, path in walk_paths()]))
         meta, body = split_meta(out.read_text())
         assert "# baseline_returns = close-to-close\n" in meta
         assert body == "".join(line + "\n" for line in _csv_lines(*_report_rows(reports)))
@@ -739,6 +746,8 @@ class TestBacktest:
                         for i, day in enumerate(days) for j in range(160)], ticks)
         bars, iv = tmp_path / "bars.csv", tmp_path / "returns.csv"
         assert run("prepare", "--ticks", str(ticks), "--out-intervals", str(iv), "--out-bars", str(bars)) == 0
+        # the bars file holds the prepared days, record for record
+        assert load_csv(bars, "daily_bars") == resample_to_grid(clean_quotes(load_csv(ticks, "ticks")))
         assert run("backtest", "--bars", str(bars), "--train", "0.8", "--horizons", "1,2,5", "--insample",
                    "--out", str(tmp_path / "bt.csv")) == 0
         assert "bars carry no intraday prices" not in capsys.readouterr().err
@@ -1076,7 +1085,7 @@ class TestBadInput:
             f"2024-03-04T{9 + m // 60:02d}:{m % 60:02d}:00,99.99,100.01\n" for m in range(30, 400, 30)))
         self.exits_two(capsys, ["prepare", "--ticks", str(ticks), "--grid-minutes", "30",
                                 "--out-intervals", str(tmp_path / "iv.csv")],
-                       "insufficient data: need at least 2 usable days")
+                       f"error: {ticks}: insufficient data: need at least 2 usable days\n")
         assert not (tmp_path / "iv.csv").exists()
 
     def test_backtest_with_two_days(self, tmp_path, capsys):
@@ -1084,7 +1093,37 @@ class TestBadInput:
         save_bars_csv([make_day_bars(dt.date(2023, 1, 2 + i), 4.6 + 0.01 * np.arange(5.0))
                        for i in range(2)], bars)
         self.exits_two(capsys, ["backtest", "--bars", str(bars), "--train", "1"],
-                       "insufficient data: need at least 3 days")
+                       f"error: {bars}: insufficient data: need at least 3 days\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        (["-1.0,1.0"] * 39, "insufficient data: need at least 40 observations for orders (1,1,1), got 39"),
+        (["0.5,0.5"] * 45, "degenerate radii: k not identified"),
+        (["-0.5,0.5"] * 45, "degenerate centers: k not identified"),
+    ], ids=["short", "zero-radii", "zero-centers"])
+    def test_fit_refusing_the_series_names_the_file(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "data.csv"
+        data.write_text("date,low,high\n" + "".join(
+            f"{dt.date(2024, 1, 1) + dt.timedelta(i)},{row}\n" for i, row in enumerate(rows)))
+        self.exits_two(capsys, ["fit", "--data", str(data), "--out", str(tmp_path / "f.json")],
+                       f"error: {data}: {message}\n")
+
+    @pytest.mark.parametrize("low, high", [("-1.7e308", "1.7e308"), ("1e308", "1.7e308")],
+                             ids=["width", "sum"])
+    def test_overflowing_interval_row_names_its_line(self, tmp_path, capsys, low, high):
+        # refused by the row check, before numpy can overflow (a RuntimeWarning
+        # is an error under the test suite's warning filter)
+        data = tmp_path / "data.csv"
+        data.write_text(f"date,low,high\n2024-01-02,-1.0,1.0\n2024-01-03,{low},{high}\n")
+        self.exits_two(capsys, ["fit", "--data", str(data), "--out", str(tmp_path / "f.json")],
+                       f"error: {data} line 3: low {low} and high {high}: their width or sum overflows\n")
+
+    def test_overflowing_bar_ranges_name_the_file(self, tmp_path, capsys):
+        # each row is valid; the return between the first two days overflows
+        bars = tmp_path / "bars.csv"
+        bars.write_text("date,min_log,max_log,rv\n2024-01-02,-1.7e308,1.7e308,0.001\n"
+                        "2024-01-03,-1.7e308,1.7e308,0.001\n2024-01-04,4.5,4.6,0.001\n")
+        self.exits_two(capsys, ["backtest", "--bars", str(bars), "--train", "1"],
+                       f"error: {bars}: interval coordinates must be finite\n")
 
     def test_intervals_out_of_order_name_their_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

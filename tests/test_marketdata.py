@@ -1,6 +1,7 @@
 """Tick cleaning, grid resampling, realized variance, and CSV I/O."""
 
 import csv
+import dataclasses
 import datetime as dt
 import math
 import random
@@ -435,32 +436,25 @@ class TestColumnarEquivalence:
 
 class TestResampling:
     def test_locf_on_grid(self):
-        # ticks at 9:31 and 9:41; 5-minute grid points carry the last mid
-        ticks = [tick(60, bid=99.0, ask=101.0), tick(660, bid=109.0, ask=111.0)]
-        days = resample_to_grid(ticks)
-        assert len(days) == 1
-        lp = days[0].log_prices
-        # grid 9:30 precedes the first tick and is dropped; 9:35 and 9:40
-        # see mid 100, 9:45 onward mid 110
-        assert lp[0] == pytest.approx(math.log(100.0))
-        assert lp[1] == pytest.approx(math.log(100.0))
-        assert lp[2] == pytest.approx(math.log(110.0))
-        # 9:35..16:00 inclusive
-        assert len(lp) == 78
-        assert lp[-1] == pytest.approx(math.log(110.0))
+        # ticks at 9:31 (mid 100), exactly at 9:40 (mid 120) and at 9:41
+        # (mid 110); 5-minute grid points carry the last mid at or before them
+        ticks = [tick(60, bid=99.0, ask=101.0), tick(600, bid=119.0, ask=121.0),
+                 tick(660, bid=109.0, ask=111.0)]
+        # grid 9:30 precedes the first tick and is dropped; 9:35 sees mid
+        # 100, 9:40 the tick on it (gone by 9:45, so the day's high), and
+        # 9:45..16:00 (76 points) mid 110, the close
+        grid = [math.log(100.0), math.log(120.0)] + [math.log(110.0)] * 76
+        assert resample_to_grid(ticks) == [make_day_bars(T0.date(), grid)]
 
     def test_custom_session(self):
         sess = SessionSpec(start=dt.time(9, 30), end=dt.time(10, 0), grid_minutes=15)
-        ticks = [tick(0, bid=99.0, ask=101.0), tick(1200, bid=109.0, ask=111.0)]
-        days = resample_to_grid(ticks, sess)
-        lp = days[0].log_prices
-        # grid 9:30, 9:45, 10:00
-        assert len(lp) == 3
-        assert lp == (
-            pytest.approx(math.log(100.0)),
-            pytest.approx(math.log(100.0)),
-            pytest.approx(math.log(110.0)),
-        )
+        ticks = [tick(60, bid=99.0, ask=101.0), tick(900, bid=119.0, ask=121.0),
+                 tick(960, bid=99.0, ask=101.0), tick(1200, bid=109.0, ask=111.0)]
+        # grid 9:30 (before the first tick, dropped), 9:45 (the tick on it,
+        # reverted a minute later) and 10:00; the default 5-minute grid to
+        # 16:00 would also read mid 100 at 9:35 and 9:40
+        grid = [math.log(120.0), math.log(110.0)]
+        assert resample_to_grid(ticks, sess) == [make_day_bars(T0.date(), grid)]
 
     def test_sparse_day_skipped_with_warning(self):
         sess = SessionSpec(start=dt.time(9, 30), end=dt.time(10, 0), grid_minutes=30)
@@ -487,22 +481,27 @@ class TestDayBars:
         assert d.max_log == 0.01
         assert d.rv == pytest.approx(0.0005)
 
+    def test_record_is_date_range_rv_and_close(self):
+        assert [f.name for f in dataclasses.fields(DayBars)] == ["date", "min_log", "max_log", "rv", "close_log"]
+        assert make_day_bars(T0.date(), np.array([0.0, 0.01, -0.01])) == DayBars(
+            T0.date(), -0.01, 0.01, realized_variance([0.0, 0.01, -0.01]), -0.01)
+
     def test_invariants_enforced(self):
-        with pytest.raises(DataError):
-            DayBars(T0.date(), (0.0, 0.01), min_log=0.005, max_log=0.01, rv=1e-4)
+        with pytest.raises(DataError, match="min_log exceeds max_log"):
+            DayBars(T0.date(), min_log=0.02, max_log=0.01, rv=1e-4)
+        with pytest.raises(DataError, match="negative realized variance"):
+            DayBars(T0.date(), min_log=0.0, max_log=0.01, rv=-1e-4)
 
     def test_close_is_the_last_grid_log_price(self):
         assert make_day_bars(T0.date(), [0.0, 0.01, -0.005]).close_log == -0.005
         assert day_bars_from_range(T0.date(), 1.0, 1.3).close_log is None
-        assert DayBars(T0.date(), None, 1.0, 1.3, 0.02, close_log=1.3).close_log == 1.3
-        with pytest.raises(DataError, match="close_log does not match log_prices"):
-            DayBars(T0.date(), (0.0, 0.01), 0.0, 0.01, 1e-4, close_log=0.0)
+        assert DayBars(T0.date(), 1.0, 1.3, 0.02, close_log=1.3).close_log == 1.3
         with pytest.raises(DataError, match=r"close_log outside \[min_log, max_log\]"):
-            DayBars(T0.date(), None, 1.0, 1.3, 0.02, close_log=1.31)
+            DayBars(T0.date(), 1.0, 1.3, 0.02, close_log=1.31)
 
     def test_from_range_default_rv(self):
         d = day_bars_from_range(T0.date(), min_log=1.0, max_log=1.3)
-        assert d.log_prices is None
+        assert d.close_log is None
         assert d.rv == pytest.approx(0.09)
 
     def test_from_range_explicit_rv(self):
@@ -520,10 +519,6 @@ class TestRealizedVariance:
         assert realized_variance([0.0, 0.01, -0.01]) == pytest.approx(5e-4)
         assert realized_variance([0.3, 0.3, 0.3]) == 0.0
 
-    def test_accepts_day_bars(self):
-        d = make_day_bars(T0.date(), [0.0, 0.01, -0.01])
-        assert realized_variance(d) == pytest.approx(5e-4)
-
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
         lp = rng.normal(size=50).cumsum()
@@ -532,9 +527,8 @@ class TestRealizedVariance:
     def test_insufficient(self):
         with pytest.raises(DataError, match="insufficient intraday"):
             realized_variance([0.1])
-        d = day_bars_from_range(T0.date(), 0.0, 0.1)
         with pytest.raises(DataError, match="insufficient intraday"):
-            realized_variance(d)
+            make_day_bars(T0.date(), [0.1])
 
 
 class TestIntervalReturns:
@@ -641,10 +635,7 @@ class TestCsvRoundTrips:
         ]
         p = tmp_path / "bars.csv"
         save_bars_csv(days, p)
-        again = load_csv(p, "daily_bars")
-        assert [(d.date, d.min_log, d.max_log, d.rv) for d in again] == [
-            (d.date, d.min_log, d.max_log, d.rv) for d in days
-        ]
+        assert load_csv(p, "daily_bars") == days
 
     def test_bars_with_closes_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -653,15 +644,27 @@ class TestCsvRoundTrips:
         p = tmp_path / "bars.csv"
         save_bars_csv(days, p)
         assert p.read_text().splitlines()[0] == "date,min_log,max_log,rv,close_log"
-        again = load_csv(p, "daily_bars")
-        assert all(d.log_prices is None for d in again)
-        assert [(d.date, d.min_log, d.max_log, d.rv, d.close_log) for d in again] == [
-            (d.date, d.min_log, d.max_log, d.rv, d.log_prices[-1]) for d in days
-        ]
+        assert load_csv(p, "daily_bars") == days
         # one range-only day leaves the whole file without the column
         save_bars_csv([*days, day_bars_from_range(T0.date() + dt.timedelta(days=10), 4.5, 4.7)], p)
         assert p.read_text().splitlines()[0] == "date,min_log,max_log,rv"
         assert all(d.close_log is None for d in load_csv(p, "daily_bars"))
+
+    def test_prepared_days_load_back_equal(self, tmp_path):
+        # the days prepare makes load back from their bars file as the same
+        # records, with their closes and as range-only days
+        p, written = tmp_path / "bars.csv", 0
+        for seed in range(40):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sparse days are skipped
+                days = resample_to_grid(clean_quotes(random_ticks(seed)))
+            if not days:
+                continue
+            for bars in (days, [day_bars_from_range(d.date, d.min_log, d.max_log, d.rv) for d in days]):
+                save_bars_csv(bars, p)
+                assert load_csv(p, "daily_bars") == bars, seed
+            written += 1
+        assert written > 20
 
     def test_ticks_round_trip(self, tmp_path):
         ticks = [tick(0, bid=10.0, ask=10.5), tick(5, bid=10.1, ask=10.6, price=10.3)]
@@ -904,7 +907,7 @@ def reference_load_csv(path, schema):
             max_log = parse_float(row[2], lineno, "max_log")
             rv = parse_float(row[3], lineno, "rv")
             try:
-                days.append(DayBars(date=date, log_prices=None, min_log=min_log, max_log=max_log, rv=rv))
+                days.append(DayBars(date=date, min_log=min_log, max_log=max_log, rv=rv))
             except DataError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
         return days
