@@ -33,7 +33,7 @@ from .evaluate import (
     run_backtest,
     simulation_study,
 )
-from .exceptions import ConvergenceError, DataError, IntGarchError, NumericalError
+from .exceptions import ConvergenceError, DataError, IntGarchError, ModelError, NumericalError
 from .forecast import forecast
 from .intervals import IntervalSeries, sample_acf
 from .marketdata import (
@@ -71,7 +71,10 @@ def _parse_orders(text: str) -> ModelOrders:
         raise DataError(f"orders must be integers, got {text!r}") from exc
     if len(nums) == 2:
         nums.append(0)
-    return ModelOrders(*nums)
+    try:
+        return ModelOrders(*nums)
+    except ModelError as exc:
+        raise DataError(f"orders {text!r}: {exc}") from exc
 
 
 def _parse_horizons(text: str) -> list:
@@ -268,7 +271,8 @@ def cmd_forecast(args) -> int:
 
 def cmd_acf(args) -> int:
     series = load_csv(args.data, "intervals")
-    sample = sample_acf(series, args.max_lag)
+    with _reading(args.data):  # moments that overflow name the file too
+        sample = sample_acf(series, args.max_lag)
     theo = None
     if args.model:
         params, _ = _load_model_json(args.model)
@@ -320,37 +324,27 @@ def cmd_prepare(args) -> int:
 def cmd_backtest(args) -> int:
     if not np.isfinite(args.train):
         raise DataError(f"--train must be finite, got {args.train}")
+    horizons = _parse_horizons(args.horizons)
+    orders = _parse_orders(args.orders)
     days = load_csv(args.bars, "daily_bars")
-    with _reading(args.bars):  # as does a pair of days whose return overflows
+    with _reading(args.bars):  # the checks of the days as a whole, the walk-forward's too, name the file
         if len(days) < 3:
             raise DataError("insufficient data: need at least 3 days")
         series = interval_returns(days)
-    rv = np.array([d.rv for d in days[1:]])
-    if all(d.close_log is not None for d in days):
-        returns = np.diff([d.close_log for d in days])
-        returns_kind = "close-to-close"
-    else:
-        returns = None  # run_backtest falls back to interval centers
-        returns_kind = "interval centers (no intraday closes in input)"
-        print(
-            "warning: bars carry no intraday prices; baseline uses interval centers",
-            file=sys.stderr,
-        )
-    n = len(series)
-    train_size = int(round(args.train * n)) if args.train < 1 else int(args.train)
-    horizons = _parse_horizons(args.horizons)
-    reports, info = run_backtest(
-        series,
-        rv,
-        orders=_parse_orders(args.orders),
-        train_size=train_size,
-        horizons=horizons,
-        refit_every=args.refit_every,
-        init_mode=InitMode(args.init),
-        scalar_returns=returns,
-        include_insample=args.insample,
-        asset=args.asset,
-    )
+        rv = np.array([d.rv for d in days[1:]])
+        if all(d.close_log is not None for d in days):
+            returns = np.diff([d.close_log for d in days])
+            returns_kind = "close-to-close"
+        else:
+            returns = None  # run_backtest falls back to interval centers
+            returns_kind = "interval centers (no intraday closes in input)"
+            print("warning: bars carry no intraday prices; baseline uses interval centers", file=sys.stderr)
+        n = len(series)
+        train_size = int(round(args.train * n)) if args.train < 1 else int(args.train)
+        reports, info = run_backtest(
+            series, rv, orders=orders, train_size=train_size, horizons=horizons,
+            refit_every=args.refit_every, init_mode=InitMode(args.init), scalar_returns=returns,
+            include_insample=args.insample, asset=args.asset)
     meta = _meta(
         args,
         ["bars", "orders", "horizons", "refit_every", "init", "insample", "asset"],
@@ -559,7 +553,8 @@ def main(argv=None) -> int:
         missing = [d for d in required if getattr(args, d) is None]
         if missing:
             flags = ", ".join("--" + d.replace("_", "-") for d in missing)
-            raise DataError(f"missing required flags: {flags}")
+            where = f"{args.config}: " if args.config else ""
+            raise DataError(f"{where}missing required flags: {flags}")
         _check_outputs(args)
         return args.func(args)
     except ConvergenceError as exc:

@@ -269,7 +269,8 @@ def _likelihood(k: float, lam: np.ndarray, dlt: np.ndarray, o: ModelOrders, init
     derivs(theta, evaluation) returns the analytic score and Hessian
     there, making its own fixed arrays (the source's constant columns,
     the level's outer products) on its first call, all under numpy's
-    overflow warnings off, as is the objective: k is huge for huge radii.
+    overflow warnings off, as are the objective and the squared centers:
+    k is huge for huge radii.
     feasible(theta) is mu > 0, every coefficient >= 0 and S below 1 by
     _STATIONARITY_MARGIN.
     """
@@ -277,7 +278,8 @@ def _likelihood(k: float, lam: np.ndarray, dlt: np.ndarray, o: ModelOrders, init
     mean_init = init_mode is InitMode.MEAN_H
     s = np.zeros(d)  # the weight-sum direction: S = s'theta
     s[1 : 1 + o.p], s[1 + o.p : 1 + o.p + o.q], s[1 + o.p + o.q :] = ABS_NORMAL_MEAN, k, 1.0
-    lam2 = lam**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam2 = lam**2
     # the |lam| and del lags with 0 before the sample; a pre-sample del,
     # k * level, moves with theta and is added at each point
     ext = (np.concatenate((np.zeros(m), np.abs(lam))), np.concatenate((np.zeros(m), dlt)))

@@ -208,7 +208,8 @@ def _garch_likelihood(r2: np.ndarray, s2_init: float) -> tuple:
     omega > 0 and a, b >= 0), derivs(theta, s2) the gradient and Hessian
     there. The path is an AR(1) in b fixed at t=0, so the derivative
     source is [1, r2, sigma2] lagged once, with no pre-sample term; its
-    first two columns are made here, once."""
+    first two columns are made here, once. Callers run both under numpy's
+    overflow warnings off, once per fit: Newton refuses what overflows."""
     src0 = np.zeros((r2.size, 3))
     src0[1:, 0] = 1.0
     src0[1:, 1] = r2[:-1]
@@ -236,7 +237,8 @@ def garch11_path(params: Garch11Params, returns) -> np.ndarray:
     v = float(np.var(r))
     if v <= 0:
         raise DataError("degenerate returns: zero variance")
-    return _garch_variance((params.omega, params.a, params.b), r * r, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _garch_variance((params.omega, params.a, params.b), r * r, v)
 
 
 def garch11_forecast(
@@ -291,14 +293,15 @@ def fit_garch11(returns, *, start: Garch11Params | None = None) -> Garch11Fit:
             warm = None
 
     objective, derivs = _garch_likelihood(r * r, v)
-    run = _warm_then_cold(
-        lambda x0: _projected_newton(
-            objective, derivs, x0, lower, lambda th: True, face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP)
-        ),
-        [np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0])],
-        warm,
-        persistence=lambda th: th[1] + th[2],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = _warm_then_cold(
+            lambda x0: _projected_newton(
+                objective, derivs, x0, lower, lambda th: True, face=(np.array([0.0, 1.0, 1.0]), _GARCH_CAP)
+            ),
+            [np.array([0.05 * v, 0.08, 0.88]), np.array([0.95 * v, 0.05, 0.0])],
+            warm,
+            persistence=lambda th: th[1] + th[2],
+        )
 
     # the bounds and the face keep these parameters constructible
     return Garch11Fit._from_newton(
@@ -505,18 +508,14 @@ class StudyCell:
 
 
 def _study_rep(args) -> tuple:
-    """One replication: simulate, fit from the design's parameters as
-    fit_mle's `start`, return estimates and model SEs."""
-    name, params, length, seq = args
+    """One replication (params, length, seed), fit from its design's parameters as `start`:
+    the record (estimates, standard errors, converged), k first; k's SE, as any missing one, is NaN."""
+    params, length, seq = args
     series, _ = simulate(SimConfig(params=params, length=length, seed=seq))
     fitted = fit_mle(series, params.orders, start=params)
     est = np.concatenate(([fitted.params.k], fitted.params.theta))
-    names = fitted.params.param_names()
-    ses = np.full(1 + len(names), np.nan)
-    for i, pname in enumerate(names):
-        if pname in fitted.std_errors:
-            ses[1 + i] = fitted.std_errors[pname]
-    return name, est, ses, fitted.converged
+    ses = [math.nan] + [fitted.std_errors.get(name, math.nan) for name in fitted.params.param_names()]
+    return est, np.array(ses), fitted.converged
 
 
 def simulation_study(
@@ -535,7 +534,8 @@ def simulation_study(
     counts the converged ones, and k's moment estimator has no model SE
     (mean_model_se None). designs=None runs all four, and an empty mapping
     is a DataError. jobs > 1 runs the replications in worker processes,
-    at most one per task and per core.
+    at most one per task and per core; serial or pooled, design d's records
+    are the block outcomes[d*R:(d+1)*R], R = replications.
     """
     designs = dict(designs) if designs is not None else dict(BENCHMARK_DESIGNS)
     if not designs:
@@ -554,8 +554,7 @@ def simulation_study(
     for dseq, (name, params) in zip(root.spawn(len(designs)), designs.items()):
         if not isinstance(params, ModelParams):
             raise DataError(f"design {name!r} is not a ModelParams")
-        for child in dseq.spawn(replications):
-            tasks.append((name, params, length, child))
+        tasks += [(params, length, child) for child in dseq.spawn(replications)]
 
     # the pool starts all its workers at its first task
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
@@ -567,15 +566,11 @@ def simulation_study(
         outcomes = [_study_rep(t) for t in tasks]
 
     cells: list = []
-    for name, params in designs.items():
-        ests = np.array([est for nm, est, _, _ in outcomes if nm == name])
-        ses = np.array([se for nm, _, se, _ in outcomes if nm == name])
-        n_conv = sum(1 for nm, _, _, conv in outcomes if nm == name and conv)
+    for d, (name, params) in enumerate(designs.items()):
+        ests, ses, conv = map(np.array, zip(*outcomes[d * replications : (d + 1) * replications]))
         truth = np.concatenate(([params.k], params.theta))
-        pnames = ["k"] + params.param_names()
-        for i, pname in enumerate(pnames):
-            col_se = ses[:, i]
-            has_se = np.isfinite(col_se)
+        for i, pname in enumerate(["k"] + params.param_names()):
+            has_se = np.isfinite(ses[:, i])
             cells.append(
                 StudyCell(
                     design=name,
@@ -584,9 +579,9 @@ def simulation_study(
                     mean_est=float(ests[:, i].mean()),
                     mae=float(np.mean(np.abs(ests[:, i] - truth[i]))),
                     empirical_se=float(ests[:, i].std(ddof=1)),
-                    mean_model_se=float(col_se[has_se].mean()) if has_se.any() else None,
-                    n_fits=int(ests.shape[0]),
-                    n_converged=int(n_conv),
+                    mean_model_se=float(ses[has_se, i].mean()) if has_se.any() else None,
+                    n_fits=replications,
+                    n_converged=int(conv.sum()),
                 )
             )
     return cells

@@ -244,12 +244,16 @@ def sample_correlation(a: IntervalSeries, b: IntervalSeries) -> float:
 
 def _lagged_sums(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
     """sum_t (x_t - xbar)(y_{t+s} - ybar) for s = 0..max_lag; every
-    second moment here is one of these over its divisor."""
+    second moment here is one of these over its divisor. A sum that
+    overflows is a DataError, raised with no numpy warning."""
     n = x.shape[0]
-    xc, yc = x - x.mean(), y - y.mean()
     out = np.empty(max_lag + 1)
-    for s in range(max_lag + 1):
-        out[s] = np.dot(xc[: n - s], yc[s:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc, yc = x - x.mean(), y - y.mean()
+        for s in range(max_lag + 1):
+            out[s] = np.dot(xc[: n - s], yc[s:])
+    if not np.isfinite(out).all():
+        raise DataError("second moments overflow: values too large")
     return out
 
 

@@ -402,9 +402,5 @@ def theoretical_acf(params: ModelParams, max_lag: int) -> np.ndarray:
     """Stationary autocorrelations for lags 0..max_lag (rho(0) = 1)."""
     if max_lag < 0:
         raise ModelError("max_lag must be >= 0")
-    v = theoretical_acov(params, 0)
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for s in range(1, max_lag + 1):
-        out[s] = theoretical_acov(params, s) / v
-    return out
+    acov = [theoretical_acov(params, s) for s in range(max_lag + 1)]
+    return np.array(acov) / acov[0]

@@ -34,6 +34,7 @@ from intgarch import (
 from intgarch import cli
 from intgarch.evaluate import _report_rows
 from intgarch.marketdata import (
+    DayBars,
     QuoteTick,
     _csv_lines,
     clean_quotes,
@@ -860,6 +861,17 @@ class TestBacktest:
         assert "interval-model" not in err
         assert "# init = zero\n" in out.read_text()
 
+    def test_closes_whose_baseline_variances_overflow(self, tmp_path, capsys):
+        # closes near 1e150: the baseline's squared variances overflow in its
+        # score, and Newton refuses those steps with no numpy warning
+        close = np.cumsum(np.random.default_rng(0).normal(size=80)) * 1e150
+        bars = tmp_path / "bars.csv"
+        save_bars_csv([DayBars(dt.date(2023, 1, 2) + dt.timedelta(i), x - 1e149, x + 1e149, 4e298, x)
+                       for i, x in enumerate(close)], bars)
+        assert run("backtest", "--bars", str(bars), "--train", "60", "--horizons", "1") == 0
+        out = capsys.readouterr().out
+        assert "garch11   1" in out and "intgarch  1" in out
+
     def test_fractional_train_split(self, bars_csv, tmp_path, capsys):
         out = tmp_path / "bt.csv"
         assert run("backtest", "--bars", str(bars_csv), "--train", "0.8", "--horizons", "1",
@@ -872,7 +884,8 @@ class TestBacktest:
 
     def test_train_must_split(self, bars_csv, capsys):
         assert run("backtest", "--bars", str(bars_csv), "--train", "200") == 2
-        assert "train_size must split" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"error: {bars_csv}: train_size must split the series: 0 < train_size < length\n")
 
     @pytest.mark.parametrize("train", ["nan", "inf"])
     def test_non_finite_train_exits_two(self, bars_csv, capsys, train):
@@ -1026,6 +1039,7 @@ class TestBadInput:
     @pytest.mark.parametrize("orders, message", [
         ("1,1,1,1", "orders must be 'p,q' or 'p,q,w', got '1,1,1,1'"),
         ("1,x,1", "orders must be integers, got '1,x,1'"),
+        ("1,1,-1", "orders '1,1,-1': order w must be >= 0"),
     ])
     def test_bad_orders(self, workdir, tmp_path, capsys, orders, message):
         self.exits_two(capsys, ["fit", "--data", str(workdir / "train.csv"), "--orders", orders,
@@ -1072,6 +1086,19 @@ class TestBadInput:
         self.exits_two(capsys, self.simulate_argv(workdir, tmp_path, "--config", str(cfg)), message.format(cfg))
         assert not (tmp_path / "s.csv").exists()
 
+    def test_refused_orders_from_a_config_are_quoted(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"orders": "1,1,-1"}))
+        self.exits_two(capsys, ["fit", "--config", str(cfg), "--data", str(workdir / "train.csv"),
+                                "--out", str(tmp_path / "f.json")],
+                       "error: orders '1,1,-1': order w must be >= 0\n")
+
+    def test_flags_missing_after_a_config_name_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"seed = 4\nout = {tmp_path / 's.csv'}\n")
+        self.exits_two(capsys, ["simulate", "--config", str(cfg)],
+                       f"error: {cfg}: missing required flags: --model, --T\n")
+
     @pytest.mark.parametrize("command", ["fit", "forecast"])
     def test_out_names_a_directory(self, fit_dir, tmp_path, capsys, command):
         data, model = str(fit_dir / "train.csv"), str(fit_dir / "model.json")
@@ -1094,6 +1121,20 @@ class TestBadInput:
                        for i in range(2)], bars)
         self.exits_two(capsys, ["backtest", "--bars", str(bars), "--train", "1"],
                        f"error: {bars}: insufficient data: need at least 3 days\n")
+
+    def test_rows_whose_squares_overflow(self, tmp_path, capsys):
+        # every row is valid, but the squares of centers near 1e200 are not finite:
+        # fit's score overflows (exit 3) and acf's moments do (exit 2, naming the
+        # file), with no numpy warning, which the suite's filter makes an error
+        rng = np.random.default_rng(0)
+        centers, radii = rng.normal(size=60) * 1e200, np.abs(rng.normal(size=60)) * 1e200
+        data = tmp_path / "huge.csv"
+        save_intervals_csv(IntervalSeries(centers, radii, [dt.date(2024, 1, 1) + dt.timedelta(i)
+                                                           for i in range(60)]), data)
+        assert run("fit", "--data", str(data), "--out", str(tmp_path / "f.json")) == 3
+        assert capsys.readouterr().err == "error: numerical overflow in the score or Hessian\n"
+        self.exits_two(capsys, ["acf", "--data", str(data)],
+                       f"error: {data}: second moments overflow: values too large\n")
 
     @pytest.mark.parametrize("rows, message", [
         (["-1.0,1.0"] * 39, "insufficient data: need at least 40 observations for orders (1,1,1), got 39"),

@@ -1083,9 +1083,11 @@ class TestStudyStart:
         root = np.random.SeedSequence(20261020)
         for dseq, (name, params) in zip(root.spawn(4), BENCHMARK_DESIGNS.items()):
             for child in dseq.spawn(10):
-                _, est, _, conv = EVALUATE_MODULE._study_rep((name, params, 1000, child))
+                est, ses, conv = EVALUATE_MODULE._study_rep((params, 1000, child))
                 series, fit = made[-1]
                 assert np.array_equal(est, np.concatenate(([fit.params.k], fit.params.theta)))
+                assert np.array_equal(ses, [math.nan] + [fit.std_errors.get(p, math.nan)
+                                                          for p in fit.params.param_names()], equal_nan=True)
                 assert conv == fit.converged
                 cold = fit_mle(series, params.orders)
                 assert abs(fit.loglik - cold.loglik) <= 1e-9 * (1.0 + abs(cold.loglik)), name

@@ -295,6 +295,25 @@ class TestAcf:
             sample_acf(s, -1)
 
 
+class TestMomentsThatOverflow:
+    """Centers near 1e200 have squares past the float range: each second
+    moment refuses them with a DataError, and numpy warns of nothing."""
+
+    HUGE = IntervalSeries(np.array([-1.0, 1.0] * 30) * 1e200, np.full(60, 1e200))
+
+    @pytest.mark.parametrize("moment", [
+        lambda s: sample_covariance(s, s),
+        sample_variance,
+        lambda s: sample_correlation(s, s),
+        lambda s: sample_acf(s, 2),
+        lambda s: component_acf(s.centers, 2),
+        lambda s: summarize(s, 2),
+    ], ids=["covariance", "variance", "correlation", "acf", "component-acf", "summarize"])
+    def test_refused(self, moment):
+        with pytest.raises(DataError, match="second moments overflow"):
+            moment(self.HUGE)
+
+
 class TestSummarize:
     def test_acov_zero_equals_variance(self):
         rng = np.random.default_rng(13)
