@@ -19,18 +19,20 @@ starts from the previous fit, when that is feasible under the new k-hat,
 and runs from the cold start only if that run does not converge
 (_warm_then_cold, shared with the baseline). _likelihood builds a fit's
 objective, score and Hessian once, every array fixed in theta made up
-front (the source's constant columns and the level's outer products on
-the first derivative call); loglik_eval and score_and_hessian use it
-too. Each point is evaluated once: the objective returns the h path,
-pre-sample h and r = 1/(1-S) with the value, the score and Hessian take
-those, and the fit keeps the winning run's h path. Pre-sample lags are
-set to their stationary expectations (centers 0, radii k*E(h;theta), h
-either E(h;theta) or 0), and because E(h;theta) = mu/(1-S) moves with
-theta, its first and second derivatives are carried through the
-recursions. The resulting score and Hessian match finite differences of
-the likelihood to near machine precision. Both run with numpy's overflow
-warnings off: an h path that overflows raises NumericalError, and the
-Newton rejects a non-finite value and raises on a non-finite score.
+front (the lags, the source's constant columns and the level's outer
+products); loglik_eval and score_and_hessian use it too. Each point is
+evaluated once: the objective returns the h path, pre-sample h and
+r = 1/(1-S) with the value, the score and Hessian take those, and the
+fit keeps the winning run's h path. Pre-sample lags are set to their
+stationary expectations (centers 0, radii k*E(h;theta), h either
+E(h;theta) or 0), and because E(h;theta) = mu/(1-S) moves with theta,
+its first and second derivatives are carried through the recursions. The
+resulting score and Hessian match finite differences of the likelihood
+to near machine precision. fit_mle, loglik_eval and score_and_hessian
+each enter numpy's overflow warnings off once, around the whole
+likelihood, as the baseline's fit does: an h path that overflows raises
+NumericalError, and the Newton rejects a non-finite value and raises on
+a non-finite score.
 
 The recursion h_t = base_t + sum_j gamma_j h_{t-j} and the identical
 recursion for the d columns of dh/dtheta are solved by process.recurse,
@@ -262,15 +264,14 @@ def _recursion_derivs(src, gamma, d0, u, v, ar) -> tuple:
 
 
 def _likelihood(k: float, lam: np.ndarray, dlt: np.ndarray, o: ModelOrders, init_mode: InitMode) -> tuple:
-    """One sample's log-likelihood as (objective, derivs, feasible), each
-    array that does not move with theta made once. objective(theta)
-    returns the log-likelihood and its evaluation: the finite, positive h
-    path, pre-sample h and r = 1/(1-S) of the level E(h) = mu/(1-S).
-    derivs(theta, evaluation) returns the analytic score and Hessian
-    there, making its own fixed arrays (the source's constant columns,
-    the level's outer products) on its first call, all under numpy's
-    overflow warnings off, as are the objective and the squared centers:
-    k is huge for huge radii.
+    """One sample's log-likelihood as (objective, derivs, feasible), every
+    array that does not move with theta made here, once: the lags, the
+    derivative source's constant columns and the level's outer products.
+    objective(theta) returns the log-likelihood and its evaluation: the
+    finite, positive h path, pre-sample h and r = 1/(1-S) of the level
+    E(h) = mu/(1-S). derivs(theta, evaluation) returns the analytic score
+    and Hessian there. Callers build and run it under numpy's overflow
+    warnings off, once per fit, as the baseline's: k is huge for huge radii.
     feasible(theta) is mu > 0, every coefficient >= 0 and S below 1 by
     _STATIONARITY_MARGIN.
     """
@@ -278,13 +279,14 @@ def _likelihood(k: float, lam: np.ndarray, dlt: np.ndarray, o: ModelOrders, init
     mean_init = init_mode is InitMode.MEAN_H
     s = np.zeros(d)  # the weight-sum direction: S = s'theta
     s[1 : 1 + o.p], s[1 + o.p : 1 + o.p + o.q], s[1 + o.p + o.q :] = ABS_NORMAL_MEAN, k, 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam2 = lam**2
+    lam2 = lam**2
     # the |lam| and del lags with 0 before the sample; a pre-sample del,
     # k * level, moves with theta and is added at each point
     ext = (np.concatenate((np.zeros(m), np.abs(lam))), np.concatenate((np.zeros(m), dlt)))
     lags = [x[m - i : m - i + T] for x, n in zip(ext, (o.p, o.q)) for i in range(1, n + 1)]
-    fixed = None  # derivs' own fixed arrays, made on its first call
+    const = np.column_stack([np.ones(T)] + lags + [np.zeros((T, o.w))])
+    e0 = np.eye(d)[0]
+    e0_s, s_s = np.outer(e0, s) + np.outer(s, e0), np.outer(s, s)
 
     def feasible(theta):
         if theta[0] <= 0 or (theta[1:] < 0).any():
@@ -293,65 +295,57 @@ def _likelihood(k: float, lam: np.ndarray, dlt: np.ndarray, o: ModelOrders, init
 
     def objective(theta):
         mu, _, _, gamma = _split_theta(theta, o)
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = float(s[1:] @ theta[1:])
-            if S >= 1.0:
-                raise ModelError(
-                    f"nonstationary parameters (weight sum {S:.6g} >= 1): pre-sample "
-                    "expectation undefined"
-                )
-            r = 1.0 / (1.0 - S)
-            level = mu * r
-            h0 = level if mean_init else 0.0
-            base = np.full(T, mu)
-            for col, x in enumerate(lags, 1):
-                base += theta[col] * x
-                if col > o.p:  # rows whose del_{t-i} is pre-sample, i = col - p
-                    base[: col - o.p] += theta[col] * (k * level)
-            h = recurse(_fold(base, gamma, h0), gamma)
-            if not np.isfinite(h).all() or (h <= 0).any():
-                raise NumericalError("numerical overflow in h recursion")
-            ll = float(np.sum(-(k + 1.0) * np.log(h) - lam2 / (2.0 * h * h) - dlt / h))
+        S = float(s[1:] @ theta[1:])
+        if S >= 1.0:
+            raise ModelError(
+                f"nonstationary parameters (weight sum {S:.6g} >= 1): pre-sample "
+                "expectation undefined"
+            )
+        r = 1.0 / (1.0 - S)
+        level = mu * r
+        h0 = level if mean_init else 0.0
+        base = np.full(T, mu)
+        for col, x in enumerate(lags, 1):
+            base += theta[col] * x
+            if col > o.p:  # rows whose del_{t-i} is pre-sample, i = col - p
+                base[: col - o.p] += theta[col] * (k * level)
+        h = recurse(_fold(base, gamma, h0), gamma)
+        if not np.isfinite(h).all() or (h <= 0).any():
+            raise NumericalError("numerical overflow in h recursion")
+        ll = float(np.sum(-(k + 1.0) * np.log(h) - lam2 / (2.0 * h * h) - dlt / h))
         return ll, (h, h0, r)
 
     def derivs(theta, evaluation):
-        nonlocal fixed
         mu, _, beta, gamma = _split_theta(theta, o)
         h, h0, r = evaluation
-        with np.errstate(over="ignore", invalid="ignore"):
-            if fixed is None:
-                e0 = np.eye(d)[0]
-                fixed = (np.column_stack([np.ones(T)] + lags + [np.zeros((T, o.w))]),
-                         e0, np.outer(e0, s) + np.outer(s, e0), np.outer(s, s))
-            const, e0, e0_s, s_s = fixed
-            level_grad = e0 * r + mu * s * r * r  # of the level mu * r
-            level_hess = e0_s * r * r + 2.0 * mu * s_s * r**3
-            k_level_grad = k * level_grad
-            dh0 = level_grad if mean_init else np.zeros(d)
+        level_grad = e0 * r + mu * s * r * r  # of the level mu * r
+        level_hess = e0_s * r * r + 2.0 * mu * s_s * r**3
+        k_level_grad = k * level_grad
+        dh0 = level_grad if mean_init else np.zeros(d)
 
-            # first-derivative source: the direct derivative of h_t in theta
-            # [1, |lam| lags, del lags, h lags] plus the pre-sample radius terms
-            src = const.copy()
-            for i in range(1, o.q + 1):
-                src[:i, o.p + i] = k * (mu * r)
-            for i in range(1, o.w + 1):
-                src[:i, o.p + o.q + i], src[i:, o.p + o.q + i] = h0, h[: max(T - i, 0)]
-            for i in range(1, o.q + 1):
-                src[:i] += beta[i - 1] * k_level_grad  # rows whose del_{t-i} is pre-sample
-            u = -(k + 1.0) / h + lam2 / h**3 + dlt / h**2
-            v = (k + 1.0) / h**2 - 3.0 * lam2 / h**4 - 2.0 * dlt / h**3
-            grad, hess, ur = _recursion_derivs(
-                _fold(src, gamma, dh0), gamma, dh0, u, v, range(o.p + o.q + 1, d))
+        # first-derivative source: the direct derivative of h_t in theta
+        # [1, |lam| lags, del lags, h lags] plus the pre-sample radius terms
+        src = const.copy()
+        for i in range(1, o.q + 1):
+            src[:i, o.p + i] = k * (mu * r)
+        for i in range(1, o.w + 1):
+            src[:i, o.p + o.q + i], src[i:, o.p + o.q + i] = h0, h[: max(T - i, 0)]
+        for i in range(1, o.q + 1):
+            src[:i] += beta[i - 1] * k_level_grad  # rows whose del_{t-i} is pre-sample
+        u = -(k + 1.0) / h + lam2 / h**3 + dlt / h**2
+        v = (k + 1.0) / h**2 - 3.0 * lam2 / h**4 - 2.0 * dlt / h**3
+        grad, hess, ur = _recursion_derivs(
+            _fold(src, gamma, dh0), gamma, dh0, u, v, range(o.p + o.q + 1, d))
 
-            # the second-order terms of the pre-sample levels, weighted by ur
-            for i in range(1, o.q + 1):
-                weight = ur[:i].sum()  # rows whose del_{t-i} is pre-sample
-                bi = o.p + i
-                hess[bi, :] += weight * k_level_grad
-                hess[:, bi] += weight * k_level_grad
-                hess += weight * beta[i - 1] * k * level_hess
-            if mean_init:  # the pre-sample second derivatives folded into rows t < w
-                hess += sum(ur[t] * gamma[t:].sum() for t in range(min(o.w, T))) * level_hess
+        # the second-order terms of the pre-sample levels, weighted by ur
+        for i in range(1, o.q + 1):
+            weight = ur[:i].sum()  # rows whose del_{t-i} is pre-sample
+            bi = o.p + i
+            hess[bi, :] += weight * k_level_grad
+            hess[:, bi] += weight * k_level_grad
+            hess += weight * beta[i - 1] * k * level_hess
+        if mean_init:  # the pre-sample second derivatives folded into rows t < w
+            hess += sum(ur[t] * gamma[t:].sum() for t in range(min(o.w, T))) * level_hess
         return grad, hess
 
     return objective, derivs, feasible
@@ -374,8 +368,9 @@ def loglik_eval(
     """
     if len(series) == 0:
         raise DataError("empty input")
-    objective, _, _ = _likelihood(params.k, series.centers, series.radii, params.orders, init_mode)
-    ll, (h, *_) = objective(params.theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective, _, _ = _likelihood(params.k, series.centers, series.radii, params.orders, init_mode)
+        ll, (h, *_) = objective(params.theta)
     return ll, h
 
 
@@ -392,8 +387,9 @@ def score_and_hessian(
     """
     if len(series) == 0:
         raise DataError("empty input")
-    objective, derivs, _ = _likelihood(params.k, series.centers, series.radii, params.orders, init_mode)
-    return derivs(params.theta, objective(params.theta)[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective, derivs, _ = _likelihood(params.k, series.centers, series.radii, params.orders, init_mode)
+        return derivs(params.theta, objective(params.theta)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +585,13 @@ def fit_mle(
         raise ModelError(f"start has orders {start.orders}, the fit {orders}")
     k = estimate_k(series)
     cold = init_theta(series, k, orders)
-    objective, derivs, feasible = _likelihood(k, series.centers, series.radii, orders, init_mode)
-    warm = start.theta if start is not None and feasible(start.theta) else None
     lower = np.zeros(orders.n_params)
     lower[0] = -np.inf  # mu > 0 is part of the feasibility check
-
-    run = _warm_then_cold(
-        lambda th0: _projected_newton(objective, derivs, th0, lower, feasible), [cold.theta], warm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective, derivs, feasible = _likelihood(k, series.centers, series.radii, orders, init_mode)
+        warm = start.theta if start is not None and feasible(start.theta) else None
+        run = _warm_then_cold(
+            lambda th0: _projected_newton(objective, derivs, th0, lower, feasible), [cold.theta], warm)
     params = cold.with_theta(run.theta)
     names = np.array(params.param_names())
     free = run.theta > lower

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
@@ -534,8 +533,9 @@ def simulation_study(
     counts the converged ones, and k's moment estimator has no model SE
     (mean_model_se None). designs=None runs all four, and an empty mapping
     is a DataError. jobs > 1 runs the replications in worker processes,
-    at most one per task and per core; serial or pooled, design d's records
-    are the block outcomes[d*R:(d+1)*R], R = replications.
+    at most one per task and per core, the pool imported only then; serial
+    or pooled, design d's records are the block outcomes[d*R:(d+1)*R],
+    R = replications.
     """
     designs = dict(designs) if designs is not None else dict(BENCHMARK_DESIGNS)
     if not designs:
@@ -559,6 +559,9 @@ def simulation_study(
     # the pool starts all its workers at its first task
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: multiprocessing and its modules load only for a pooled study
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_study_rep, tasks, chunksize=chunk))

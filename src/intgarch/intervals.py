@@ -239,7 +239,7 @@ def sample_correlation(a: IntervalSeries, b: IntervalSeries) -> float:
     vb = sample_variance(b)
     if va <= 0 or vb <= 0:
         raise DataError("degenerate series")
-    return min(1.0, max(-1.0, sample_covariance(a, b) / float(np.sqrt(va * vb))))
+    return min(1.0, max(-1.0, sample_covariance(a, b) / float(np.sqrt(va) * np.sqrt(vb))))
 
 
 def _lagged_sums(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:

@@ -273,6 +273,23 @@ class TestScoreHessianHigherOrders:
         np.testing.assert_allclose(hess, hess.T, rtol=1e-10, atol=1e-12 * np.abs(hess).max())
 
 
+class TestSquaresThatOverflow:
+    """Rows near 1e200 pass every row check, but their squares are past the
+    float range. Each entry point runs the likelihood under its own numpy
+    error state, so none warns (a RuntimeWarning fails this suite)."""
+
+    def test_no_entry_point_warns(self):
+        rng = np.random.default_rng(0)
+        c, r = rng.normal(size=60) * 1e200, np.abs(rng.normal(size=60)) * 1e200
+        huge = IntervalSeries.from_bounds(c - r, c + r)
+        params = init_theta(huge, estimate_k(huge), ORDERS_111)
+        ll, _ = loglik_eval(params, huge)
+        grad, _ = score_and_hessian(params, huge)
+        assert not np.isfinite(ll) and not np.isfinite(grad).all()
+        with pytest.raises(NumericalError, match="overflow"):
+            fit_mle(huge, ORDERS_111)
+
+
 class TestFitMle:
     def test_converges_on_model_data(self, fitted):
         assert fitted.converged

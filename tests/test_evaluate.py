@@ -1,5 +1,6 @@
 """Tests for forecast evaluation: losses, the GARCH(1,1) baseline, backtests."""
 
+import concurrent.futures
 import csv
 import importlib
 import math
@@ -1046,7 +1047,7 @@ class TestSimulationStudy:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(EVALUATE_MODULE, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         designs = {"III": BENCHMARK_DESIGNS["III"]}  # 3 replications: 3 tasks
         serial = simulation_study(designs, replications=3, length=300, seed=11)
         for cores, want in ((2, [2]), (16, [3]), (None, [])):

@@ -222,6 +222,18 @@ class TestCovarianceCorrelation:
             assert sample_correlation(s, s) <= 1.0
             assert sample_correlation(s, IntervalSeries(-s.centers, s.radii.max() - s.radii)) >= -1.0
 
+    def test_corr_of_variances_whose_product_overflows(self):
+        # each variance is near 1e200, so their product is past the float
+        # range; the correlation must not fall to 0 through sqrt(inf)
+        z = np.random.default_rng(0).normal(size=50)
+        x = z * 1e100
+        s = IntervalSeries(x, np.abs(x))
+        assert sample_variance(s) > 1e200
+        assert sample_correlation(s, s) == pytest.approx(1.0)
+        # a correlation does not change with the scale of both series
+        small = sample_correlation(IntervalSeries(z, np.abs(z)), IntervalSeries(-z, np.abs(z)))
+        assert sample_correlation(s, IntervalSeries(-x, np.abs(x))) == pytest.approx(small, rel=1e-12)
+
     def test_corr_degenerate_raises(self):
         a = IntervalSeries([1.0, 1.0], [0.5, 0.5])
         b = IntervalSeries([0.0, 1.0], [0.5, 0.5])

@@ -1,6 +1,9 @@
 """The package namespace: each module's public names, declared once."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import intgarch
 
@@ -17,3 +20,12 @@ def test_package_exports_every_public_name_of_its_modules():
     for module in modules:
         for name in module.__all__:
             assert getattr(intgarch, name) is getattr(module, name)
+
+
+def test_cli_import_loads_no_scipy_and_no_worker_pool():
+    # a fresh interpreter: this one's test modules have imported both
+    src = os.path.dirname(os.path.dirname(intgarch.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import intgarch.cli; "
+            "print(*(m for m in ('scipy', 'multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
