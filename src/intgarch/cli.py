@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: simulate | fit | forecast | acf | prepare | backtest | table1.
-Exit codes: 0 ok, 2 bad input, 3 numerical failure, 4 non-convergence.
+Exit codes: 0 ok, 2 bad input, 3 numerical failure, 4 unconverged fit.
 
 Every run writes its resolved configuration (and seed, for randomized
 commands) into the output header as `# key = value` comment lines, which
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import errno
+import functools
 import itertools
 import json
 import os
@@ -33,8 +34,8 @@ from .evaluate import (
     run_backtest,
     simulation_study,
 )
-from .exceptions import ConvergenceError, DataError, IntGarchError, ModelError, NumericalError
-from .forecast import forecast
+from .exceptions import DataError, IntGarchError, ModelError, NumericalError
+from .forecast import _horizons, forecast
 from .intervals import IntervalSeries, sample_acf
 from .marketdata import (
     SessionSpec,
@@ -79,9 +80,16 @@ def _parse_orders(text: str) -> ModelOrders:
 
 def _parse_horizons(text: str) -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        horizons = [int(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise DataError(f"horizons must be integers, got {text!r}") from exc
+    return _horizons(horizons)
+
+
+def _parse_refit_every(n: int) -> int:
+    if n < 1:
+        raise DataError("refit_every must be >= 1")
+    return n
 
 
 def _parse_iso(kind, text: str):
@@ -90,6 +98,19 @@ def _parse_iso(kind, text: str):
         return kind.fromisoformat(text)
     except ValueError as exc:
         raise DataError(f"unparsable {kind.__name__} {text!r}") from exc
+
+
+# the flags whose values the commands take parsed, from args.parsed: main parses
+# them before any file is read, and _apply_config checks one from a config,
+# naming the config and key
+_PARSED = {
+    "orders": _parse_orders,
+    "horizons": _parse_horizons,
+    "refit_every": _parse_refit_every,
+    "start_date": functools.partial(_parse_iso, _dt.date),
+    "session_start": functools.partial(_parse_iso, _dt.time),
+    "session_end": functools.partial(_parse_iso, _dt.time),
+}
 
 
 # the flags that name a file a command writes, and those that name one it reads
@@ -176,7 +197,6 @@ def _synth_dates(n: int, start: _dt.date) -> list:
 
 def cmd_simulate(args) -> int:
     params, _ = _load_model_json(args.model)
-    start = _parse_iso(_dt.date, args.start_date)
     seed = _resolve_seed(args.seed)
     stationary, weight_sum = mean_stationarity(params)
     if args.require_stationary and not stationary:
@@ -191,7 +211,7 @@ def cmd_simulate(args) -> int:
         init_mode=InitMode(args.init),
     )
     series, h = simulate(cfg)
-    dates = _synth_dates(len(series), start)
+    dates = _synth_dates(len(series), args.parsed["start_date"])
     series = IntervalSeries(series.centers, series.radii, dates=tuple(dates))
     meta = _meta(
         args,
@@ -229,9 +249,8 @@ def _fit_summary(fitted: FittedModel) -> str:
 
 def cmd_fit(args) -> int:
     series = load_csv(args.data, "intervals")
-    orders = _parse_orders(args.orders)
     with _reading(args.data):  # too short or degenerate a series names the file
-        fitted = fit_mle(series, orders, InitMode(args.init))
+        fitted = fit_mle(series, args.parsed["orders"], InitMode(args.init))
     doc = fitted.to_dict()
     doc["run_config"] = _meta(args, ["data", "orders", "init"])
     _write_lines(args.out, [json.dumps(doc, indent=2)])
@@ -292,8 +311,8 @@ def cmd_prepare(args) -> int:
     drops: dict = {}
     cleaned = clean_quotes(ticks, drops)
     session = SessionSpec(
-        start=_parse_iso(_dt.time, args.session_start),
-        end=_parse_iso(_dt.time, args.session_end),
+        start=args.parsed["session_start"],
+        end=args.parsed["session_end"],
         grid_minutes=args.grid_minutes,
     )
     days = resample_to_grid(cleaned, session)
@@ -324,8 +343,7 @@ def cmd_prepare(args) -> int:
 def cmd_backtest(args) -> int:
     if not np.isfinite(args.train):
         raise DataError(f"--train must be finite, got {args.train}")
-    horizons = _parse_horizons(args.horizons)
-    orders = _parse_orders(args.orders)
+    horizons, orders = args.parsed["horizons"], args.parsed["orders"]
     days = load_csv(args.bars, "daily_bars")
     with _reading(args.bars):  # the checks of the days as a whole, the walk-forward's too, name the file
         if len(days) < 3:
@@ -530,10 +548,12 @@ def _apply_config(parser, commands, argv, args):
                 if value.lower() not in _ON_OFF:
                     raise DataError(f"config key {key!r}: {value!r} is not one of {list(_ON_OFF)}")
                 value = _ON_OFF[value.lower()]
-            elif action.type is not None:
+            else:
                 try:
-                    value = action.type(value)
-                except ValueError as exc:
+                    value = value if action.type is None else action.type(value)
+                    if action.dest in _PARSED:
+                        _PARSED[action.dest](value)
+                except ValueError as exc:  # a parser's DataError is one
                     raise DataError(f"config key {key!r}: {exc}") from exc
             if action.choices and value not in action.choices:
                 raise DataError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
@@ -555,11 +575,9 @@ def main(argv=None) -> int:
             flags = ", ".join("--" + d.replace("_", "-") for d in missing)
             where = f"{args.config}: " if args.config else ""
             raise DataError(f"{where}missing required flags: {flags}")
+        args.parsed = {d: parse(getattr(args, d)) for d, parse in _PARSED.items() if hasattr(args, d)}
         _check_outputs(args)
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .exceptions import ConvergenceError, DataError, ModelError, NumericalError
+from .exceptions import DataError, ModelError, NumericalError
 from .intervals import IntervalSeries
 from .process import ABS_NORMAL_MEAN, InitMode, ModelOrders, ModelParams, recurse
 
@@ -67,7 +67,6 @@ __all__ = [
     "loglik_eval",
     "score_and_hessian",
     "fit_mle",
-    "asymptotic_covariance",
 ]
 
 # a coordinate this close to its bound, with an outward score, is held there
@@ -364,7 +363,10 @@ def loglik_eval(
 
     The additive constant free of the parameters is dropped. Pre-sample
     lags use the stationary expectations, which requires the weight sum
-    below 1.
+    below 1. An h path that overflows raises NumericalError. Rows whose
+    squares overflow while h stays finite give a non-finite value with no
+    error or warning, because forecast and rolling_forecast need only the
+    h path; fit_mle raises NumericalError on such rows.
     """
     if len(series) == 0:
         raise DataError("empty input")
@@ -383,7 +385,8 @@ def score_and_hessian(
 
     The derivatives account for the h-lag recursion and the
     theta-dependent pre-sample expectations, matching finite differences
-    of loglik_eval.
+    of loglik_eval. As there, rows whose squares overflow while h stays
+    finite give a non-finite score and Hessian with no error or warning.
     """
     if len(series) == 0:
         raise DataError("empty input")
@@ -624,18 +627,3 @@ def fit_mle(
         covariance=covariance,
         hessian=hess_free,
     )
-
-
-def asymptotic_covariance(fitted: FittedModel) -> np.ndarray:
-    """Asymptotic covariance -[Hessian]^{-1} over the free parameters.
-
-    Returns a copy of the one fit_mle computed, which requires a converged
-    fit whose Hessian is negative definite at the optimum; raises otherwise.
-    """
-    if not fitted.converged:
-        raise ConvergenceError("fit did not converge; covariance unavailable")
-    if fitted.hessian is None:
-        raise DataError("fit document carries no Hessian; refit on data first")
-    if fitted.covariance is None:
-        raise NumericalError("not at an interior maximum")
-    return fitted.covariance.copy()

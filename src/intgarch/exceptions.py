@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: DataError -> 2 (bad input),
-NumericalError -> 3 (numerical failure), ConvergenceError -> 4.
+The CLI maps these onto exit codes: DataError -> 2 (bad input) and
+NumericalError -> 3; exit 4, an unconverged fit, is fit's own result.
 """
 
-__all__ = ["IntGarchError", "DataError", "ModelError", "NumericalError", "ConvergenceError"]
+__all__ = ["IntGarchError", "DataError", "ModelError", "NumericalError"]
 
 
 class IntGarchError(Exception):
@@ -21,7 +21,3 @@ class ModelError(IntGarchError, ValueError):
 
 class NumericalError(IntGarchError, ArithmeticError):
     """Numerical failure (overflow, singular matrix, invalid region)."""
-
-
-class ConvergenceError(IntGarchError, RuntimeError):
-    """An iterative procedure failed to converge."""

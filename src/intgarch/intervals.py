@@ -10,7 +10,7 @@ covariances add the center and radius components.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,15 +20,12 @@ from .exceptions import DataError
 __all__ = [
     "Interval",
     "IntervalSeries",
-    "SummaryMoments",
     "rho2_distance",
     "aumann_mean",
     "sample_variance",
     "sample_covariance",
-    "sample_correlation",
     "sample_acf",
     "component_acf",
-    "summarize",
 ]
 
 
@@ -184,19 +181,6 @@ class IntervalSeries:
         return f"IntervalSeries(n={len(self)}, dated={self._dates is not None})"
 
 
-@dataclass(frozen=True)
-class SummaryMoments:
-    """Sample summary of an interval series.
-
-    mean is the Aumann (componentwise) mean; variance and autocovariances
-    use divisor n-1 uniformly, so autocovariances[0] equals variance.
-    """
-
-    mean: Interval
-    variance: float
-    autocovariances: np.ndarray = field(repr=False)
-
-
 def rho2_distance(x: Interval, y: Interval) -> float:
     """L2 distance between intervals: sqrt(dc^2 + dr^2) on (center, radius)."""
     return float(np.hypot(x.center - y.center, x.radius - y.radius))
@@ -230,16 +214,6 @@ def sample_covariance(a: IntervalSeries, b: IntervalSeries) -> float:
     cc = _lagged_sums(a.centers, b.centers, 0)[0]
     rr = _lagged_sums(a.radii, b.radii, 0)[0]
     return float((cc + rr) / (len(a) - 1))
-
-
-def sample_correlation(a: IntervalSeries, b: IntervalSeries) -> float:
-    """Sample correlation: covariance normalized by the two variances,
-    clamped to [-1, 1] against rounding."""
-    va = sample_variance(a)
-    vb = sample_variance(b)
-    if va <= 0 or vb <= 0:
-        raise DataError("degenerate series")
-    return min(1.0, max(-1.0, sample_covariance(a, b) / float(np.sqrt(va) * np.sqrt(vb))))
 
 
 def _lagged_sums(x: np.ndarray, y: np.ndarray, max_lag: int) -> np.ndarray:
@@ -281,17 +255,3 @@ def component_acf(values: Sequence[float] | np.ndarray, max_lag: int) -> np.ndar
     """Autocorrelations of a scalar series: sample_acf with radius 0."""
     x = np.asarray(values, dtype=float)
     return sample_acf(IntervalSeries(x, np.zeros_like(x)), max_lag)
-
-
-def summarize(series: IntervalSeries, max_lag: int = 0) -> SummaryMoments:
-    """Mean, variance, and autocovariances (divisor n-1 throughout)."""
-    if max_lag < 0:
-        raise DataError("max_lag must be >= 0")
-    n = len(series)
-    if n < 2:
-        raise DataError("insufficient data: summary needs at least 2 observations")
-    if n <= max_lag:
-        raise DataError("insufficient data: series length must exceed max_lag")
-    c, r = series.centers, series.radii
-    acov = (_lagged_sums(c, c, max_lag) + _lagged_sums(r, r, max_lag)) / (n - 1)
-    return SummaryMoments(aumann_mean(series), float(acov[0]), acov)

@@ -47,7 +47,6 @@ __all__ = [
     "volatility",
     "mean_stationarity",
     "weak_stationarity",
-    "strict_stationarity_check",
     "theoretical_moments",
     "theoretical_acov",
     "theoretical_acf",
@@ -302,16 +301,6 @@ def weak_stationarity(params: ModelParams) -> tuple:
     """
     _, _, _, c1, c2 = _first_order(params)
     return c2 < 1.0, c1, c2
-
-
-def strict_stationarity_check(params: ModelParams) -> bool:
-    """Sufficient first-order condition for strict stationarity: c1 < 1.
-
-    E[log x_t] <= log E[x_t] = log c1, so c1 < 1 puts the top Lyapunov
-    exponent below 0. Conservative: returns False when c1 >= 1 even
-    though E[log x_t] < 0 may still hold.
-    """
-    return _first_order(params)[3] < 1.0
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import pytest
 
 from intgarch import (
     BENCHMARK_DESIGNS,
-    ConvergenceError,
     FittedModel,
     InitMode,
     IntervalSeries,
@@ -819,7 +818,7 @@ class TestBacktest:
 
         def fit(sample, *args, **kw):
             if len(sample) == 116:
-                raise ConvergenceError("forced failure")
+                raise NumericalError("forced failure")
             return real_fit(sample, *args, **kw)
 
         def forecast(*args, origin_index, **kw):
@@ -847,7 +846,7 @@ class TestBacktest:
         def fit(r, start=None):
             calls.append(len(r))
             if len(calls) == 2:
-                raise ConvergenceError("forced failure")
+                raise NumericalError("forced failure")
             return real(r, start=start)
 
         monkeypatch.setattr(evaluate, "fit_garch11", fit)
@@ -1091,7 +1090,30 @@ class TestBadInput:
         cfg.write_text(json.dumps({"orders": "1,1,-1"}))
         self.exits_two(capsys, ["fit", "--config", str(cfg), "--data", str(workdir / "train.csv"),
                                 "--out", str(tmp_path / "f.json")],
-                       "error: orders '1,1,-1': order w must be >= 0\n")
+                       f"error: {cfg}: config key 'orders': orders '1,1,-1': order w must be >= 0\n")
+
+    @pytest.mark.parametrize("command, key, value, reason", [
+        ("fit", "orders", "1,1,-1", "orders '1,1,-1': order w must be >= 0"),
+        ("backtest", "horizons", "0,1", "horizons must be integers >= 1"),
+        ("backtest", "horizons", "x", "horizons must be integers, got 'x'"),
+        ("backtest", "refit-every", "0", "refit_every must be >= 1"),
+        ("simulate", "start-date", "2020-13-01", "unparsable date '2020-13-01'"),
+        ("prepare", "session-start", "noon", "unparsable time 'noon'"),
+        ("prepare", "session-end", "25:00", "unparsable time '25:00'"),
+    ], ids=["orders", "horizons-range", "horizons-word", "refit-every", "start-date", "session-start",
+            "session-end"])
+    def test_refused_value_names_its_config_and_key(self, tmp_path, capsys, command, key, value, reason):
+        # from a config the message names the config and the key; as a flag the
+        # value is refused before any file is read, so the missing input is not reached
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        argv = {"fit": ["fit", "--data", missing, "--out", out],
+                "backtest": ["backtest", "--bars", missing, "--train", "100"],
+                "simulate": ["simulate", "--model", missing, "--T", "50", "--out", out],
+                "prepare": ["prepare", "--ticks", missing, "--out-intervals", out]}[command]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        self.exits_two(capsys, [*argv, "--config", str(cfg)], f"error: {cfg}: config key '{key}': {reason}\n")
+        self.exits_two(capsys, [*argv, f"--{key}", value], f"error: {reason}\n")
 
     def test_flags_missing_after_a_config_name_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -1124,8 +1146,9 @@ class TestBadInput:
 
     def test_rows_whose_squares_overflow(self, tmp_path, capsys):
         # every row is valid, but the squares of centers near 1e200 are not finite:
-        # fit's score overflows (exit 3) and acf's moments do (exit 2, naming the
-        # file), with no numpy warning, which the suite's filter makes an error
+        # fit's score and forecast's h path overflow (exit 3) and acf's moments do
+        # (exit 2, naming the file), with no numpy warning, which the suite's
+        # filter makes an error
         rng = np.random.default_rng(0)
         centers, radii = rng.normal(size=60) * 1e200, np.abs(rng.normal(size=60)) * 1e200
         data = tmp_path / "huge.csv"
@@ -1133,6 +1156,10 @@ class TestBadInput:
                                                            for i in range(60)]), data)
         assert run("fit", "--data", str(data), "--out", str(tmp_path / "f.json")) == 3
         assert capsys.readouterr().err == "error: numerical overflow in the score or Hessian\n"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(BENCHMARK_DESIGNS["I"].to_dict()))
+        assert run("forecast", "--model", str(model), "--data", str(data), "--horizon", "1") == 3
+        assert capsys.readouterr().err == "error: numerical overflow in the forecast from origin 59\n"
         self.exits_two(capsys, ["acf", "--data", str(data)],
                        f"error: {data}: second moments overflow: values too large\n")
 

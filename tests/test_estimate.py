@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from intgarch import (
-    ConvergenceError,
     DataError,
     FittedModel,
     InitMode,
@@ -17,7 +16,6 @@ from intgarch import (
     ModelParams,
     NumericalError,
     SimConfig,
-    asymptotic_covariance,
     estimate_k,
     fit_mle,
     init_theta,
@@ -332,8 +330,7 @@ class TestFitMle:
         assert trace[-1] == pytest.approx(fitted.loglik, rel=1e-12)
 
     def test_std_errors_match_covariance(self, fitted):
-        cov = asymptotic_covariance(fitted)
-        se = np.sqrt(np.diag(cov))
+        se = np.sqrt(np.diag(fitted.covariance))
         names = fitted.free_names
         assert set(fitted.std_errors) == set(names)
         for i, n in enumerate(names):
@@ -680,31 +677,14 @@ class TestFittedModelSerialization:
 
 
 class TestAsymptoticCovariance:
-    def test_not_converged_raises(self, fitted):
-        import dataclasses
-
-        bad = dataclasses.replace(fitted, stop_reason="iteration cap")
-        with pytest.raises(ConvergenceError):
-            asymptotic_covariance(bad)
-
-    def test_no_hessian_raises(self, fitted):
-        import dataclasses
-
-        bad = dataclasses.replace(fitted, hessian=None)
-        with pytest.raises(DataError, match="Hessian"):
-            asymptotic_covariance(bad)
-
-    def test_no_covariance_raises(self, fitted):
-        import dataclasses
-
-        bad = dataclasses.replace(fitted, covariance=None)
-        with pytest.raises(NumericalError, match="interior maximum"):
-            asymptotic_covariance(bad)
+    """The covariance fit_mle keeps: -[Hessian]^{-1} over the free parameters."""
 
     def test_returns_the_fit_covariance(self, fitted):
-        assert np.array_equal(asymptotic_covariance(fitted), fitted.covariance)
+        n_free = len(fitted.free_names)
+        assert fitted.hessian.shape == fitted.covariance.shape == (n_free, n_free)
+        assert np.array_equal(fitted.covariance, np.linalg.inv(-fitted.hessian))
 
     def test_positive_definite(self, fitted):
-        cov = asymptotic_covariance(fitted)
+        cov = fitted.covariance
         assert np.all(np.linalg.eigvalsh(cov) > 0)
         np.testing.assert_allclose(cov, cov.T, rtol=1e-10)

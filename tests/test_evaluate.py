@@ -11,7 +11,6 @@ import pytest
 
 from intgarch import (
     BENCHMARK_DESIGNS,
-    ConvergenceError,
     DataError,
     Garch11Params,
     IntGarchError,
@@ -840,7 +839,7 @@ class TestWalkForwardReference:
         def fit_mle(sample, orders, init_mode, start=None):
             t = len(sample) - 1
             if t in interval_fails:
-                raise ConvergenceError(f"forced failure at {t}")
+                raise NumericalError(f"forced failure at {t}")
             if ("intgarch", t) not in fits:
                 fits["intgarch", t] = real_fit_mle(sample, orders, init_mode)
             fit = fits["intgarch", t]
@@ -850,7 +849,7 @@ class TestWalkForwardReference:
         def fit_garch11(sample, start=None):
             t = len(sample) - 1
             if t in baseline_fails:
-                raise ConvergenceError(f"forced failure at {t}")
+                raise NumericalError(f"forced failure at {t}")
             if ("garch11", t) not in fits:
                 fits["garch11", t] = real_fit_garch11(sample)
             return fits["garch11", t]

@@ -15,10 +15,8 @@ from intgarch import (
     component_acf,
     rho2_distance,
     sample_acf,
-    sample_correlation,
     sample_covariance,
     sample_variance,
-    summarize,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -192,13 +190,13 @@ class TestDistance:
 
 class TestCovarianceCorrelation:
     def test_cov_with_self_is_variance(self):
-        # one kernel gives every second moment, so the three agree to the bit
+        # one kernel gives every second moment, so the two agree to the bit
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(3, 300))
             scale = rng.uniform(0.1, 10.0)
             s = IntervalSeries(scale * rng.normal(size=n), scale * rng.gamma(1.5, 1.0, size=n))
-            assert sample_covariance(s, s) == sample_variance(s) == summarize(s).variance
+            assert sample_covariance(s, s) == sample_variance(s)
 
     def test_cov_symmetric(self):
         rng = np.random.default_rng(6)
@@ -207,38 +205,45 @@ class TestCovarianceCorrelation:
         assert sample_covariance(a, b) == pytest.approx(sample_covariance(b, a))
 
     def test_corr_self_is_one(self):
+        # the covariance scales with each argument, so a series and a scaled
+        # copy of it correlate perfectly
         rng = np.random.default_rng(7)
         s = IntervalSeries(rng.normal(size=20), rng.gamma(2.0, 1.0, size=20))
-        assert sample_correlation(s, s) == pytest.approx(1.0)
+        scaled = IntervalSeries(3.0 * s.centers, 3.0 * s.radii)
+        corr = sample_covariance(s, scaled) / np.sqrt(sample_variance(s) * sample_variance(scaled))
+        assert corr == pytest.approx(1.0)
 
     def test_corr_bounded(self):
+        # Cauchy-Schwarz: the covariance is an inner product, so any
+        # correlation it gives lies in [-1, 1]
         rng = np.random.default_rng(8)
         for _ in range(50):
             a = IntervalSeries(rng.normal(size=15), rng.gamma(2.0, 1.0, size=15))
             b = IntervalSeries(rng.normal(size=15), rng.gamma(2.0, 1.0, size=15))
-            assert -1.0 <= sample_correlation(a, b) <= 1.0
+            assert sample_covariance(a, b) ** 2 <= sample_variance(a) * sample_variance(b) * (1.0 + 1e-12)
         for _ in range(50):
             s = IntervalSeries(rng.normal(size=15), rng.gamma(1.5, 1.0, size=15))
-            assert sample_correlation(s, s) <= 1.0
-            assert sample_correlation(s, IntervalSeries(-s.centers, s.radii.max() - s.radii)) >= -1.0
+            mirror = IntervalSeries(-s.centers, s.radii.max() - s.radii)
+            bound = np.sqrt(sample_variance(s) * sample_variance(mirror))
+            assert sample_covariance(s, mirror) >= -bound * (1.0 + 1e-12)
 
     def test_corr_of_variances_whose_product_overflows(self):
         # each variance is near 1e200, so their product is past the float
-        # range; the correlation must not fall to 0 through sqrt(inf)
+        # range; the covariance itself stays finite and scales exactly
         z = np.random.default_rng(0).normal(size=50)
         x = z * 1e100
-        s = IntervalSeries(x, np.abs(x))
+        s, flipped = IntervalSeries(x, np.abs(x)), IntervalSeries(-x, np.abs(x))
         assert sample_variance(s) > 1e200
-        assert sample_correlation(s, s) == pytest.approx(1.0)
-        # a correlation does not change with the scale of both series
-        small = sample_correlation(IntervalSeries(z, np.abs(z)), IntervalSeries(-z, np.abs(z)))
-        assert sample_correlation(s, IntervalSeries(-x, np.abs(x))) == pytest.approx(small, rel=1e-12)
+        assert sample_covariance(s, s) == sample_variance(s)
+        small = IntervalSeries(z, np.abs(z)), IntervalSeries(-z, np.abs(z))
+        assert sample_covariance(s, flipped) == pytest.approx(1e200 * sample_covariance(*small), rel=1e-12)
+        corr = sample_covariance(s, flipped) / (np.sqrt(sample_variance(s)) * np.sqrt(sample_variance(flipped)))
+        assert corr == pytest.approx(sample_covariance(*small) / sample_variance(small[0]), rel=1e-12)
 
     def test_corr_degenerate_raises(self):
-        a = IntervalSeries([1.0, 1.0], [0.5, 0.5])
-        b = IntervalSeries([0.0, 1.0], [0.5, 0.5])
+        # a scalar series with no variation has no autocorrelation
         with pytest.raises(DataError, match="degenerate"):
-            sample_correlation(a, b)
+            component_acf([0.4] * 10, 2)
 
     def test_cov_length_mismatch(self):
         a = IntervalSeries([0.0, 1.0], [0.5, 0.5])
@@ -316,47 +321,58 @@ class TestMomentsThatOverflow:
     @pytest.mark.parametrize("moment", [
         lambda s: sample_covariance(s, s),
         sample_variance,
-        lambda s: sample_correlation(s, s),
+        lambda s: sample_acf(s, 0),
         lambda s: sample_acf(s, 2),
         lambda s: component_acf(s.centers, 2),
-        lambda s: summarize(s, 2),
-    ], ids=["covariance", "variance", "correlation", "acf", "component-acf", "summarize"])
+    ], ids=["covariance", "variance", "correlation", "acf", "component-acf"])
     def test_refused(self, moment):
         with pytest.raises(DataError, match="second moments overflow"):
             moment(self.HUGE)
 
 
 class TestSummarize:
+    """The moments that summarize a series (the Aumann mean, the variance
+    and the autocorrelations) agree with one another and with their formulas."""
+
     def test_acov_zero_equals_variance(self):
+        # the lag-0 autocovariance, the squared rho2 distances to the mean
+        # interval over n-1, is the variance
         rng = np.random.default_rng(13)
         s = IntervalSeries(rng.normal(size=40), rng.gamma(2.0, 1.0, size=40))
-        sm = summarize(s, max_lag=6)
-        assert sm.autocovariances.shape == (7,)
-        assert sm.autocovariances[0] == sm.variance
-        assert sm.variance == pytest.approx(sample_variance(s))
+        m = aumann_mean(s)
+        acov0 = sum(rho2_distance(iv, m) ** 2 for iv in s) / (len(s) - 1)
+        assert acov0 == pytest.approx(sample_variance(s), rel=1e-12)
 
     def test_mean_matches(self):
-        s = IntervalSeries.from_bounds([-1.0, 1.0], [0.0, 2.0])
-        sm = summarize(s)
-        assert sm.mean == aumann_mean(s)
+        # the bounds of the mean interval are the means of the bounds
+        rng = np.random.default_rng(15)
+        s = IntervalSeries(rng.normal(size=30), rng.gamma(2.0, 1.0, size=30))
+        m = aumann_mean(s)
+        assert m.lower == pytest.approx(s.lowers.mean(), rel=1e-12)
+        assert m.upper == pytest.approx(s.uppers.mean(), rel=1e-12)
 
     def test_acov_consistent_with_acf(self):
-        # normalized n-1 autocovariances agree with the biased ACF after
-        # rescaling by (n-s)/n ... both use the same cross-products
+        # each autocorrelation is the summed center and radius cross-products
+        # at that lag over the same sum at lag 0
         rng = np.random.default_rng(14)
         n = 60
         s = IntervalSeries(rng.normal(size=n), rng.gamma(2.0, 1.0, size=n))
-        sm = summarize(s, max_lag=3)
-        acf = sample_acf(s, 3)
-        np.testing.assert_allclose(sm.autocovariances / sm.autocovariances[0], acf, rtol=1e-12)
+        c, r = s.centers - s.centers.mean(), s.radii - s.radii.mean()
+        acov = np.array([c[: n - k] @ c[k:] + r[: n - k] @ r[k:] for k in range(4)])
+        np.testing.assert_allclose(sample_acf(s, 3), acov / acov[0], rtol=1e-12)
 
     def test_short_series_raises(self):
-        with pytest.raises(DataError, match="insufficient"):
-            summarize(IntervalSeries([1.0], [0.1]))
+        # one observation has no second moment of any kind
+        s = IntervalSeries([1.0], [0.1])
+        for moment in (sample_variance, lambda s: sample_covariance(s, s), lambda s: sample_acf(s, 0)):
+            with pytest.raises(DataError, match="insufficient"):
+                moment(s)
 
     @pytest.mark.parametrize("max_lag", [-1, -2])
     def test_negative_max_lag_raises(self, max_lag):
-        # as sample_acf: a DataError, not an IndexError or numpy's ValueError
+        # a DataError from both ACFs, not an IndexError or numpy's ValueError
         s = IntervalSeries([0.0, 1.0, 0.0, 1.0], [0.1, 0.2, 0.1, 0.2])
         with pytest.raises(DataError, match="max_lag"):
-            summarize(s, max_lag)
+            sample_acf(s, max_lag)
+        with pytest.raises(DataError, match="max_lag"):
+            component_acf(s.centers, max_lag)

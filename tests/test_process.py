@@ -12,7 +12,6 @@ from intgarch import (
     ModelOrders,
     ModelParams,
     mean_stationarity,
-    strict_stationarity_check,
     theoretical_acf,
     theoretical_acov,
     theoretical_moments,
@@ -172,9 +171,13 @@ class TestStationarity:
         assert not ok and s >= 1.0
 
     def test_strict_condition(self):
-        assert strict_stationarity_check(MODEL_I)
+        # c1 = E[x_t] < 1 is sufficient for strict stationarity (E[log x_t] <= log c1);
+        # for a first-order model it is the lag-weight sum mean stationarity reads
         m = ModelParams.first_order(k=1.0, mu=0.1, alpha1=0.5, beta1=0.9, gamma1=0.3)
-        assert not strict_stationarity_check(m)
+        for params, stationary in [(MODEL_I, True), (m, False)]:
+            _, c1, _ = weak_stationarity(params)
+            assert c1 == mean_stationarity(params)[1]
+            assert (c1 < 1.0) is stationary
 
     def test_weak_requires_first_order(self):
         m = ModelParams(ModelOrders(2, 1, 1), 1.0, 0.1, (0.1, 0.1), (0.1,), (0.1,))
